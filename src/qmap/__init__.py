@@ -5,122 +5,58 @@ slowly ergodic sawtooth variant), follows their eigenlevels under an
 O(h^2) change of quantization, and measures coarse-grained ergodicity of
 eigenstates through diagonal matrix elements, smoothed two-point sums and
 trace autocorrelations.
+
+The exports below are loaded on first access (PEP 562), so importing the
+package does not import numpy: the command line can still cap the BLAS
+thread pools (QMAP_THREADS) before numpy loads them.
 """
 
-from ._version import __version__
-from .classical import (
-    OBSERVABLES,
-    CorrelatorCurve,
-    LyapunovReport,
-    classical_correlator,
-    lyapunov_exponent,
-    map_step,
-    microcanonical_average,
-)
-from .config import RunSpec, load_config, make_runspec
-from .ergodicity import (
-    ErgodicityReport,
-    diagonal_elements_report,
-    offdiag_near_degenerate,
-    quantum_F_curve,
-    quantum_classical_compare,
-    quantum_correlator,
-    quantum_correlator_eigenbasis,
-)
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    FitError,
-    NumericalError,
-    QmapError,
-    StepTooLargeError,
-    TrackingError,
-)
-from .model import (
-    VARIANTS,
-    MapFamily,
-    PhaseSpacePoint,
-    PlanckScale,
-    evaluate,
-    require_even_dimension,
-)
-from .quantize import (
-    FloquetOperator,
-    ObservableMatrix,
-    build_floquet,
-    free_propagator,
-    kick_propagator,
-    quantize_observable,
-)
-from .spectral import (
-    SpectralData,
-    decompose_unitary,
-    diagonalize,
-    mean_spacing,
-    phase_clusters,
-)
-from .sweep import (
-    LevelTrajectories,
-    ModelFit,
-    ScalingFit,
-    ShiftStatistics,
-    fit_shift_scaling,
-    scaling_study,
-    shift_statistics,
-    sweep_quantization,
-    track_levels,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "OBSERVABLES",
-    "VARIANTS",
-    "MapFamily",
-    "PhaseSpacePoint",
-    "PlanckScale",
-    "evaluate",
-    "require_even_dimension",
-    "map_step",
-    "microcanonical_average",
-    "lyapunov_exponent",
-    "LyapunovReport",
-    "classical_correlator",
-    "CorrelatorCurve",
-    "build_floquet",
-    "kick_propagator",
-    "free_propagator",
-    "quantize_observable",
-    "FloquetOperator",
-    "ObservableMatrix",
-    "diagonalize",
-    "decompose_unitary",
-    "mean_spacing",
-    "phase_clusters",
-    "SpectralData",
-    "diagonal_elements_report",
-    "ErgodicityReport",
-    "quantum_F_curve",
-    "offdiag_near_degenerate",
-    "quantum_correlator",
-    "quantum_correlator_eigenbasis",
-    "quantum_classical_compare",
-    "sweep_quantization",
-    "track_levels",
-    "LevelTrajectories",
-    "shift_statistics",
-    "ShiftStatistics",
-    "scaling_study",
-    "fit_shift_scaling",
-    "ModelFit",
-    "ScalingFit",
-    "RunSpec",
-    "load_config",
-    "make_runspec",
-    "QmapError",
-    "ConfigurationError",
-    "DomainError",
-    "NumericalError",
-    "StepTooLargeError",
-    "TrackingError",
-    "FitError",
-]
+from ._version import __version__
+
+_EXPORTS = {
+    "classical": ("OBSERVABLES", "CorrelatorCurve", "LyapunovReport",
+                  "classical_correlator", "lyapunov_exponent", "map_step",
+                  "microcanonical_average"),
+    "config": ("RunSpec", "load_config", "make_runspec"),
+    "ergodicity": ("ErgodicityReport", "diagonal_elements_report",
+                   "offdiag_near_degenerate", "quantum_F_curve",
+                   "quantum_classical_compare", "quantum_correlator",
+                   "quantum_correlator_eigenbasis"),
+    "errors": ("ConfigurationError", "DomainError", "FitError",
+               "NumericalError", "QmapError", "StepTooLargeError",
+               "TrackingError"),
+    "model": ("VARIANTS", "MapFamily", "PhaseSpacePoint", "PlanckScale",
+              "evaluate", "require_even_dimension"),
+    "quantize": ("FloquetOperator", "ObservableMatrix", "build_floquet",
+                 "free_propagator", "kick_propagator", "quantize_observable"),
+    "spectral": ("SpectralData", "decompose_unitary", "diagonalize",
+                 "mean_spacing", "phase_clusters"),
+    "sweep": ("LevelTrajectories", "ModelFit", "ScalingFit", "ShiftStatistics",
+              "fit_shift_scaling", "scaling_study", "shift_statistics",
+              "sweep_quantization", "track_levels"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def _load_all() -> None:
+    """Import every module behind the exports (numpy and scipy with them)."""
+    for module in _EXPORTS:
+        importlib.import_module(f".{module}", __name__)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

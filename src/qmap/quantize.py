@@ -88,7 +88,8 @@ def build_floquet(family: MapFamily, scale: PlanckScale) -> FloquetOperator:
     gram = U.conj().T @ U
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     certificate = float(np.max(np.abs(gram)))
-    if certificate >= UNITARITY_TOL:
+    # written so that a NaN entry fails the certificate
+    if not certificate < UNITARITY_TOL:
         raise NumericalError(
             f"quantize: unitarity certificate {certificate:.3e} at or above "
             f"{UNITARITY_TOL:.0e} (variant={family.variant}, N={scale.N})"
@@ -114,7 +115,7 @@ def quantize_observable(label: str, scale: PlanckScale) -> ObservableMatrix:
         raise DomainError(f"quantize: unknown observable label {label!r}")
 
     herm = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if herm >= HERMITICITY_TOL:
+    if not herm < HERMITICITY_TOL:
         raise NumericalError(
             f"quantize: Hermiticity certificate {herm:.3e} at or above "
             f"{HERMITICITY_TOL:.0e} for {label}"

@@ -35,13 +35,17 @@ def track_levels(prev, next, min_overlap: float = TRACK_MIN_OVERLAP,
                  fail_below: float = TRACK_FAIL_BELOW):
     """Match eigenvector columns across a parameter step.
 
-    prev and next are SpectralData (or bare matrices of column vectors)
-    with equal N.  Returns (perm, overlaps): level n of prev continues in
-    column perm[n] of next, with squared overlap overlaps[n].  Greedy
-    matching on descending |<v|w>|^2 is kept when every match clears
-    min_overlap; otherwise the exact optimal assignment is used.  Overlaps
-    below fail_below even then mean the step outran the eigenbasis:
-    StepTooLargeError tells the caller to refine the grid.
+    prev and next are SpectralData (or bare matrices of orthonormal column
+    vectors) with equal N.  Returns (perm, overlaps): level n of prev
+    continues in column perm[n] of next, with squared overlap overlaps[n].
+    Each level takes the column of its largest |<v|w>|^2 when every such
+    maximum exceeds both 1/2 and min_overlap; otherwise the exact optimal
+    assignment is used.  The two agree whenever the maxima exceed 1/2:
+    a column of orthonormal overlaps sums to at most 1, so it holds at
+    most one entry above 1/2, and any other pairing has a smaller entry in
+    every row it changes.  Overlaps below fail_below even then mean the
+    step outran the eigenbasis: StepTooLargeError tells the caller to
+    refine the grid.
     """
     prev_vectors = getattr(prev, "vectors", prev)
     next_vectors = getattr(next, "vectors", next)
@@ -50,26 +54,12 @@ def track_levels(prev, next, min_overlap: float = TRACK_MIN_OVERLAP,
     N = prev_vectors.shape[1]
     O = np.abs(prev_vectors.conj().T @ next_vectors) ** 2
 
-    perm = np.full(N, -1, dtype=int)
-    row_free = np.ones(N, dtype=bool)
-    col_free = np.ones(N, dtype=bool)
-    assigned = 0
-    for flat in np.argsort(O, axis=None)[::-1]:
-        n, m = divmod(int(flat), N)
-        if row_free[n] and col_free[m]:
-            perm[n] = m
-            row_free[n] = False
-            col_free[m] = False
-            assigned += 1
-            if assigned == N:
-                break
-
-    overlaps = O[np.arange(N), perm]
-    if overlaps.min() < min_overlap:
-        rows, cols = linear_sum_assignment(-O)
-        perm = np.empty(N, dtype=int)
-        perm[rows] = cols
-        overlaps = O[np.arange(N), perm]
+    rows = np.arange(N)
+    perm = O.argmax(axis=1)
+    overlaps = O[rows, perm]
+    if not overlaps.min() > max(0.5, min_overlap):
+        perm = linear_sum_assignment(-O)[1]
+        overlaps = O[rows, perm]
 
     worst = float(overlaps.min())
     if worst < fail_below:

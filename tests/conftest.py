@@ -69,6 +69,13 @@ def linear_response_guard(ladder: dict, r1: float) -> tuple:
                 f"each >= {BALLISTIC_FLOOR})")
 
 
+def random_unitary(rng, N: int) -> np.ndarray:
+    """Haar-random N x N unitary: QR of a complex Gaussian, phases fixed."""
+    Z = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    Q, R = np.linalg.qr(Z)
+    return Q * (R.diagonal() / np.abs(R.diagonal()))[None, :]
+
+
 def _ladder_sweeps(variant: str) -> dict:
     fam = MapFamily(variant)
     return {N: sweep_quantization(fam, PlanckScale(N)) for N in LADDER}

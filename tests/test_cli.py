@@ -2,16 +2,28 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from qmap.cli import run_command
+import qmap
+from qmap.cli import _THREAD_VARS, run_command
 from qmap.sweep import MODEL_NAMES
 
 
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+def child_env(**extra):
+    """Environment for a child interpreter: this qmap, no thread settings."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in _THREAD_VARS and k != "QMAP_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qmap.__file__))
+    env.update(extra)
+    return env
 
 
 def data_rows(lines):
@@ -194,3 +206,45 @@ def test_thread_env_knob(tmp_path, monkeypatch, capsys):
     assert run_command(["--help"]) == 0
     capsys.readouterr()
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # QMAP_THREADS is applied to the environment inside run_command; it
+    # only reaches the BLAS pools if numpy has not been imported yet.
+    # run_command then loads the library, scipy included, for any command.
+    probe = ("import sys, qmap, qmap.cli\n"
+             "before = 'numpy' in sys.modules\n"
+             "qmap.cli.run_command(['--help'])\n"
+             "print(before, 'numpy' in sys.modules, 'scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=child_env(QMAP_THREADS="1"),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False True True"
+
+
+def test_results_agree_across_thread_counts(tmp_path):
+    # reruns are byte-identical at one thread count; across counts the BLAS
+    # reduction order differs, so values agree to roundoff only
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "qmap.cli", "sweep", "--variant",
+             "regular", "--N", "128", "--r1", "1", "--out", str(out)],
+            env=child_env(QMAP_THREADS=threads), capture_output=True,
+            text=True, check=True)
+        crossings = [ln for ln in done.stdout.splitlines()
+                     if ln.startswith("crossings:")]
+        header, rows = data_rows(read_lines(out / "spectrum.csv"))
+        runs[threads] = (crossings, header, [r.split(",") for r in rows])
+
+    (cross1, header1, rows1), (cross2, header2, rows2) = runs.values()
+    assert cross1 == cross2 and len(cross1) == 1
+    assert header1 == header2 == "r,level,eigenphase"
+    assert len(rows1) == len(rows2) == 21 * 128
+    worst = 0.0
+    for (r1, n1, a), (r2, n2, b) in zip(rows1, rows2):
+        assert (r1, n1) == (r2, n2)
+        a, b = float(a), float(b)
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
+    assert worst <= 1e-12

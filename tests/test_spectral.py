@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import schur
 
+import qmap.spectral as spectral_mod
+from conftest import random_unitary
 from qmap import (
+    VARIANTS,
     DomainError,
     MapFamily,
+    NumericalError,
     PlanckScale,
     build_floquet,
     decompose_unitary,
@@ -13,6 +20,36 @@ from qmap import (
     mean_spacing,
     phase_clusters,
 )
+from qmap.spectral import CAYLEY_SHIFT
+
+
+def schur_phases(U):
+    """Reference eigenphases from the complex Schur form, sorted."""
+    T, _ = schur(U, output="complex")
+    return np.sort(np.mod(-np.angle(np.diagonal(T)), 2.0 * np.pi))
+
+
+def circular_mismatch(a, b):
+    """Largest distance on the circle from a phase of either set to the other set."""
+    d = np.abs(np.mod(a[:, None] - b[None, :] + np.pi, 2.0 * np.pi) - np.pi)
+    return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def orthonormality_defect(vectors):
+    return np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1])))
+
+
+def record_calls(monkeypatch, name):
+    """Replace spectral.<name> by a pass-through that logs its arguments."""
+    calls = []
+    real = getattr(spectral_mod, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, name, spy)
+    return calls
 
 
 def test_mean_spacing():
@@ -88,6 +125,68 @@ def test_degenerate_block_reorthonormalized():
     phases, vectors, residual = decompose_unitary(U)
     assert residual < 1e-12
     assert np.allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-12)
+
+
+def test_eigenvalue_at_the_first_pole_takes_a_second_pass(monkeypatch):
+    # exp(-i phi) with phi = alpha - pi makes 1 + exp(i alpha) U singular
+    rng = np.random.default_rng(7)
+    phases = np.sort(rng.uniform(0.0, 2.0 * np.pi, 48))
+    phases[7] = np.mod(CAYLEY_SHIFT - np.pi, 2.0 * np.pi)
+    Q = random_unitary(rng, 48)
+    U = (Q * np.exp(-1j * phases)) @ Q.conj().T
+    passes = record_calls(monkeypatch, "_cayley_basis")
+    fallbacks = record_calls(monkeypatch, "schur")
+    found, vectors, residual = decompose_unitary(U)
+    assert len(passes) == 2 and passes[0][1] == CAYLEY_SHIFT
+    assert not fallbacks
+    assert residual < 1e-11
+    assert orthonormality_defect(vectors) < 1e-12
+    assert circular_mismatch(found, np.sort(phases)) < 1e-12
+
+
+def test_failed_cayley_passes_fall_back_to_schur(monkeypatch):
+    op = build_floquet(MapFamily("chaotic", r=0.4), PlanckScale(64))
+
+    def bad_eigh(H, **kwargs):
+        return np.zeros(H.shape[0]), np.eye(H.shape[0], dtype=complex)
+
+    monkeypatch.setattr(spectral_mod, "eigh", bad_eigh)
+    passes = record_calls(monkeypatch, "_cayley_basis")
+    fallbacks = record_calls(monkeypatch, "schur")
+    data = diagonalize(op)
+    assert len(passes) == 2 and len(fallbacks) == 1
+    assert data.max_residual < 1e-11
+    assert orthonormality_defect(data.vectors) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(1, 64),
+       r=st.floats(0.0, 3.0))
+def test_cayley_route_matches_schur(variant, half_N, r):
+    op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
+    data = diagonalize(op)
+    assert data.max_residual < 1e-11
+    assert orthonormality_defect(data.vectors) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+
+
+def test_nan_entry_fails_the_unitarity_check():
+    U = np.eye(4, dtype=complex)
+    U[1, 2] = np.nan
+    with pytest.raises(DomainError):
+        decompose_unitary(U)
+
+
+def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
+    def nan_basis(A, **kwargs):
+        N = A.shape[0]
+        return np.zeros(N), np.full((N, N), np.nan, dtype=complex)
+
+    monkeypatch.setattr(spectral_mod, "eigh", nan_basis)
+    monkeypatch.setattr(spectral_mod, "schur", nan_basis)
+    with pytest.raises(NumericalError):
+        decompose_unitary(np.eye(4))
 
 
 def test_non_unitary_input_rejected():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 import qmap.sweep as sweep_mod
+from conftest import random_unitary
 from qmap.sweep import MODEL_NAMES
 from qmap import (
     DomainError,
@@ -50,6 +53,25 @@ def test_tracking_follows_a_column_swap(chaotic_32):
     expected[[3, 7]] = [7, 3]
     assert np.array_equal(perm, expected)
     assert np.all(overlaps >= 1.0 - 1e-12)
+
+
+def test_largest_overlap_matching_equals_the_optimal_assignment():
+    # near-identity steps of random orthonormal bases, columns shuffled;
+    # small steps take the largest-overlap path, large ones the assignment
+    rng = np.random.default_rng(31)
+    paths = set()
+    for N, step in [(16, 0.05), (64, 0.2), (64, 0.5), (128, 0.3), (32, 1.5)]:
+        for _ in range(4):
+            prev = random_unitary(rng, N)
+            K = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            rotation = expm(0.5j * step * (K + K.conj().T) / np.sqrt(N))
+            nxt = (prev @ rotation)[:, rng.permutation(N)]
+            O = np.abs(prev.conj().T @ nxt) ** 2
+            paths.add(bool(O.max(axis=1).min() > 0.5))
+            perm, overlaps = track_levels(prev, nxt, fail_below=0.0)
+            assert np.array_equal(perm, linear_sum_assignment(-O)[1])
+            assert np.array_equal(overlaps, O[np.arange(N), perm])
+    assert paths == {True, False}
 
 
 def test_unrelated_bases_are_a_step_too_large():
