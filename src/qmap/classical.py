@@ -7,8 +7,9 @@ The one-step map on the torus is
     q~ = q + p~     mod 1
 
 (kick first, then drift).  All classical evaluation uses the h -> 0 limit
-of the family, i.e. the r h^2 quantization term is absent; the drift
-derivative T'(p~) is then p~ for every variant.
+of the family: the model formulas are called without a PlanckScale, so
+the r h^2 quantization term is absent; the drift derivative T'(p~) is then
+p~ for every variant.
 
 A map has no conserved energy, so the microcanonical window of an
 autonomous system is played here by the whole torus with uniform measure:
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import MapFamily, PhaseSpacePoint
+from .model import (MapFamily, PhaseSpacePoint, potential_curvature,
+                    potential_slope)
 
 OBSERVABLES = ("cos2pi_q", "cos2pi_p", "identity")
 
@@ -48,31 +50,15 @@ def _observable_values(observable: str, q: np.ndarray, p: np.ndarray) -> np.ndar
     raise DomainError(f"classical: unknown observable {observable!r}")
 
 
-def _force(family: MapFamily, q: np.ndarray) -> np.ndarray:
-    """Classical V'(q), vectorized; the r h^2 term is dropped (h -> 0 limit)."""
-    if family.variant == "slow_ergodic":
-        return family.sawtooth_height * np.sign(q - 0.5)
-    return family.quadratic_sign * q + (0.4 / (2.0 * np.pi)) * np.cos(2.0 * np.pi * q)
-
-
-def _curvature(family: MapFamily, q: np.ndarray) -> np.ndarray:
-    """Classical V''(q); zero almost everywhere for the sawtooth."""
-    if family.variant == "slow_ergodic":
-        return np.zeros_like(q)
-    return family.quadratic_sign - 0.4 * np.sin(2.0 * np.pi * q)
-
-
 def _step_arrays(family: MapFamily, q: np.ndarray, p: np.ndarray):
-    p_new = (p - _force(family, q)) % 1.0
+    p_new = (p - potential_slope(family, q)) % 1.0
     q_new = (q + p_new) % 1.0
     return q_new, p_new
 
 
 def map_step(point: PhaseSpacePoint, family: MapFamily) -> PhaseSpacePoint:
     """Advance one torus point by one kick-then-drift period."""
-    q = np.asarray(point.q)
-    p = np.asarray(point.p)
-    q_new, p_new = _step_arrays(family, q, p)
+    q_new, p_new = _step_arrays(family, point.q, point.p)
     return PhaseSpacePoint(float(q_new), float(p_new))
 
 
@@ -117,7 +103,7 @@ def lyapunov_exponent(family: MapFamily, seeds: list[PhaseSpacePoint],
     log_growth = np.zeros_like(q)
 
     for _ in range(steps):
-        curv = _curvature(family, q)
+        curv = potential_curvature(family, q)
         dp = dp - curv * dq
         dq = dq + dp
         norm = np.hypot(dq, dp)

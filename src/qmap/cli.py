@@ -305,7 +305,6 @@ def run_ergodicity(spec) -> dict:
         "correlation_times": np.arange(spec.t_max + 1, dtype=float),
         "C_classical": classical.C[:spec.t_max + 1],
         "f_quantum": f_quantum,
-        "classical_deviation": deviation,
     }
 
 

@@ -20,6 +20,7 @@ from .model import VARIANTS
 COMMANDS = ("classical", "spectrum", "sweep", "scaling", "ergodicity")
 
 _FAMILY_KEYS = ("variant", "r")
+_LIST_FIELDS = ("N_list", "r_grid", "T_grid")
 
 
 @dataclass(frozen=True)
@@ -49,27 +50,11 @@ class RunSpec:
 
     def as_dict(self) -> dict:
         """JSON-ready mapping with the family nested, for embedding in outputs."""
-        out = {
-            "command": self.command,
-            "family": {"variant": self.variant, "r": self.r},
-            "observable": self.observable,
-            "N": self.N,
-            "N_list": list(self.N_list),
-            "r0": self.r0,
-            "r1": self.r1,
-            "delta_r": self.delta_r,
-            "r_grid": None if self.r_grid is None else list(self.r_grid),
-            "T_grid": None if self.T_grid is None else list(self.T_grid),
-            "t_max": self.t_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "lyapunov_steps": self.lyapunov_steps,
-            "lyapunov_seeds": self.lyapunov_seeds,
-            "subtract_mean": self.subtract_mean,
-            "sorted_pairing": self.sorted_pairing,
-            "emit_plot": self.emit_plot,
-            "out_dir": self.out_dir,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["family"] = {"variant": out.pop("variant"), "r": out.pop("r")}
+        for key in _LIST_FIELDS:
+            if out[key] is not None:
+                out[key] = list(out[key])
         return out
 
 
@@ -148,29 +133,24 @@ def _validate(spec: RunSpec) -> list:
         problems.append(("r1", f"must exceed r0={spec.r0}, got {spec.r1}"))
     number("delta_r", spec.delta_r, lo=1e-12)
 
-    if spec.r_grid is not None:
-        if not isinstance(spec.r_grid, (list, tuple)) or len(spec.r_grid) == 0:
-            problems.append(("r_grid", "expected a non-empty list of numbers"))
+    # each grid is read by one command only; elsewhere it would be ignored
+    for name, grid, reader, lo in (("r_grid", spec.r_grid, "sweep", None),
+                                   ("T_grid", spec.T_grid, "ergodicity", 0.0)):
+        if grid is None:
+            continue
+        if spec.command != reader:
+            problems.append((name, f"only {reader} reads it; "
+                                   f"{spec.command!r} would ignore it"))
+        elif not isinstance(grid, (list, tuple)) or len(grid) == 0:
+            problems.append((name, "expected a non-empty list of numbers"))
         else:
             last = None
-            for i, r in enumerate(spec.r_grid):
-                if number(f"r_grid[{i}]", r):
-                    if last is not None and r <= last:
-                        problems.append((f"r_grid[{i}]",
+            for i, x in enumerate(grid):
+                if number(f"{name}[{i}]", x, lo=lo):
+                    if last is not None and x <= last:
+                        problems.append((f"{name}[{i}]",
                                          "values must be strictly ascending"))
-                    last = r
-
-    if spec.T_grid is not None:
-        if not isinstance(spec.T_grid, (list, tuple)) or len(spec.T_grid) == 0:
-            problems.append(("T_grid", "expected a non-empty list of numbers"))
-        else:
-            last = None
-            for i, T in enumerate(spec.T_grid):
-                if number(f"T_grid[{i}]", T, lo=0.0):
-                    if last is not None and T <= last:
-                        problems.append((f"T_grid[{i}]",
-                                         "values must be strictly ascending"))
-                    last = T
+                    last = x
 
     number("t_max", spec.t_max, lo=1, integer=True)
     number("samples", spec.samples, lo=10_000, integer=True)
@@ -212,7 +192,7 @@ def _flatten(raw: dict) -> tuple:
             flat[key] = value
         else:
             problems.append((key, "unknown key"))
-    for key in ("N_list", "r_grid", "T_grid"):
+    for key in _LIST_FIELDS:
         if isinstance(flat.get(key), list):
             flat[key] = tuple(flat[key])
     return flat, problems

@@ -40,8 +40,7 @@ class ErgodicityReport:
 
     diagonals/mean/variance come from the diagonal elements, F_curve and
     F_infinity from the smoothed two-point sum, offdiag_max from the
-    near-degenerate scan (None when no pair qualifies), and
-    classical_deviation from the correlator comparison.
+    near-degenerate scan (None when no pair qualifies).
     """
 
     N: int
@@ -55,7 +54,6 @@ class ErgodicityReport:
     offdiag_max: float | None = None
     offdiag_pair_count: int | None = None
     offdiag_gap_tol: float | None = None
-    classical_deviation: float | None = None
 
     def __post_init__(self):
         if self.diagonals is not None:

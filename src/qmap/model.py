@@ -3,15 +3,17 @@
 Three one-kick-per-period map families are supported, each defined by a
 kinetic function T(p) and a kick potential V(q) on [0, 1):
 
-  chaotic       V(q) = -q^2/2 + (0.4/(2 pi)^2) sin(2 pi q) + r h^2 cos(2 pi q)
-  regular       V(q) = +q^2/2 + (0.4/(2 pi)^2) sin(2 pi q) + r h^2 cos(2 pi q)
+  chaotic       V(q) = -q^2/2 + (K/(2 pi)^2) sin(2 pi q) + r h^2 cos(2 pi q)
+  regular       V(q) = +q^2/2 + (K/(2 pi)^2) sin(2 pi q) + r h^2 cos(2 pi q)
   slow_ergodic  V(q) = 0.3 |q - 1/2|,  T(p) = p^2/2 + r h^2 cos(2 pi p)
 
-The sin term breaks parity and makes the dynamics generic; the dimensionless
-parameter r selects one member of a family of quantizations that share the
-same classical limit, since the r term carries an explicit h^2 = 1/N^2
-prefactor and vanishes as N grows.  Classical (h-independent) evaluation
-drops the r term entirely.
+with kick strength K = 0.4.  The sin term breaks parity and makes the
+dynamics generic; the dimensionless parameter r selects one member of a
+family of quantizations that share the same classical limit, since the r
+term carries an explicit h^2 = 1/N^2 prefactor and vanishes as N grows.
+These formulas are written here only: the array functions below serve the
+quantization (with a PlanckScale) and the classical map (without one, the
+h -> 0 limit, where the r term is dropped without being computed).
 """
 
 from __future__ import annotations
@@ -19,12 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigurationError, DomainError
 
 VARIANTS = ("chaotic", "regular", "slow_ergodic")
 
-# amplitude of the parity-breaking sin(2 pi q) term
-SIN_AMPLITUDE = 0.4 / (2.0 * math.pi) ** 2
+#: kick strength: amplitude of the sin term in V''
+K = 0.4
+# amplitude of the parity-breaking sin(2 pi q) term in V
+SIN_AMPLITUDE = K / (2.0 * math.pi) ** 2
 
 #: default tent height of the slow-ergodic sawtooth potential
 SAWTOOTH_HEIGHT = 0.3
@@ -105,39 +111,65 @@ class PhaseSpacePoint:
         object.__setattr__(self, "p", self.p % 1.0)
 
 
+def _with_quantization_term(value, family: MapFamily, site: str, x,
+                            scale: PlanckScale | None, derivative: int = 0):
+    """Add r h^2 cos(2 pi x), or its x-derivative, to value at the family's
+    perturbation_site; without a scale or at the other site, return value."""
+    if scale is None or family.perturbation_site != site:
+        return value
+    pert = family.r * scale.h ** 2
+    if derivative == 0:
+        return value + pert * np.cos(2.0 * np.pi * x)
+    return value - 2.0 * np.pi * pert * np.sin(2.0 * np.pi * x)
+
+
+def potential(family: MapFamily, q, scale: PlanckScale | None = None):
+    """V(q) elementwise; without a scale, the classical h -> 0 limit."""
+    if family.variant == "slow_ergodic":
+        V = family.sawtooth_height * np.abs(q - 0.5)
+    else:
+        V = (family.quadratic_sign * q * q / 2.0
+             + SIN_AMPLITUDE * np.sin(2.0 * np.pi * q))
+    return _with_quantization_term(V, family, "position", q, scale)
+
+
+def potential_slope(family: MapFamily, q, scale: PlanckScale | None = None):
+    """V'(q) elementwise; the sawtooth has V'(q) = 0.3 sign(q - 1/2), V'(1/2) = 0."""
+    if family.variant == "slow_ergodic":
+        dV = family.sawtooth_height * np.sign(q - 0.5)
+    else:
+        dV = (family.quadratic_sign * q
+              + K / (2.0 * np.pi) * np.cos(2.0 * np.pi * q))
+    return _with_quantization_term(dV, family, "position", q, scale, 1)
+
+
+def potential_curvature(family: MapFamily, q):
+    """V''(q) elementwise, h -> 0 limit only; zero for the sawtooth."""
+    if family.variant == "slow_ergodic":
+        return np.zeros_like(q)
+    return family.quadratic_sign - K * np.sin(2.0 * np.pi * q)
+
+
+def kinetic(family: MapFamily, p, scale: PlanckScale | None = None):
+    """T(p) elementwise; without a scale, the classical h -> 0 limit."""
+    return _with_quantization_term(p * p / 2.0, family, "momentum", p, scale)
+
+
+_COMPONENTS = {"V": potential, "Vprime": potential_slope, "T": kinetic}
+
+
 def evaluate(family: MapFamily, component: str, x: float,
              scale: PlanckScale | None = None) -> float:
-    """Evaluate V, V' or T for a family at a point of [0, 1).
-
-    The r h^2 perturbation requires a PlanckScale; asking for any component
-    of a family with r != 0 without one is a configuration error.  The
-    sawtooth derivative uses V'(q) = 0.3 sign(q - 1/2) with V'(1/2) := 0.
-    """
+    """Evaluate V, V' or T at one point of [0, 1): the array functions above
+    behind input checks.  A family with r != 0 needs a PlanckScale here."""
     if not (0.0 <= x < 1.0):
         raise DomainError(f"model: coordinate {x!r} outside [0, 1)")
     if family.r != 0.0 and scale is None:
         raise ConfigurationError(
             "model: r != 0 requires a PlanckScale (perturbation amplitude is r h^2)"
         )
-    h2 = scale.h ** 2 if scale is not None else 0.0
-    pert = family.r * h2
-
-    if component == "V":
-        if family.variant == "slow_ergodic":
-            return family.sawtooth_height * abs(x - 0.5)
-        return (family.quadratic_sign * x * x / 2.0
-                + SIN_AMPLITUDE * math.sin(2.0 * math.pi * x)
-                + pert * math.cos(2.0 * math.pi * x))
-    if component == "Vprime":
-        if family.variant == "slow_ergodic":
-            if x == 0.5:
-                return 0.0
-            return family.sawtooth_height * math.copysign(1.0, x - 0.5)
-        return (family.quadratic_sign * x
-                + 2.0 * math.pi * SIN_AMPLITUDE * math.cos(2.0 * math.pi * x)
-                - 2.0 * math.pi * pert * math.sin(2.0 * math.pi * x))
-    if component == "T":
-        if family.variant == "slow_ergodic":
-            return x * x / 2.0 + pert * math.cos(2.0 * math.pi * x)
-        return x * x / 2.0
-    raise DomainError(f"model: unknown component {component!r}, expected V, Vprime or T")
+    formula = _COMPONENTS.get(component)
+    if formula is None:
+        raise DomainError(
+            f"model: unknown component {component!r}, expected V, Vprime or T")
+    return float(formula(family, x, scale))

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .model import MapFamily, PlanckScale, evaluate, require_even_dimension
+from .model import (MapFamily, PlanckScale, kinetic, potential,
+                    require_even_dimension)
 
 UNITARITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -31,15 +32,13 @@ HERMITICITY_TOL = 1e-12
 
 def kick_propagator(family: MapFamily, scale: PlanckScale) -> np.ndarray:
     """Diagonal entries exp(-2 pi i N V(q_j)) of the kick in the position basis."""
-    grid = np.arange(scale.N) / scale.N
-    V = np.array([evaluate(family, "V", q, scale) for q in grid])
+    V = potential(family, np.arange(scale.N) / scale.N, scale)
     return np.exp(-2j * np.pi * scale.N * V)
 
 
 def free_propagator(family: MapFamily, scale: PlanckScale) -> np.ndarray:
     """Diagonal entries exp(-2 pi i N T(p_k)) of the free flight in the momentum basis."""
-    grid = np.arange(scale.N) / scale.N
-    T = np.array([evaluate(family, "T", p, scale) for p in grid])
+    T = kinetic(family, np.arange(scale.N) / scale.N, scale)
     return np.exp(-2j * np.pi * scale.N * T)
 
 

@@ -7,8 +7,9 @@ Diagonalization goes through the Cayley transform.  For W = exp(i alpha) U
 the matrix H = i (1 + W)^-1 (1 - W) is Hermitian, has the eigenvectors of
 U and the eigenvalues tan((alpha - phi) / 2).  One LU solve forms H and a
 Hermitian eigensolver (LAPACK zheevr) diagonalizes it, so the basis is
-orthonormal to roundoff (1e-12 or better at N = 512) even inside the
-near-degenerate clusters that dense r sweeps sit on.  Each phase is read from the
+orthonormal to roundoff even inside the near-degenerate clusters that
+dense r sweeps sit on (max |V*V - 1| measured up to 1.4e-12 at N = 512;
+only the eigenpair residual is certified).  Each phase is read from the
 Rayleigh quotient v* U v rather than from the eigenvalue of H, which
 loses accuracy near the pole phi = alpha - pi.
 
@@ -50,7 +51,11 @@ def mean_spacing(N: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Sorted eigenphases with matching orthonormal eigenvector columns."""
+    """Sorted eigenphases with matching orthonormal eigenvector columns.
+
+    Only max_residual is certified; orthonormality is not checked (max
+    |V*V - 1| measured up to 1.4e-12 at N = 512).
+    """
 
     N: int
     family: MapFamily

@@ -123,6 +123,20 @@ def test_explicit_r_grid_replaces_the_window():
         make_runspec({"command": "sweep", "r_grid": []})
 
 
+@pytest.mark.parametrize("field,value,readers", [
+    ("r_grid", [0.0, 0.5], ("sweep",)),
+    ("T_grid", [0.0, 1.0], ("ergodicity",)),
+])
+def test_grids_are_rejected_where_they_would_be_ignored(field, value, readers):
+    for command in COMMANDS:
+        config = {"command": command, field: value}
+        if command in readers:
+            assert getattr(make_runspec(config), field) == tuple(value)
+        else:
+            with pytest.raises(ConfigurationError, match=f"{field}: only"):
+                make_runspec(config)
+
+
 def test_T_grid_validation():
     spec = make_runspec({"command": "ergodicity", "T_grid": [0.0, 1.0, 4.0]})
     assert spec.T_grid == (0.0, 1.0, 4.0)

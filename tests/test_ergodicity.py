@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_unitary
 from qmap import (
     DomainError,
     MapFamily,
@@ -69,6 +72,25 @@ def test_f_curve_starts_at_second_moment(small_chaotic):
     F = [F for _, F in rep.F_curve]
     assert np.all(np.diff(F) <= 0.0)
     assert np.all(rep.F_infinity <= np.array(F))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(half_N=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       label=st.sampled_from(["cos2pi_q", "cos2pi_p", "identity"]),
+       T_grid=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=12,
+                       unique=True).map(sorted))
+def test_f_curve_chain_is_exact_on_random_spectra(half_N, seed, label, T_grid):
+    N = 2 * half_N
+    rng = np.random.default_rng(seed)
+    scale = PlanckScale(N)
+    data = SpectralData(N=N, family=MapFamily("chaotic"), scale=scale,
+                        phases=np.sort(rng.uniform(0.0, 2.0 * np.pi, N)),
+                        vectors=random_unitary(rng, N), max_residual=0.0)
+    rep = quantum_F_curve(data, quantize_observable(label, scale), T_grid)
+    F = np.array([F for _, F in rep.F_curve])
+    # F(inf) <= F(T2) <= F(T1) for T1 <= T2, compared without tolerance
+    assert np.all(rep.F_infinity <= F)
+    assert np.all(np.diff(F) <= 0.0)
 
 
 def test_f_curve_plateau_matches_diagonal_report(small_chaotic):

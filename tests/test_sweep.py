@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
@@ -72,6 +74,21 @@ def test_largest_overlap_matching_equals_the_optimal_assignment():
             assert np.array_equal(perm, linear_sum_assignment(-O)[1])
             assert np.array_equal(overlaps, O[np.arange(N), perm])
     assert paths == {True, False}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(half_N=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_tracking_inverts_a_column_permutation_in_any_gauge(half_N, seed, data):
+    N = 2 * half_N
+    V = random_unitary(np.random.default_rng(seed), N)
+    pi = np.array(data.draw(st.permutations(range(N)), label="pi"))
+    theta = np.array(data.draw(
+        st.lists(st.floats(0.0, 2.0 * np.pi), min_size=N, max_size=N),
+        label="theta"))
+    perm, overlaps = track_levels(V, V[:, pi] * np.exp(1j * theta)[None, :])
+    assert np.array_equal(perm, np.argsort(pi))
+    assert np.max(np.abs(overlaps - 1.0)) < 1e-12
 
 
 def test_unrelated_bases_are_a_step_too_large():
