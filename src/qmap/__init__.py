@@ -20,7 +20,8 @@ _EXPORTS = {
                   "classical_correlator", "lyapunov_exponent", "map_step",
                   "microcanonical_average"),
     "config": ("RunSpec", "load_config", "make_runspec"),
-    "ergodicity": ("ErgodicityReport", "diagonal_elements_report",
+    "ergodicity": ("ErgodicityReport", "FCurveReport", "OffdiagReport",
+                   "diagonal_elements_report",
                    "offdiag_near_degenerate", "quantum_F_curve",
                    "quantum_classical_compare", "quantum_correlator",
                    "quantum_correlator_eigenbasis"),

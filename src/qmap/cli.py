@@ -61,6 +61,10 @@ def _int_list(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the library is loaded by now (run_command calls _load_all first)
+    from .classical import OBSERVABLES
+    from .model import VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="qmap",
         description="Quantized kicked torus maps: spectra, level motion, "
@@ -76,10 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         # top-level --config value
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="JSON file of run parameters")
-        p.add_argument("--variant",
-                       choices=("chaotic", "regular", "slow_ergodic"))
-        p.add_argument("--observable",
-                       choices=("cos2pi_q", "cos2pi_p", "identity"))
+        p.add_argument("--variant", choices=VARIANTS)
+        p.add_argument("--observable", choices=OBSERVABLES)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--emit-plot", dest="emit_plot", action="store_const",
@@ -263,8 +265,6 @@ def _default_T_grid(N: int):
 
 
 def run_ergodicity(spec) -> dict:
-    import dataclasses
-
     import numpy as np
 
     from .classical import classical_correlator
@@ -277,19 +277,18 @@ def run_ergodicity(spec) -> dict:
 
     family = _family(spec, with_r=True)
     reports = []
-    last = None
+    curves = []
     for N in spec.N_list:
         scale = PlanckScale(N)
         op = build_floquet(family, scale)
         data = diagonalize(op)
         obs = quantize_observable(spec.observable, scale)
-        rep = diagonal_elements_report(data, obs)
+        reports.append(diagonal_elements_report(data, obs))
         T_grid = spec.T_grid if spec.T_grid is not None else _default_T_grid(N)
-        curve = quantum_F_curve(data, obs, np.asarray(T_grid, dtype=float))
-        reports.append(dataclasses.replace(rep, F_curve=curve.F_curve))
-        last = (op, data, obs)
+        curves.append(quantum_F_curve(data, obs,
+                                      np.asarray(T_grid, dtype=float)))
 
-    op, data, obs = last
+    # the correlators compare at the largest N of the ladder, the last one
     classical = classical_correlator(family, spec.observable, spec.t_max,
                                      spec.samples, spec.seed)
     f_quantum = quantum_correlator_eigenbasis(data, obs, spec.t_max)
@@ -302,6 +301,7 @@ def run_ergodicity(spec) -> dict:
           f"max |diff| = {deviation:.6g}")
     return {
         "reports": reports,
+        "curves": curves,
         "correlation_times": np.arange(spec.t_max + 1, dtype=float),
         "C_classical": classical.C[:spec.t_max + 1],
         "f_quantum": f_quantum,

@@ -9,7 +9,8 @@ eigenbasis of a Floquet operator:
     from F(0) = tr(A^2)/N to F(inf) = (1/N) sum_n |M_nn|^2,
   * raw off-diagonal elements across near-degenerate phase pairs.
 
-All three fill different slices of one ErgodicityReport.
+Each returns its own complete result: ErgodicityReport, FCurveReport and
+OffdiagReport.
 
 F(T) is assembled as (diag_sum + offdiag_sum(T)) / N with one shared
 diag_sum and same-shaped weight arrays for every T, so the inequalities
@@ -36,34 +37,59 @@ _IDENTITY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class ErgodicityReport:
-    """Eigenbasis statistics of one observable; fields fill per diagnostic.
+    """Diagonal elements <n|A|n> of one observable against its average a0.
 
-    diagonals/mean/variance come from the diagonal elements, F_curve and
-    F_infinity from the smoothed two-point sum, offdiag_max from the
-    near-degenerate scan (None when no pair qualifies).
+    variance is the mean square deviation of the diagonals from a0, and
+    F_infinity their mean square, the T -> inf plateau of F(T).
     """
 
     N: int
     observable: str
-    a0: float | None = None
-    diagonals: np.ndarray | None = None
-    mean: float | None = None
-    variance: float | None = None
-    F_curve: tuple | None = None
-    F_infinity: float | None = None
-    offdiag_max: float | None = None
-    offdiag_pair_count: int | None = None
-    offdiag_gap_tol: float | None = None
+    a0: float
+    diagonals: np.ndarray
+    mean: float
+    variance: float
+    F_infinity: float
 
     def __post_init__(self):
-        if self.diagonals is not None:
-            self.diagonals.setflags(write=False)
+        self.diagonals.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class FCurveReport:
+    """F(T) as (T, F) pairs on an ascending grid, and its T -> inf limit."""
+
+    N: int
+    F_curve: tuple
+    F_infinity: float
+
+
+@dataclass(frozen=True)
+class OffdiagReport:
+    """Largest |A_nm| over the pairs with wrapped phase gap below gap_tol.
+
+    offdiag_max is None when no pair qualifies.
+    """
+
+    N: int
+    offdiag_max: float | None
+    offdiag_pair_count: int
+    offdiag_gap_tol: float
+
+
+def _check_dimension(obs: ObservableMatrix, N: int, against: str) -> None:
+    if obs.N != N:
+        raise DomainError(
+            f"ergodicity: observable dimension {obs.N} != {against} dimension {N}")
+
+
+def _check_t_range(t_range: int) -> None:
+    if t_range < 0:
+        raise DomainError(f"ergodicity: t_range must be >= 0, got {t_range}")
 
 
 def _eigenbasis_matrix(data: SpectralData, obs: ObservableMatrix) -> np.ndarray:
-    if obs.N != data.N:
-        raise DomainError(
-            f"ergodicity: observable dimension {obs.N} != spectrum dimension {data.N}")
+    _check_dimension(obs, data.N, "spectrum")
     return data.vectors.conj().T @ obs.matrix @ data.vectors
 
 
@@ -115,7 +141,7 @@ def diagonal_elements_report(data: SpectralData, obs: ObservableMatrix,
 
 
 def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
-                    T_grid) -> ErgodicityReport:
+                    T_grid) -> FCurveReport:
     """Evaluate F(T) on an ascending grid; F_infinity is the diagonal term."""
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0:
@@ -138,16 +164,15 @@ def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
         np.fill_diagonal(w, 0.0)
         offdiag = float(np.sum(P * w))
         values[i] = (diag_sum + offdiag) / N
-    return ErgodicityReport(
+    return FCurveReport(
         N=N,
-        observable=obs.classical_label,
         F_curve=tuple((float(T), float(F)) for T, F in zip(T_grid, values)),
         F_infinity=diag_sum / N,
     )
 
 
 def offdiag_near_degenerate(data: SpectralData, obs: ObservableMatrix,
-                            gap_tol: float = 1e-8) -> ErgodicityReport:
+                            gap_tol: float = 1e-8) -> OffdiagReport:
     """Largest |A_nm| between levels with wrapped phase gap below gap_tol.
 
     Inside exactly degenerate eigenspaces (gaps below 1e-8) the eigenbasis
@@ -157,9 +182,7 @@ def offdiag_near_degenerate(data: SpectralData, obs: ObservableMatrix,
     """
     if gap_tol <= 0.0:
         raise DomainError(f"ergodicity: gap_tol must be positive, got {gap_tol}")
-    if obs.N != data.N:
-        raise DomainError(
-            f"ergodicity: observable dimension {obs.N} != spectrum dimension {data.N}")
+    _check_dimension(obs, data.N, "spectrum")
 
     vectors = np.array(data.vectors)
     for cluster in phase_clusters(data.phases):
@@ -176,9 +199,8 @@ def offdiag_near_degenerate(data: SpectralData, obs: ObservableMatrix,
     n_idx, m_idx = np.nonzero(np.triu(gaps < gap_tol, k=1))
     elements = np.abs(M[n_idx, m_idx])
 
-    return ErgodicityReport(
+    return OffdiagReport(
         N=data.N,
-        observable=obs.classical_label,
         offdiag_max=float(elements.max()) if elements.size else None,
         offdiag_pair_count=int(elements.size),
         offdiag_gap_tol=float(gap_tol),
@@ -194,11 +216,8 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
     f(t) must come out real to 1e-9; a larger imaginary part means U lost
     unitarity or A lost Hermiticity.
     """
-    if t_range < 0:
-        raise DomainError(f"ergodicity: t_range must be >= 0, got {t_range}")
-    if obs.N != op.N:
-        raise DomainError(
-            f"ergodicity: observable dimension {obs.N} != operator dimension {op.N}")
+    _check_t_range(t_range)
+    _check_dimension(obs, op.N, "operator")
     A = obs.matrix
     U = op.U
     Ud = U.conj().T
@@ -207,7 +226,8 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
     for t in range(t_range + 1):
         if t > 0:
             B = U @ B @ Ud
-        f_t = np.trace(A @ B) / op.N
+        # tr(A B) = sum_ij A_ij B_ji, without forming the product
+        f_t = np.sum(A * B.T) / op.N
         if abs(f_t.imag) >= QUANTUM_REAL_TOL:
             raise NumericalError(
                 f"ergodicity: f({t}) has imaginary part {f_t.imag:.3e}; "
@@ -219,8 +239,7 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
 def quantum_correlator_eigenbasis(data: SpectralData, obs: ObservableMatrix,
                                   t_range: int) -> np.ndarray:
     """Same trace autocorrelation evaluated from eigenphases and |M_nm|^2."""
-    if t_range < 0:
-        raise DomainError(f"ergodicity: t_range must be >= 0, got {t_range}")
+    _check_t_range(t_range)
     M = _eigenbasis_matrix(data, obs)
     P = np.abs(M) ** 2
     delta = _wrapped_gaps(data.phases)

@@ -45,51 +45,23 @@ def runspec_header(spec: RunSpec) -> list:
     return lines
 
 
-def write_csv(path: str, spec: RunSpec, columns, rows) -> None:
+def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
+    """blocks: (label, rows) pairs; a None label writes the rows bare.
+
+    Labelled blocks open with a `# label` line and are separated by two
+    blank lines.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in runspec_header(spec):
             fh.write(line + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
-
-
-def write_blocked_csv(path: str, spec: RunSpec, columns, blocks) -> None:
-    """blocks: iterable of (label_line, rows); blocks separated by two blanks."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in runspec_header(spec):
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        first = True
-        for label, rows in blocks:
-            if not first:
+        for i, (label, rows) in enumerate(blocks):
+            if i:
                 fh.write("\n\n")
-            first = False
-            fh.write(f"# {label}\n")
+            if label is not None:
+                fh.write(f"# {label}\n")
             for row in rows:
                 fh.write(",".join(format_value(v) for v in row) + "\n")
-
-
-def spectrum_rows(traj) -> list:
-    rows = []
-    for g, r in enumerate(traj.r_grid):
-        for level in range(traj.phases.shape[0]):
-            rows.append((float(r), level, float(traj.phases[level, g])))
-    return rows
-
-
-def single_spectrum_rows(r: float, data) -> list:
-    return [(float(r), level, float(phi))
-            for level, phi in enumerate(data.phases)]
-
-
-def write_spectrum_csv(path: str, spec: RunSpec, rows) -> None:
-    write_csv(path, spec, ("r", "level", "eigenphase"), rows)
-
-
-def write_shifts_csv(path: str, spec: RunSpec, stats) -> None:
-    rows = [(s.N, s.h, s.mean_sq_spacing_units) for s in stats]
-    write_csv(path, spec, ("N", "h", "mean_sq_shift_spacing_units"), rows)
 
 
 def write_fit_json(path: str, spec: RunSpec, study) -> None:
@@ -117,32 +89,6 @@ def write_fit_json(path: str, spec: RunSpec, study) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_ergodicity_csv(path: str, spec: RunSpec, reports) -> None:
-    rows = [(rep.N, rep.variance, rep.F_infinity) for rep in reports]
-    write_csv(path, spec, ("N", "variance", "F_infinity"), rows)
-
-
-def write_f_curve_csv(path: str, spec: RunSpec, reports) -> None:
-    blocks = [
-        (f"N={rep.N}", [(float(T), float(F)) for T, F in rep.F_curve])
-        for rep in reports
-    ]
-    write_blocked_csv(path, spec, ("T", "F"), blocks)
-
-
-def write_correlator_csv(path: str, spec: RunSpec, times, classical,
-                         quantum) -> None:
-    rows = [(float(t), float(c), float(q))
-            for t, c, q in zip(times, classical, quantum)]
-    write_csv(path, spec, ("t", "C_classical", "f_quantum"), rows)
-
-
-def write_classical_csv(path: str, spec: RunSpec, curve) -> None:
-    rows = [(float(t), float(c), float(s))
-            for t, c, s in zip(curve.times, curve.C, curve.stderr)]
-    write_csv(path, spec, ("t", "C", "stderr"), rows)
 
 
 _GP_SECTIONS = {
@@ -213,10 +159,6 @@ def write_plot_script(path: str, command: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def prepare_out_dir(out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-
-
 def write_outputs(results: dict, spec: RunSpec) -> list:
     """Write every artifact for one finished run; returns the paths written.
 
@@ -224,7 +166,7 @@ def write_outputs(results: dict, spec: RunSpec) -> list:
     read depends on spec.command.  The gnuplot script is only produced
     when the run asked for it.
     """
-    prepare_out_dir(spec.out_dir)
+    os.makedirs(spec.out_dir, exist_ok=True)
     written: list = []
 
     def target(name: str) -> str:
@@ -234,26 +176,39 @@ def write_outputs(results: dict, spec: RunSpec) -> list:
 
     cmd = spec.command
     if cmd == "classical":
-        write_classical_csv(target("classical.csv"), spec, results["curve"])
+        curve = results["curve"]
+        write_csv(target("classical.csv"), spec, ("t", "C", "stderr"),
+                  [(None, zip(curve.times, curve.C, curve.stderr))])
     elif cmd == "spectrum":
-        write_spectrum_csv(target("spectrum.csv"), spec,
-                           single_spectrum_rows(spec.r, results["data"]))
+        phases = results["data"].phases
+        write_csv(target("spectrum.csv"), spec, ("r", "level", "eigenphase"),
+                  [(None, [(spec.r, level, phi)
+                           for level, phi in enumerate(phases)])])
     elif cmd == "sweep":
-        write_spectrum_csv(target("spectrum.csv"), spec,
-                           spectrum_rows(results["trajectories"]))
+        traj = results["trajectories"]
+        write_csv(target("spectrum.csv"), spec, ("r", "level", "eigenphase"),
+                  [(None, [(r, level, traj.phases[level, g])
+                           for g, r in enumerate(traj.r_grid)
+                           for level in range(traj.phases.shape[0])])])
     elif cmd == "scaling":
         study = results["study"]
-        write_shifts_csv(target("shifts.csv"), spec, study.per_N)
+        write_csv(target("shifts.csv"), spec,
+                  ("N", "h", "mean_sq_shift_spacing_units"),
+                  [(None, [(s.N, s.h, s.mean_sq_spacing_units)
+                           for s in study.per_N])])
         write_fit_json(target("fit.json"), spec, study)
     elif cmd == "ergodicity":
-        reports = results["reports"]
-        write_ergodicity_csv(target("ergodicity.csv"), spec, reports)
-        write_f_curve_csv(target("f_curve.csv"), spec, reports)
-        if "f_quantum" in results:
-            write_correlator_csv(target("correlator.csv"), spec,
-                                 results["correlation_times"],
-                                 results["C_classical"],
-                                 results["f_quantum"])
+        write_csv(target("ergodicity.csv"), spec,
+                  ("N", "variance", "F_infinity"),
+                  [(None, [(rep.N, rep.variance, rep.F_infinity)
+                           for rep in results["reports"]])])
+        write_csv(target("f_curve.csv"), spec, ("T", "F"),
+                  [(f"N={curve.N}", curve.F_curve)
+                   for curve in results["curves"]])
+        write_csv(target("correlator.csv"), spec,
+                  ("t", "C_classical", "f_quantum"),
+                  [(None, zip(results["correlation_times"],
+                              results["C_classical"], results["f_quantum"]))])
     else:
         raise ValueError(f"write_outputs: unknown command {cmd!r}")
 

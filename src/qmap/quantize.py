@@ -50,6 +50,13 @@ def _circulant_from_momentum_diagonal(diag: np.ndarray) -> np.ndarray:
     return c[idx]
 
 
+def _unitarity_defect(U: np.ndarray) -> float:
+    """max |U*U - 1| over all entries; NaN when U holds a NaN."""
+    gram = U.conj().T @ U
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    return float(np.max(np.abs(gram)))
+
+
 @dataclass(frozen=True, eq=False)
 class FloquetOperator:
     """One-period unitary of a quantized kicked map, position basis."""
@@ -84,9 +91,7 @@ def build_floquet(family: MapFamily, scale: PlanckScale) -> FloquetOperator:
     dt = free_propagator(family, scale)
     U = _circulant_from_momentum_diagonal(dt) * dv[None, :]
 
-    gram = U.conj().T @ U
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    certificate = float(np.max(np.abs(gram)))
+    certificate = _unitarity_defect(U)
     # written so that a NaN entry fails the certificate
     if not certificate < UNITARITY_TOL:
         raise NumericalError(

@@ -33,7 +33,7 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import DomainError, NumericalError
 from .model import MapFamily, PlanckScale
-from .quantize import FloquetOperator
+from .quantize import FloquetOperator, _unitarity_defect
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_GAP = 1e-8
@@ -195,9 +195,7 @@ def decompose_unitary(U: np.ndarray):
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise DomainError(f"spectral: expected a square matrix, got shape {U.shape}")
-    gram = U.conj().T @ U
-    np.fill_diagonal(gram, gram.diagonal() - 1.0)
-    defect = float(np.max(np.abs(gram)))
+    defect = _unitarity_defect(U)
     # written so that a NaN entry fails the check
     if not defect < _UNITARY_INPUT_TOL:
         raise DomainError(
