@@ -125,6 +125,8 @@ def _validate(spec: RunSpec) -> list:
         if spec.command == "scaling" and len(spec.N_list) < 4:
             problems.append(("N_list",
                              "a scaling ladder needs at least 4 values of N"))
+        elif not spec.N_list:
+            problems.append(("N_list", "needs at least one value of N"))
 
     ok0 = number("r0", spec.r0)
     ok1 = number("r1", spec.r1)

@@ -213,21 +213,33 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
 
     Works by conjugating A one period at a time, never diagonalizing, so it
     cross-checks the eigenbasis route instead of sharing its failure modes.
-    f(t) must come out real to 1e-9; a larger imaginary part means U lost
-    unitarity or A lost Hermiticity.
+    Each period applies the stored factors of U = F^-1 D_T F D_V: the kick
+    phases on both sides of B, then the circulant F^-1 D_T F by FFTs along
+    axis 0 and its adjoint along axis 1, O(N^2 log N) instead of two dense
+    products.  f(t) must come out real to 1e-9; a larger imaginary part
+    means U lost unitarity or A lost Hermiticity.
     """
     _check_t_range(t_range)
     _check_dimension(obs, op.N, "operator")
     A = obs.matrix
-    U = op.U
-    Ud = U.conj().T
+    # tr(A B) = sum_ij conj((A*)_ji) B_ji, one dot product over the entries
+    A_adjoint = np.ascontiguousarray(A.conj().T)
+    kick = op.kick_phases[:, None] * op.kick_phases.conj()[None, :]
+    drift = op.drift_phases[:, None]
+    drift_adjoint = op.drift_phases.conj()[None, :]
     B = A.copy()
     values = np.empty(t_range + 1)
     for t in range(t_range + 1):
         if t > 0:
-            B = U @ B @ Ud
-        # tr(A B) = sum_ij A_ij B_ji, without forming the product
-        f_t = np.sum(A * B.T) / op.N
+            # B <- C D_V B D_V* C*, every array update in place
+            B *= kick
+            np.fft.fft(B, axis=0, out=B)
+            B *= drift
+            np.fft.ifft(B, axis=0, out=B)
+            np.fft.ifft(B, axis=1, out=B)
+            B *= drift_adjoint
+            np.fft.fft(B, axis=1, out=B)
+        f_t = np.vdot(A_adjoint, B) / op.N
         if abs(f_t.imag) >= QUANTUM_REAL_TOL:
             raise NumericalError(
                 f"ergodicity: f({t}) has imaginary part {f_t.imag:.3e}; "

@@ -133,14 +133,30 @@ def potential(family: MapFamily, q, scale: PlanckScale | None = None):
     return _with_quantization_term(V, family, "position", q, scale)
 
 
+def classical_slope(family: MapFamily, q, cos_2pi_q=None, out=None):
+    """V'(q) elementwise in the h -> 0 limit, from q and cos(2 pi q).
+
+    cos_2pi_q, when given, must be cos(2 pi q) at the same q; it is then
+    reused instead of evaluated again (the sawtooth ignores it).  With an
+    out buffer the result is written there, and out may be cos_2pi_q
+    itself; no other sample-sized array is allocated.  The sawtooth has
+    V'(q) = 0.3 sign(q - 1/2), V'(1/2) = 0.
+    """
+    if family.variant == "slow_ergodic":
+        side = np.sign(np.subtract(q, 0.5, out=out), out=out)
+        return np.multiply(side, family.sawtooth_height, out=out)
+    if cos_2pi_q is None:
+        cos_2pi_q = np.cos(np.multiply(q, 2.0 * np.pi, out=out), out=out)
+    wave = np.multiply(cos_2pi_q, K / (2.0 * np.pi), out=out)
+    # quadratic_sign is +-1, so sign * q + wave is exactly wave +- q
+    add = np.add if family.quadratic_sign > 0.0 else np.subtract
+    return add(wave, q, out=out)
+
+
 def potential_slope(family: MapFamily, q, scale: PlanckScale | None = None):
     """V'(q) elementwise; the sawtooth has V'(q) = 0.3 sign(q - 1/2), V'(1/2) = 0."""
-    if family.variant == "slow_ergodic":
-        dV = family.sawtooth_height * np.sign(q - 0.5)
-    else:
-        dV = (family.quadratic_sign * q
-              + K / (2.0 * np.pi) * np.cos(2.0 * np.pi * q))
-    return _with_quantization_term(dV, family, "position", q, scale, 1)
+    return _with_quantization_term(classical_slope(family, q), family,
+                                   "position", q, scale, 1)
 
 
 def potential_curvature(family: MapFamily, q):

@@ -59,16 +59,24 @@ def _unitarity_defect(U: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FloquetOperator:
-    """One-period unitary of a quantized kicked map, position basis."""
+    """One-period unitary of a quantized kicked map, position basis.
+
+    The diagonal factors of U = F^-1 D_T F D_V are kept beside it:
+    kick_phases holds D_V (position basis) and drift_phases D_T (momentum
+    basis).
+    """
 
     N: int
     family: MapFamily
     scale: PlanckScale
     U: np.ndarray
     construction_certificate: float
+    kick_phases: np.ndarray
+    drift_phases: np.ndarray
 
     def __post_init__(self):
-        self.U.setflags(write=False)
+        for arr in (self.U, self.kick_phases, self.drift_phases):
+            arr.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +107,8 @@ def build_floquet(family: MapFamily, scale: PlanckScale) -> FloquetOperator:
             f"{UNITARITY_TOL:.0e} (variant={family.variant}, N={scale.N})"
         )
     return FloquetOperator(N=scale.N, family=family, scale=scale, U=U,
-                           construction_certificate=certificate)
+                           construction_certificate=certificate,
+                           kick_phases=dv, drift_phases=dt)
 
 
 def quantize_observable(label: str, scale: PlanckScale) -> ObservableMatrix:

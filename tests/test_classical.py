@@ -4,18 +4,80 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import qmap.classical
 from qmap import (
     DomainError,
     LyapunovReport,
     MapFamily,
+    NumericalError,
     PhaseSpacePoint,
     classical_correlator,
     lyapunov_exponent,
     map_step,
     microcanonical_average,
 )
+from qmap.classical import OBSERVABLES
+from qmap.model import K, VARIANTS, potential_curvature
+
+
+def _reference_step(family, q, p):
+    """One period as first written: V' spelled out, fresh arrays, x % 1.0."""
+    if family.variant == "slow_ergodic":
+        slope = family.sawtooth_height * np.sign(q - 0.5)
+    else:
+        slope = (family.quadratic_sign * q
+                 + K / (2.0 * np.pi) * np.cos(2.0 * np.pi * q))
+    p = (p - slope) % 1.0
+    return (q + p) % 1.0, p
+
+
+def _reference_correlator(family, observable, t_max, samples, rng_seed):
+    """The correlator loop as first written, with the observable's cosine
+    evaluated apart from the kick's."""
+    def values(q, p):
+        if observable == "cos2pi_q":
+            return np.cos(2.0 * np.pi * q)
+        if observable == "cos2pi_p":
+            return np.cos(2.0 * np.pi * p)
+        return np.ones_like(q)
+
+    rng = np.random.default_rng(rng_seed)
+    q = rng.random(samples)
+    p = rng.random(samples)
+    a_start = values(q, p)
+    C = np.empty(t_max + 1)
+    stderr = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        if t > 0:
+            q, p = _reference_step(family, q, p)
+        prod = a_start * values(q, p)
+        C[t] = prod.mean()
+        stderr[t] = prod.std() / math.sqrt(samples)
+    return C, stderr
+
+
+def _reference_lyapunov(family, seeds, steps):
+    """The tangent-map loop renormalized after every step: (lam, spread)."""
+    q = np.array([s.q for s in seeds])
+    p = np.array([s.p for s in seeds])
+    dq = np.full_like(q, 1.0 / math.sqrt(2.0))
+    dp = np.full_like(q, 1.0 / math.sqrt(2.0))
+    log_growth = np.zeros_like(q)
+    for _ in range(steps):
+        curv = potential_curvature(family, q)
+        dp = dp - curv * dq
+        dq = dq + dp
+        norm = np.hypot(dq, dp)
+        log_growth += np.log(norm)
+        dq /= norm
+        dp /= norm
+        q, p = _reference_step(family, q, p)
+    lams = log_growth / steps
+    return float(np.mean(lams)), float(np.max(lams) - np.min(lams))
 
 
 def test_free_shear_step():
@@ -183,3 +245,55 @@ def test_correlator_preconditions():
         classical_correlator(fam, "cos2pi_q", t_max=5, samples=9_999, rng_seed=1)
     with pytest.raises(DomainError):
         classical_correlator(fam, "tan2pi_q", t_max=5, samples=10_000, rng_seed=1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("observable", OBSERVABLES)
+def test_correlator_is_bit_identical_to_reference_loop(variant, observable):
+    # the in-place kernel with a shared kick cosine and the floor reduction
+    # must not move a single bit of C or its standard error
+    fam = MapFamily(variant)
+    curve = classical_correlator(fam, observable, t_max=20, samples=10_000,
+                                 rng_seed=1005)
+    C, stderr = _reference_correlator(fam, observable, 20, 10_000, 1005)
+    assert np.array_equal(curve.C, C)
+    assert np.array_equal(curve.stderr, stderr)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+                min_size=1, max_size=50))
+@example([-0.0, 0.0, -1e-300, -5e-324, 1e-300, 1.0, -1.0, 3.0, -3.0,
+          math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0),
+          math.nextafter(2.0, 0.0), -math.nextafter(0.0, 1.0)])
+def test_floor_reduction_equals_mod_one(xs):
+    x = np.array(xs)
+    floor_form = x - np.floor(x)
+    mod_form = x % 1.0
+    # bit for bit, so -0.0 against +0.0 would count as a difference
+    assert np.array_equal(floor_form.view(np.uint64), mod_form.view(np.uint64))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_lyapunov_matches_every_step_renormalization(variant):
+    rng = np.random.default_rng(21)
+    seeds = [PhaseSpacePoint(q, p) for q, p in rng.random((5, 2))]
+    fam = MapFamily(variant)
+    rep = lyapunov_exponent(fam, seeds, 10_007)
+    lam, spread = _reference_lyapunov(fam, seeds, 10_007)
+    assert rep.lam == pytest.approx(lam, rel=1e-12, abs=1e-15)
+    # the spread is max - min of per-seed exponents near lam, so its
+    # rounding error scales with lam, not with the spread itself
+    assert rep.spread == pytest.approx(spread, rel=1e-12,
+                                       abs=max(1e-12 * abs(lam), 1e-15))
+
+
+def test_lyapunov_overflow_still_detected(monkeypatch):
+    # a curvature far outside |V''| <= 1 + K overflows the tangent vector
+    # between renormalizations; the check at the next one must catch it
+    monkeypatch.setattr(qmap.classical, "potential_curvature",
+                        lambda family, q: np.full_like(q, 1e200))
+    seeds = [PhaseSpacePoint(0.1 * k, 0.2 * k) for k in range(1, 6)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="over/underflow"):
+        lyapunov_exponent(MapFamily("chaotic"), seeds, 10_000)

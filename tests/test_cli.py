@@ -74,6 +74,16 @@ def test_bad_parameters_exit_two(tmp_path, capsys):
     assert "single --N" in capsys.readouterr().err
 
 
+def test_empty_N_list_config_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"command": "ergodicity", "N_list": [],
+                               "samples": 10_000,
+                               "out_dir": str(tmp_path / "run")}))
+    assert run_command(["--config", str(cfg)]) == 2
+    assert "N_list: needs at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_supplies_the_command(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "run.json"

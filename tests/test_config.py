@@ -98,6 +98,18 @@ def test_scaling_needs_at_least_four_sizes():
     assert spec.N_list == (64, 128, 256)
 
 
+def test_empty_size_list_is_rejected():
+    # reported beside every other problem, in the one aggregated error
+    with pytest.raises(ConfigurationError) as info:
+        make_runspec({"command": "ergodicity", "N_list": [],
+                      "samples": 10_000, "seed": -1})
+    text = str(info.value)
+    assert "N_list: needs at least one value" in text
+    assert "seed" in text
+    with pytest.raises(ConfigurationError, match="at least 4"):
+        make_runspec({"command": "scaling", "N_list": []})
+
+
 def test_sizes_must_be_even_and_ascending():
     with pytest.raises(ConfigurationError, match="odd"):
         make_runspec({"command": "scaling", "N_list": [64, 127, 256, 512]})

@@ -9,6 +9,8 @@ from conftest import random_unitary
 from qmap import (
     DomainError,
     MapFamily,
+    NumericalError,
+    ObservableMatrix,
     PlanckScale,
     SpectralData,
     build_floquet,
@@ -22,6 +24,8 @@ from qmap import (
     quantum_correlator,
     quantum_correlator_eigenbasis,
 )
+from qmap.classical import OBSERVABLES
+from qmap.model import VARIANTS
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +188,42 @@ def test_dimension_mismatch_rejected(small_chaotic):
     obs = quantize_observable("cos2pi_q", PlanckScale(32))
     with pytest.raises(DomainError):
         diagonal_elements_report(data, obs)
+
+
+def _dense_correlator(op, obs, t_range):
+    """f(t) by two dense products per period, the reference for the FFT route."""
+    A = obs.matrix
+    B = A.copy()
+    values = []
+    for t in range(t_range + 1):
+        if t > 0:
+            B = op.U @ B @ op.U.conj().T
+        values.append(np.trace(A @ B).real / op.N)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("label", OBSERVABLES)
+@pytest.mark.parametrize("r", [0.0, 1.5])
+@pytest.mark.parametrize("N", [2, 16, 64])
+def test_fft_conjugation_matches_dense_products(variant, label, r, N):
+    # slow_ergodic carries r in the drift phases, the others in the kick
+    scale = PlanckScale(N)
+    op = build_floquet(MapFamily(variant, r=r), scale)
+    obs = quantize_observable(label, scale)
+    assert np.allclose(quantum_correlator(op, obs, 12),
+                       _dense_correlator(op, obs, 12), rtol=0.0, atol=1e-13)
+
+
+def test_quantum_correlator_checks(small_chaotic):
+    op, _, obs = small_chaotic
+    with pytest.raises(DomainError):
+        quantum_correlator(op, quantize_observable("cos2pi_q", PlanckScale(32)), 3)
+    with pytest.raises(DomainError):
+        quantum_correlator(op, obs, -1)
+    # a non-Hermitian "observable" with tr(A^2)/N = (1 + i)/2 at t = 0
+    skew = np.diag(np.r_[np.ones(32), np.full(32, np.exp(0.25j * np.pi))])
+    bad = ObservableMatrix(N=64, basis="position", classical_label="cos2pi_q",
+                           matrix=skew)
+    with pytest.raises(NumericalError, match="imaginary part"):
+        quantum_correlator(op, bad, 0)

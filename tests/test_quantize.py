@@ -12,6 +12,7 @@ from qmap import (
     kick_propagator,
     quantize_observable,
 )
+from qmap.quantize import _circulant_from_momentum_diagonal
 
 
 def test_two_level_free_propagator_matrix():
@@ -34,6 +35,17 @@ def test_free_propagator_phases():
     diag = free_propagator(MapFamily("chaotic"), PlanckScale(4))
     p = np.arange(4) / 4.0
     assert np.allclose(diag, np.exp(-2j * np.pi * 4 * p * p / 2.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
+def test_stored_factors_rebuild_the_unitary(variant):
+    op = build_floquet(MapFamily(variant, r=1.5), PlanckScale(32))
+    rebuilt = (_circulant_from_momentum_diagonal(op.drift_phases)
+               * op.kick_phases[None, :])
+    assert np.array_equal(rebuilt, op.U)
+    for field in (op.U, op.kick_phases, op.drift_phases):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 0.0
 
 
 def test_construction_certificate():
