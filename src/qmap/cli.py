@@ -139,11 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SINGLE_N_COMMANDS = ("spectrum", "sweep")
-
-
 def _runspec_from_args(args):
-    from .config import load_config, make_runspec
+    from .config import SINGLE_N_COMMANDS, load_config, make_runspec
     from .errors import ConfigurationError
 
     config_path = getattr(args, "config", None)
@@ -155,7 +152,7 @@ def _runspec_from_args(args):
     N_values = overrides.pop("N", None)
     if N_values is not None:
         command = args.command or (file_spec.command if file_spec else None)
-        if command in _SINGLE_N_COMMANDS and len(N_values) != 1:
+        if command in SINGLE_N_COMMANDS and len(N_values) != 1:
             raise ConfigurationError(
                 f"{command} takes a single --N, got {len(N_values)} values")
         overrides["N"] = N_values[0]

@@ -18,6 +18,8 @@ from .errors import ConfigurationError
 from .model import VARIANTS
 
 COMMANDS = ("classical", "spectrum", "sweep", "scaling", "ergodicity")
+# these read N; the others read N_list
+SINGLE_N_COMMANDS = ("spectrum", "sweep")
 
 _FAMILY_KEYS = ("variant", "r")
 _LIST_FIELDS = ("N_list", "r_grid", "T_grid")
@@ -127,6 +129,18 @@ def _validate(spec: RunSpec) -> list:
                              "a scaling ladder needs at least 4 values of N"))
         elif not spec.N_list:
             problems.append(("N_list", "needs at least one value of N"))
+
+        # the size a command does not read must be its default or agree
+        # with the one it reads; otherwise it would be silently ignored
+        if spec.command in SINGLE_N_COMMANDS:
+            if tuple(spec.N_list) not in (RunSpec.N_list, (spec.N,)):
+                problems.append(("N_list",
+                                 f"{spec.command} reads only N={spec.N}; it "
+                                 f"would ignore N_list={list(spec.N_list)}"))
+        elif spec.command in COMMANDS and spec.N_list \
+                and spec.N not in (RunSpec.N, spec.N_list[0]):
+            problems.append(("N", f"{spec.command} reads only N_list; it "
+                                  f"would ignore N={spec.N}"))
 
     ok0 = number("r0", spec.r0)
     ok1 = number("r1", spec.r1)

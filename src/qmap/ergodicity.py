@@ -28,7 +28,7 @@ import numpy as np
 from .classical import CorrelatorCurve, microcanonical_average
 from .errors import DomainError, NumericalError
 from .quantize import FloquetOperator, ObservableMatrix
-from .spectral import SpectralData, phase_clusters
+from .spectral import SpectralData, phase_clusters, wrap_phase
 
 DIAGONAL_IMAG_TOL = 1e-8
 QUANTUM_REAL_TOL = 1e-9
@@ -95,8 +95,7 @@ def _eigenbasis_matrix(data: SpectralData, obs: ObservableMatrix) -> np.ndarray:
 
 def _wrapped_gaps(phases: np.ndarray) -> np.ndarray:
     """Antisymmetric matrix of phase differences wrapped to [-pi, pi]."""
-    raw = phases[:, None] - phases[None, :]
-    return np.mod(raw + np.pi, 2.0 * np.pi) - np.pi
+    return wrap_phase(phases[:, None] - phases[None, :])
 
 
 def diagonal_elements_report(data: SpectralData, obs: ObservableMatrix,

@@ -67,8 +67,7 @@ def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
 def write_fit_json(path: str, spec: RunSpec, study) -> None:
     payload = {
         "qmap_version": __version__,
-        "runspec": {k: list(v) if isinstance(v, tuple) else v
-                    for k, v in spec.as_dict().items()},
+        "runspec": spec.as_dict(),
         "data": {
             "N": [int(n) for n in study.N_values],
             "h": [float(h) for h in study.h_values],

@@ -49,6 +49,11 @@ def mean_spacing(N: int) -> float:
     return 2.0 * np.pi / N
 
 
+def wrap_phase(x: np.ndarray) -> np.ndarray:
+    """Phase differences wrapped to [-pi, pi]."""
+    return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Sorted eigenphases with matching orthonormal eigenvector columns.

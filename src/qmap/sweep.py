@@ -6,17 +6,17 @@ level keeps its identity through crossings and avoided crossings.  Phases
 are unwrapped along each trajectory; displacements are then plain
 differences even when a level drifts through the 0 / 2 pi seam.
 
-Steps whose best overlaps fall below a hard floor are bisected (up to
-max_refinements levels deep); refined points steady the tracking but only
-requested grid points enter the output.  Sorted-index pairing (no
-tracking) is available as a flag for comparison; it mislabels levels
-wherever they cross.
+Steps whose best overlaps fall below a hard floor are bisected, up to
+MAX_REFINEMENTS levels deep; refined points steady the tracking but only
+requested grid points enter the output.  Sorted-index pairing is the same
+loop with identity matching in place of tracking, kept behind a flag for
+comparison: it mislabels levels wherever they cross.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
@@ -24,28 +24,26 @@ from scipy.optimize import least_squares, linear_sum_assignment
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale
 from .quantize import build_floquet
-from .spectral import diagonalize, mean_spacing
+from .spectral import diagonalize, mean_spacing, wrap_phase
 
-TRACK_MIN_OVERLAP = 0.5
 TRACK_FAIL_BELOW = 0.25
+MAX_REFINEMENTS = 3
 MODEL_NAMES = ("power_law", "constant", "log_model")
 
 
-def track_levels(prev, next, min_overlap: float = TRACK_MIN_OVERLAP,
-                 fail_below: float = TRACK_FAIL_BELOW):
+def track_levels(prev, next, fail_below: float = TRACK_FAIL_BELOW):
     """Match eigenvector columns across a parameter step.
 
     prev and next are SpectralData (or bare matrices of orthonormal column
     vectors) with equal N.  Returns (perm, overlaps): level n of prev
     continues in column perm[n] of next, with squared overlap overlaps[n].
     Each level takes the column of its largest |<v|w>|^2 when every such
-    maximum exceeds both 1/2 and min_overlap; otherwise the exact optimal
-    assignment is used.  The two agree whenever the maxima exceed 1/2:
-    a column of orthonormal overlaps sums to at most 1, so it holds at
-    most one entry above 1/2, and any other pairing has a smaller entry in
-    every row it changes.  Overlaps below fail_below even then mean the
-    step outran the eigenbasis: StepTooLargeError tells the caller to
-    refine the grid.
+    maximum exceeds 1/2; otherwise the exact optimal assignment is used.
+    The two agree whenever the maxima exceed 1/2: a column of orthonormal
+    overlaps sums to at most 1, so it holds at most one entry above 1/2,
+    and any other pairing has a smaller entry in every row it changes.
+    Overlaps below fail_below even then mean the step outran the
+    eigenbasis: StepTooLargeError tells the caller to refine the grid.
     """
     prev_vectors = getattr(prev, "vectors", prev)
     next_vectors = getattr(next, "vectors", next)
@@ -57,7 +55,7 @@ def track_levels(prev, next, min_overlap: float = TRACK_MIN_OVERLAP,
     rows = np.arange(N)
     perm = O.argmax(axis=1)
     overlaps = O[rows, perm]
-    if not overlaps.min() > max(0.5, min_overlap):
+    if not overlaps.min() > 0.5:
         perm = linear_sum_assignment(-O)[1]
         overlaps = O[rows, perm]
 
@@ -71,20 +69,26 @@ def track_levels(prev, next, min_overlap: float = TRACK_MIN_OVERLAP,
     return perm, overlaps
 
 
+def _pair_by_rank(prev_vectors: np.ndarray, next_vectors: np.ndarray):
+    """Sorted-index pairing: level n continues in column n, at any overlap."""
+    overlaps = np.abs(np.sum(prev_vectors.conj() * next_vectors, axis=0)) ** 2
+    return np.arange(prev_vectors.shape[1]), overlaps
+
+
 @dataclass(frozen=True, eq=False)
 class LevelTrajectories:
     """Unwrapped eigenphase flow phi_n(r) on the requested r grid.
 
     permutations[g] maps the phase-sorted rank of each trajectory at grid
     point g to its rank at g+1 (ranks use the raw [0, 2 pi) cut).
+    crossings and permutations are computed from the phases on each read,
+    uncached, so scaling, which reads neither, computes neither.
     """
 
     family: MapFamily
     scale: PlanckScale
     r_grid: np.ndarray
     phases: np.ndarray
-    permutations: tuple
-    crossings: int
     min_overlap: float
     refined_steps: int
     sorted_pairing: bool = False
@@ -96,6 +100,14 @@ class LevelTrajectories:
     @property
     def N(self) -> int:
         return self.scale.N
+
+    @property
+    def crossings(self) -> int:
+        return _count_crossings(self.phases)
+
+    @property
+    def permutations(self) -> tuple:
+        return _rank_permutations(self.phases)
 
     def displacements(self, g0: int = 0, g1: int = -1) -> np.ndarray:
         """Per-level phase motion phi_n(r_grid[g1]) - phi_n(r_grid[g0])."""
@@ -125,8 +137,7 @@ def _count_crossings(phases: np.ndarray) -> int:
     count = 0
     d_prev = None
     for g in range(G):
-        d = phases[i_idx, g] - phases[j_idx, g]
-        d = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+        d = wrap_phase(phases[i_idx, g] - phases[j_idx, g])
         if d_prev is not None:
             flips = (np.sign(d_prev) * np.sign(d) < 0)
             through_zero = (np.abs(d_prev) + np.abs(d)) < np.pi
@@ -169,66 +180,57 @@ def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:
 def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
                        r0: float = 0.0, r1: float = 3.0,
                        delta_r: float = 0.05,
-                       min_overlap: float = TRACK_MIN_OVERLAP,
-                       max_refinements: int = 3,
                        sorted_pairing: bool = False) -> LevelTrajectories:
     """Follow every eigenphase along an ascending r grid.
 
     Pass an explicit r_grid, or let one be built from r0/r1/delta_r.  On a
     step-too-large tracking failure the offending interval is bisected, up
-    to max_refinements levels deep, before giving up with TrackingError.
+    to MAX_REFINEMENTS levels deep, before giving up with TrackingError.
+    sorted_pairing runs the same loop with identity matching (level n
+    continues as the n-th phase in sorted order), which never refines.
     """
     grid = _build_grid(r_grid, r0, r1, delta_r)
-    N = scale.N
+    match = _pair_by_rank if sorted_pairing else track_levels
     raw, vectors = _spectrum_at(family, scale, grid[0])
     unwrapped = raw.copy()
-    phases = np.empty((N, grid.size))
+    phases = np.empty((scale.N, grid.size))
     phases[:, 0] = unwrapped
 
     min_seen = 1.0
     refined = 0
-
-    if sorted_pairing:
-        for g in range(1, grid.size):
-            raw_next, vec_next = _spectrum_at(family, scale, grid[g])
-            pair_overlap = np.abs(np.sum(vectors.conj() * vec_next, axis=0)) ** 2
-            min_seen = min(min_seen, float(pair_overlap.min()))
-            unwrapped = _unwrap_step(unwrapped, raw_next)
-            phases[:, g] = unwrapped
-            vectors = vec_next
-    else:
-        def advance(unwrapped, vectors, r_from, r_to, depth):
-            nonlocal min_seen, refined
+    for g in range(1, grid.size):
+        # pending (r_to, depth) targets, nearest last; a failure pushes r_mid
+        r_from = grid[g - 1]
+        pending = [(grid[g], 0)]
+        while pending:
+            r_to, depth = pending[-1]
             raw_next, vec_next = _spectrum_at(family, scale, r_to)
             try:
-                perm, overlaps = track_levels(vectors, vec_next,
-                                              min_overlap=min_overlap)
+                perm, overlaps = match(vectors, vec_next)
             except StepTooLargeError:
-                if depth >= max_refinements:
+                if depth >= MAX_REFINEMENTS:
                     raise TrackingError(
                         f"sweep: tracking failed on [{r_from:.6g}, {r_to:.6g}] "
-                        f"after {max_refinements} bisections"
+                        f"after {MAX_REFINEMENTS} bisections"
                     ) from None
                 refined += 1
-                r_mid = 0.5 * (r_from + r_to)
-                unwrapped, vectors = advance(unwrapped, vectors, r_from, r_mid,
-                                             depth + 1)
-                return advance(unwrapped, vectors, r_mid, r_to, depth + 1)
+                pending[-1] = (r_to, depth + 1)
+                pending.append((0.5 * (r_from + r_to), depth + 1))
+                continue
+            pending.pop()
             min_seen = min(min_seen, float(overlaps.min()))
-            return _unwrap_step(unwrapped, raw_next[perm]), vec_next[:, perm]
-
-        for g in range(1, grid.size):
-            unwrapped, vectors = advance(unwrapped, vectors,
-                                         grid[g - 1], grid[g], 0)
-            phases[:, g] = unwrapped
+            unwrapped = _unwrap_step(unwrapped, raw_next[perm])
+            vectors = vec_next[:, perm]
+            # free the unpermuted basis before the next diagonalization
+            del raw_next, vec_next
+            r_from = r_to
+        phases[:, g] = unwrapped
 
     return LevelTrajectories(
         family=family,
         scale=scale,
         r_grid=grid,
         phases=phases,
-        permutations=_rank_permutations(phases),
-        crossings=_count_crossings(phases),
         min_overlap=min_seen,
         refined_steps=refined,
         sorted_pairing=sorted_pairing,
@@ -433,10 +435,7 @@ def fit_shift_scaling(N_values, mean_sq) -> tuple:
 
 
 def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
-                  delta_r: float = 0.05,
-                  min_overlap: float = TRACK_MIN_OVERLAP,
-                  max_refinements: int = 3,
-                  subtract_mean: bool = True,
+                  delta_r: float = 0.05, subtract_mean: bool = True,
                   trajectories: dict | None = None) -> ScalingFit:
     """Sweep each N in the ladder and fit how mean-square shifts scale with h.
 
@@ -452,8 +451,7 @@ def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
         traj = None if trajectories is None else trajectories.get(N)
         if traj is None:
             traj = sweep_quantization(family, PlanckScale(N), r0=r0, r1=r1,
-                                      delta_r=delta_r, min_overlap=min_overlap,
-                                      max_refinements=max_refinements)
+                                      delta_r=delta_r)
         stats.append(shift_statistics(traj, r0=r0, r1=r1,
                                       subtract_mean=subtract_mean))
 

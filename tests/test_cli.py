@@ -84,6 +84,18 @@ def test_empty_N_list_config_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("config,needle", [
+    ({"command": "sweep", "N_list": [32], "r1": 0.1}, "ignore N_list=[32]"),
+    ({"command": "scaling", "N": 16, "r1": 0.1}, "ignore N=16"),
+])
+def test_ignored_size_config_exits_two(tmp_path, capsys, config, needle):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**config, "out_dir": str(tmp_path / "run")}))
+    assert run_command(["--config", str(cfg)]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_file_supplies_the_command(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "run.json"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qmap import ConfigurationError, RunSpec, load_config, make_runspec
-from qmap.config import COMMANDS
+from qmap.config import COMMANDS, SINGLE_N_COMMANDS
 
 
 def test_minimal_spectrum_config_fills_defaults():
@@ -93,9 +93,9 @@ def test_unknown_command_and_observable():
 def test_scaling_needs_at_least_four_sizes():
     with pytest.raises(ConfigurationError, match="at least 4"):
         make_runspec({"command": "scaling", "N_list": [64, 128, 256]})
-    # the same short ladder is fine for commands that ignore it
-    spec = make_runspec({"command": "sweep", "N_list": [64, 128, 256]})
-    assert spec.N_list == (64, 128, 256)
+    # a command that reads only N rejects the ladder it would ignore
+    with pytest.raises(ConfigurationError, match="ignore N_list"):
+        make_runspec({"command": "sweep", "N_list": [64, 128, 256]})
 
 
 def test_empty_size_list_is_rejected():
@@ -182,6 +182,25 @@ def test_non_finite_r_is_rejected():
     with pytest.raises(ConfigurationError, match="finite"):
         make_runspec({"command": "spectrum",
                       "family": {"variant": "chaotic", "r": float("nan")}})
+
+
+def test_sizes_are_rejected_where_they_would_be_ignored():
+    for command in COMMANDS:
+        # the command line sets N and N_list together; that always passes
+        ladder = (64,) if command in SINGLE_N_COMMANDS else (64, 128, 256, 512)
+        spec = make_runspec(command=command, N=ladder[0], N_list=ladder)
+        assert make_runspec(spec.as_dict()) == spec
+        if command in SINGLE_N_COMMANDS:
+            config = {"command": command, "N": 64, "N_list": [32]}
+            field, needle = "N_list", "ignore N_list=[32]"
+        else:
+            config = {"command": command, "N": 16}
+            field, needle = "N", "ignore N=16"
+        with pytest.raises(ConfigurationError) as info:
+            make_runspec({**config, "seed": -1})
+        text = str(info.value)
+        assert f"{field}: {command} reads only" in text and needle in text
+        assert "seed" in text
 
 
 def test_as_dict_round_trips():

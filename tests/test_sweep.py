@@ -223,7 +223,46 @@ def test_persistent_tracking_failure_aborts(monkeypatch):
     monkeypatch.setattr(sweep_mod, "track_levels", hopeless)
     with pytest.raises(TrackingError):
         sweep_quantization(MapFamily("chaotic"), PlanckScale(16),
-                           r0=0.0, r1=0.5, delta_r=0.25, max_refinements=2)
+                           r0=0.0, r1=0.5, delta_r=0.25)
+
+
+def test_nested_bisection_visits_points_in_order(monkeypatch):
+    # two failures in a row: [0, 0.25] is halved, then [0, 0.125] too; the
+    # deeper halves finish before the shallower ones resume
+    visited = []
+    real_spectrum = sweep_mod._spectrum_at
+
+    def recording(family, scale, r):
+        visited.append(float(r))
+        return real_spectrum(family, scale, r)
+
+    real_track = sweep_mod.track_levels
+    failures = {"left": 2}
+
+    def flaky(prev, nxt, **kwargs):
+        if failures["left"]:
+            failures["left"] -= 1
+            raise StepTooLargeError("injected")
+        return real_track(prev, nxt, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "_spectrum_at", recording)
+    monkeypatch.setattr(sweep_mod, "track_levels", flaky)
+    traj = sweep_quantization(MapFamily("chaotic"), PlanckScale(16),
+                              r0=0.0, r1=0.5, delta_r=0.25)
+    assert visited == [0.0, 0.25, 0.125, 0.0625, 0.125, 0.25, 0.5]
+    assert traj.refined_steps == 2
+    assert np.array_equal(traj.r_grid, [0.0, 0.25, 0.5])
+
+
+def test_sorted_pairing_mislabels_crossing_levels():
+    fam = MapFamily("regular")
+    scale = PlanckScale(64)
+    tracked = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.01)
+    by_rank = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.01,
+                                 sorted_pairing=True)
+    assert tracked.crossings >= 1
+    assert by_rank.crossings == 0
+    assert not np.allclose(tracked.phases, by_rank.phases, atol=1e-9)
 
 
 def test_grid_validation():
@@ -300,6 +339,18 @@ def test_scaling_study_on_a_small_ladder():
     expected = [shift_statistics(trajs[N], r0=0.0, r1=1.0)
                 .mean_sq_spacing_units for N in ladder]
     assert np.allclose(study.mean_sq, expected, atol=1e-15)
+
+
+def test_scaling_study_reads_no_crossings_or_permutations(monkeypatch):
+    def unread(phases):
+        raise AssertionError("scaling_study computed an unread summary")
+
+    monkeypatch.setattr(sweep_mod, "_count_crossings", unread)
+    monkeypatch.setattr(sweep_mod, "_rank_permutations", unread)
+    study = scaling_study(MapFamily("chaotic"), (8, 12, 16, 20),
+                          r0=0.0, r1=1.0, delta_r=0.5)
+    assert study.model in MODEL_NAMES
+    assert len(study.per_N) == 4
 
 
 def test_scaling_study_needs_four_sizes():
