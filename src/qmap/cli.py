@@ -3,9 +3,10 @@
 Subcommands: classical, spectrum, sweep, scaling, ergodicity.  Parameters
 come from defaults, an optional JSON config (--config, which also carries
 the command so `qmap --config run.json` alone works), and flags, with
-flags winning.  Exit codes: 0 success, 1 numerical or environment failure
-(tracking loss, degenerate fits, unwritable outputs), 2 bad usage or
-configuration.
+flags winning.  A subcommand has a flag (_FLAGS) for each field it reads
+(config.READS) and no other; --N sets N and N_list.  Exit codes: 0
+success, 1 numerical or environment failure (tracking loss, degenerate
+fits, unwritable outputs), 2 bad usage or configuration.
 
 QMAP_THREADS caps the BLAS thread pools (0 means automatic); it is
 applied to the standard environment knobs before numpy is first imported,
@@ -60,11 +61,48 @@ def _int_list(text: str):
     return values
 
 
+# RunSpec field -> (option strings, argparse keywords); a command gets the
+# flags of the fields it reads (config.READS).  r_grid and T_grid are set
+# from config files only.
+_STORE_TRUE = {"action": "store_const", "const": True}
+_FLAGS = {
+    "variant": (("--variant",), {}),
+    "out_dir": (("--out",), {"help": "output directory"}),
+    "emit_plot": (("--emit-plot",),
+                  {**_STORE_TRUE, "help": "also write a gnuplot script"}),
+    "r": (("--r",), {"type": float}),
+    "observable": (("--observable",), {}),
+    "seed": (("--seed",), {"type": int}),
+    "N": (("--N",), {"type": _int_list, "help": "Hilbert space dimension"}),
+    "N_list": (("--N",), {"type": _int_list, "metavar": "N",
+                          "help": "one dimension or a comma-separated "
+                                  "ladder, e.g. 64,128,256,512"}),
+    "r0": (("--r0", "--r-min"), {"type": float,
+                                 "help": "sweep start (alias --r-min)"}),
+    "r1": (("--r1", "--r-max"), {"type": float,
+                                 "help": "sweep end (alias --r-max)"}),
+    "delta_r": (("--delta-r",), {"type": float}),
+    "t_max": (("--t-max",), {"type": int}),
+    "samples": (("--samples",), {"type": int}),
+    "lyapunov_steps": (("--lyapunov-steps",), {"type": int}),
+    "lyapunov_seeds": (("--lyapunov-seeds",), {"type": int}),
+    "subtract_mean": (("--subtract-mean",), {
+        "action": argparse.BooleanOptionalAction, "default": None,
+        "help": "remove the spectral-average shift before squaring "
+                "(default on)"}),
+    "sorted_pairing": (("--sorted-pairing",), {
+        **_STORE_TRUE, "help": "pair levels by sorted phase order instead "
+                               "of eigenvector overlap"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the library is loaded by now (run_command calls _load_all first)
     from .classical import OBSERVABLES
+    from .config import READ_BY_ALL, READS
     from .model import VARIANTS
 
+    choices = {"variant": VARIANTS, "observable": OBSERVABLES}
     parser = argparse.ArgumentParser(
         prog="qmap",
         description="Quantized kicked torus maps: spectra, level motion, "
@@ -74,73 +112,23 @@ def build_parser() -> argparse.ArgumentParser:
                                          "selects the run when no subcommand "
                                          "is given")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
+    for command, names in READS.items():
+        p = sub.add_parser(command, help=_RUNNERS[command].__doc__)
         # SUPPRESS keeps an absent subparser flag from clobbering the
         # top-level --config value
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="JSON file of run parameters")
-        p.add_argument("--variant", choices=VARIANTS)
-        p.add_argument("--observable", choices=OBSERVABLES)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--emit-plot", dest="emit_plot", action="store_const",
-                       const=True, help="also write a gnuplot script")
-
-    def r_window(p):
-        p.add_argument("--r0", "--r-min", dest="r0", type=float,
-                       help="sweep start (alias --r-min)")
-        p.add_argument("--r1", "--r-max", dest="r1", type=float,
-                       help="sweep end (alias --r-max)")
-        p.add_argument("--delta-r", dest="delta_r", type=float)
-        p.add_argument("--sorted-pairing", dest="sorted_pairing",
-                       action="store_const", const=True,
-                       help="pair levels by sorted phase order instead of "
-                            "eigenvector overlap")
-        p.add_argument("--subtract-mean", dest="subtract_mean",
-                       action=argparse.BooleanOptionalAction, default=None,
-                       help="remove the spectral-average shift before "
-                            "squaring (default on)")
-
-    p = sub.add_parser("classical", help="Lyapunov exponent and Monte Carlo "
-                                         "autocorrelation of the classical map")
-    common(p)
-    p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--lyapunov-steps", dest="lyapunov_steps", type=int)
-    p.add_argument("--lyapunov-seeds", dest="lyapunov_seeds", type=int)
-
-    p = sub.add_parser("spectrum", help="eigenphases of one Floquet operator")
-    common(p)
-    p.add_argument("--N", type=_int_list, help="Hilbert space dimension")
-    p.add_argument("--r", type=float)
-
-    p = sub.add_parser("sweep", help="track all eigenphases across an r sweep")
-    common(p)
-    p.add_argument("--N", type=_int_list, help="Hilbert space dimension")
-    r_window(p)
-
-    p = sub.add_parser("scaling", help="mean-square level shifts across an "
-                                       "N ladder, with model fits")
-    common(p)
-    p.add_argument("--N", type=_int_list,
-                   help="comma-separated ladder, e.g. 64,128,256,512")
-    r_window(p)
-
-    p = sub.add_parser("ergodicity", help="diagonal-element statistics, F(T) "
-                                          "curves and correlator comparison")
-    common(p)
-    p.add_argument("--N", type=_int_list,
-                   help="one dimension or a comma-separated ladder")
-    p.add_argument("--r", type=float)
-    p.add_argument("--t-max", dest="t_max", type=int)
-    p.add_argument("--samples", type=int)
-
+        for name in READ_BY_ALL + names:
+            if name in _FLAGS:
+                options, kwargs = _FLAGS[name]
+                if name in choices:
+                    kwargs = {**kwargs, "choices": choices[name]}
+                p.add_argument(*options, dest=name, **kwargs)
     return parser
 
 
 def _runspec_from_args(args):
-    from .config import SINGLE_N_COMMANDS, load_config, make_runspec
+    from .config import load_config, make_runspec
     from .errors import ConfigurationError
 
     config_path = getattr(args, "config", None)
@@ -149,14 +137,16 @@ def _runspec_from_args(args):
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}
 
-    N_values = overrides.pop("N", None)
-    if N_values is not None:
-        command = args.command or (file_spec.command if file_spec else None)
-        if command in SINGLE_N_COMMANDS and len(N_values) != 1:
-            raise ConfigurationError(
-                f"{command} takes a single --N, got {len(N_values)} values")
-        overrides["N"] = N_values[0]
-        overrides["N_list"] = N_values
+    # --N sets both sizes, so the one a command does not read agrees with
+    # the one it reads
+    if "N" in overrides:
+        if len(overrides["N"]) != 1:
+            raise ConfigurationError(f"{args.command} takes a single --N, "
+                                     f"got {len(overrides['N'])} values")
+        overrides["N_list"] = overrides["N"]
+        overrides["N"] = overrides["N"][0]
+    elif "N_list" in overrides:
+        overrides["N"] = overrides["N_list"][0]
 
     if file_spec is not None:
         if args.command and args.command != file_spec.command:
@@ -172,18 +162,14 @@ def _runspec_from_args(args):
     return make_runspec(base, _source="command line", **overrides)
 
 
-def _family(spec, with_r: bool = False):
-    from .model import MapFamily
-    return MapFamily(spec.variant, r=spec.r if with_r else 0.0)
-
-
 def run_classical(spec) -> dict:
+    """Lyapunov exponent and Monte Carlo autocorrelation of the classical map"""
     import numpy as np
 
     from .classical import classical_correlator, lyapunov_exponent
-    from .model import PhaseSpacePoint
+    from .model import MapFamily, PhaseSpacePoint
 
-    family = _family(spec)
+    family = MapFamily(spec.variant, r=spec.r)
     rng = np.random.default_rng(spec.seed)
     points = [PhaseSpacePoint(float(rng.random()), float(rng.random()))
               for _ in range(spec.lyapunov_seeds)]
@@ -203,11 +189,12 @@ def run_classical(spec) -> dict:
 
 
 def run_spectrum(spec) -> dict:
-    from .model import PlanckScale
+    """eigenphases of one Floquet operator"""
+    from .model import MapFamily, PlanckScale
     from .quantize import build_floquet
     from .spectral import diagonalize
 
-    data = diagonalize(build_floquet(_family(spec, with_r=True),
+    data = diagonalize(build_floquet(MapFamily(spec.variant, r=spec.r),
                                      PlanckScale(spec.N)))
     print(f"diagonalized {spec.variant} N={spec.N} at r={spec.r:g}: "
           f"max residual {data.max_residual:.3e}, "
@@ -216,10 +203,12 @@ def run_spectrum(spec) -> dict:
 
 
 def run_sweep(spec) -> dict:
-    from .model import PlanckScale
+    """track all eigenphases across an r sweep"""
+    from .model import MapFamily, PlanckScale
     from .sweep import shift_statistics, sweep_quantization
 
-    traj = sweep_quantization(_family(spec), PlanckScale(spec.N),
+    traj = sweep_quantization(MapFamily(spec.variant, r=spec.r),
+                              PlanckScale(spec.N),
                               r_grid=spec.r_grid, r0=spec.r0, r1=spec.r1,
                               delta_r=spec.delta_r,
                               sorted_pairing=spec.sorted_pairing)
@@ -238,10 +227,12 @@ def run_sweep(spec) -> dict:
 
 
 def run_scaling(spec) -> dict:
+    """mean-square level shifts across an N ladder, with model fits"""
+    from .model import MapFamily
     from .sweep import scaling_study
 
-    study = scaling_study(_family(spec), spec.N_list, r0=spec.r0, r1=spec.r1,
-                          delta_r=spec.delta_r,
+    study = scaling_study(MapFamily(spec.variant, r=spec.r), spec.N_list,
+                          r0=spec.r0, r1=spec.r1, delta_r=spec.delta_r,
                           subtract_mean=spec.subtract_mean)
     for s in study.per_N:
         print(f"N={s.N}: mean square shift {s.mean_sq_spacing_units:.6g} "
@@ -262,17 +253,18 @@ def _default_T_grid(N: int):
 
 
 def run_ergodicity(spec) -> dict:
+    """diagonal-element statistics, F(T) curves and correlator comparison"""
     import numpy as np
 
     from .classical import classical_correlator
     from .ergodicity import (diagonal_elements_report,
                              quantum_classical_compare,
                              quantum_correlator_eigenbasis, quantum_F_curve)
-    from .model import PlanckScale
+    from .model import MapFamily, PlanckScale
     from .quantize import build_floquet, quantize_observable
     from .spectral import diagonalize
 
-    family = _family(spec, with_r=True)
+    family = MapFamily(spec.variant, r=spec.r)
     reports = []
     curves = []
     for N in spec.N_list:

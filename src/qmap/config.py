@@ -4,7 +4,8 @@ A RunSpec fixes every knob of a run up front.  Config files are JSON with
 the command inside the file and the map family nested under "family";
 values given on the command line override file values.  Validation is
 aggregated: one failure report lists every bad field by path instead of
-stopping at the first.
+stopping at the first.  READS names the fields each command reads; any
+other field must keep its default, since every artifact echoes it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,21 @@ from .classical import OBSERVABLES
 from .errors import ConfigurationError
 from .model import VARIANTS
 
-COMMANDS = ("classical", "spectrum", "sweep", "scaling", "ergodicity")
+# every command reads these; READS names the other fields each one reads
+READ_BY_ALL = ("command", "variant", "out_dir", "emit_plot")
+READS = {
+    "classical": ("observable", "seed", "N_list", "t_max", "samples",
+                  "lyapunov_steps", "lyapunov_seeds"),
+    "spectrum": ("r", "N"),
+    "sweep": ("N", "r0", "r1", "delta_r", "r_grid", "sorted_pairing",
+              "subtract_mean"),
+    "scaling": ("N_list", "r0", "r1", "delta_r", "subtract_mean"),
+    "ergodicity": ("r", "observable", "seed", "N_list", "T_grid", "t_max",
+                   "samples"),
+}
+COMMANDS = tuple(READS)
 # these read N; the others read N_list
-SINGLE_N_COMMANDS = ("spectrum", "sweep")
+SINGLE_N_COMMANDS = tuple(c for c, names in READS.items() if "N" in names)
 
 _FAMILY_KEYS = ("variant", "r")
 _LIST_FIELDS = ("N_list", "r_grid", "T_grid")
@@ -80,7 +93,7 @@ def _check_even_N(problems: list, path: str, value) -> None:
 def _validate(spec: RunSpec) -> list:
     problems: list = []
 
-    def number(path, value, lo=None, hi=None, integer=False):
+    def number(path, value, lo=None, integer=False):
         ok_type = isinstance(value, int) and not isinstance(value, bool) \
             if integer else isinstance(value, (int, float)) and not isinstance(value, bool)
         if not ok_type or (not integer and not math.isfinite(float(value))):
@@ -89,9 +102,6 @@ def _validate(spec: RunSpec) -> list:
             return False
         if lo is not None and value < lo:
             problems.append((path, f"must be >= {lo}, got {value}"))
-            return False
-        if hi is not None and value > hi:
-            problems.append((path, f"must be <= {hi}, got {value}"))
             return False
         return True
 
@@ -144,20 +154,16 @@ def _validate(spec: RunSpec) -> list:
 
     ok0 = number("r0", spec.r0)
     ok1 = number("r1", spec.r1)
-    if ok0 and ok1 and spec.command in ("sweep", "scaling") \
+    if ok0 and ok1 and "r1" in READS.get(spec.command, ()) \
             and spec.r_grid is None and spec.r1 <= spec.r0:
         problems.append(("r1", f"must exceed r0={spec.r0}, got {spec.r1}"))
     number("delta_r", spec.delta_r, lo=1e-12)
 
-    # each grid is read by one command only; elsewhere it would be ignored
-    for name, grid, reader, lo in (("r_grid", spec.r_grid, "sweep", None),
-                                   ("T_grid", spec.T_grid, "ergodicity", 0.0)):
+    for name, grid, lo in (("r_grid", spec.r_grid, None),
+                           ("T_grid", spec.T_grid, 0.0)):
         if grid is None:
             continue
-        if spec.command != reader:
-            problems.append((name, f"only {reader} reads it; "
-                                   f"{spec.command!r} would ignore it"))
-        elif not isinstance(grid, (list, tuple)) or len(grid) == 0:
+        if not isinstance(grid, (list, tuple)) or len(grid) == 0:
             problems.append((name, "expected a non-empty list of numbers"))
         else:
             last = None
@@ -178,6 +184,18 @@ def _validate(spec: RunSpec) -> list:
     flag("emit_plot", spec.emit_plot)
     if not isinstance(spec.out_dir, str) or not spec.out_dir:
         problems.append(("out_dir", "expected a non-empty path"))
+
+    # a field the command does not read must keep its default; N and
+    # N_list were checked above, since --N sets both
+    reads = READS.get(spec.command, _FIELD_NAMES)
+    for name in _FIELD_NAMES:
+        if name in READ_BY_ALL or name in reads or name in ("N", "N_list") \
+                or getattr(spec, name) == getattr(RunSpec, name):
+            continue
+        readers = ", ".join(c for c, names in READS.items() if name in names)
+        path = "family.r" if name == "r" else name
+        problems.append((path, f"only {readers} read it; "
+                               f"{spec.command!r} would ignore it"))
 
     return problems
 

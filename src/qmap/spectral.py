@@ -74,11 +74,6 @@ class SpectralData:
         self.vectors.setflags(write=False)
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        """Unimodular eigenvalues exp(-i phi) in phase order."""
-        return np.exp(-1j * self.phases)
-
-    @property
     def mean_spacing(self) -> float:
         return mean_spacing(self.N)
 

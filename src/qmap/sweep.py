@@ -199,12 +199,15 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     min_seen = 1.0
     refined = 0
     for g in range(1, grid.size):
-        # pending (r_to, depth) targets, nearest last; a failure pushes r_mid
+        # pending (r_to, depth, spectrum at r_to or None) targets, nearest
+        # last; a failure pushes its target back, spectrum kept, then r_mid
         r_from = grid[g - 1]
-        pending = [(grid[g], 0)]
+        pending = [(grid[g], 0, None)]
         while pending:
-            r_to, depth = pending[-1]
-            raw_next, vec_next = _spectrum_at(family, scale, r_to)
+            r_to, depth, spectrum = pending.pop()
+            if spectrum is None:
+                spectrum = _spectrum_at(family, scale, r_to)
+            raw_next, vec_next = spectrum
             try:
                 perm, overlaps = match(vectors, vec_next)
             except StepTooLargeError:
@@ -214,15 +217,14 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
                         f"after {MAX_REFINEMENTS} bisections"
                     ) from None
                 refined += 1
-                pending[-1] = (r_to, depth + 1)
-                pending.append((0.5 * (r_from + r_to), depth + 1))
+                pending += [(r_to, depth + 1, spectrum),
+                            (0.5 * (r_from + r_to), depth + 1, None)]
                 continue
-            pending.pop()
             min_seen = min(min_seen, float(overlaps.min()))
             unwrapped = _unwrap_step(unwrapped, raw_next[perm])
             vectors = vec_next[:, perm]
             # free the unpermuted basis before the next diagonalization
-            del raw_next, vec_next
+            del raw_next, vec_next, spectrum
             r_from = r_to
         phases[:, g] = unwrapped
 
@@ -308,32 +310,27 @@ def _aicc(n: int, rss: float, k: int) -> float:
     return n * np.log(max(rss, 1e-300) / n) + 2 * k + (2 * k * (k + 1)) / (n - k - 1)
 
 
+def _scored(name: str, params: dict, log_y: np.ndarray,
+            pred_log: np.ndarray, k: int) -> ModelFit:
+    """A k-parameter fit with its log-space residual and AICc."""
+    rss = float(np.sum((log_y - pred_log) ** 2))
+    return ModelFit(name=name, params=params, rss_log=rss,
+                    aic=_aicc(log_y.size, rss, k), predicted=np.exp(pred_log))
+
+
 def _fit_power_law(log_h: np.ndarray, log_y: np.ndarray) -> ModelFit:
     design = np.column_stack([np.ones_like(log_h), log_h])
     coef, _, rank, _ = np.linalg.lstsq(design, log_y, rcond=None)
     if rank < 2:
         raise FitError("scaling: power-law design matrix is singular")
-    pred_log = design @ coef
-    rss = float(np.sum((log_y - pred_log) ** 2))
-    return ModelFit(
-        name="power_law",
-        params={"prefactor": float(np.exp(coef[0])), "exponent": float(coef[1])},
-        rss_log=rss,
-        aic=_aicc(log_y.size, rss, 2),
-        predicted=np.exp(pred_log),
-    )
+    params = {"prefactor": float(np.exp(coef[0])), "exponent": float(coef[1])}
+    return _scored("power_law", params, log_y, design @ coef, 2)
 
 
 def _fit_constant(log_y: np.ndarray) -> ModelFit:
     level = float(np.mean(log_y))
-    rss = float(np.sum((log_y - level) ** 2))
-    return ModelFit(
-        name="constant",
-        params={"value": float(np.exp(level))},
-        rss_log=rss,
-        aic=_aicc(log_y.size, rss, 1),
-        predicted=np.full(log_y.size, np.exp(level)),
-    )
+    return _scored("constant", {"value": float(np.exp(level))}, log_y,
+                   np.full(log_y.size, level), 1)
 
 
 def _fit_log_model(log_N: np.ndarray, y: np.ndarray,
@@ -357,15 +354,9 @@ def _fit_log_model(log_N: np.ndarray, y: np.ndarray,
     base = sol.x[0] + sol.x[1] * log_N
     if np.any(np.abs(base) < 1e-12):
         raise FitError("scaling: log model degenerate (alpha + beta log N ~ 0)")
-    pred_log = -2.0 * np.log(np.abs(base))
-    rss = float(np.sum((log_y - pred_log) ** 2))
-    return ModelFit(
-        name="log_model",
-        params={"alpha": float(sol.x[0]), "beta": float(sol.x[1])},
-        rss_log=rss,
-        aic=_aicc(log_y.size, rss, 2),
-        predicted=np.exp(pred_log),
-    )
+    params = {"alpha": float(sol.x[0]), "beta": float(sol.x[1])}
+    return _scored("log_model", params, log_y,
+                   -2.0 * np.log(np.abs(base)), 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -96,6 +96,47 @@ def test_ignored_size_config_exits_two(tmp_path, capsys, config, needle):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (["scaling", "--N", "8,16,32,64", "--r1", "0.1", "--delta-r", "0.05",
+      "--sorted-pairing"], "--sorted-pairing"),
+    (["sweep", "--N", "16", "--r1", "0.1", "--seed", "7"], "--seed 7"),
+    (["sweep", "--N", "16", "--r1", "0.1", "--observable", "cos2pi_p"],
+     "--observable cos2pi_p"),
+])
+def test_flags_a_command_would_ignore_exit_two(tmp_path, capsys, argv,
+                                               needle):
+    out = tmp_path / "run"
+    assert run_command(argv + ["--out", str(out)]) == 2
+    assert f"unrecognized arguments: {needle}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_family_r_on_a_sweep_exits_two(tmp_path, capsys):
+    # a sweep deforms r itself, from r0; a family r would be ignored
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "command": "sweep", "N": 16, "r1": 0.1,
+        "family": {"variant": "chaotic", "r": 1.5},
+        "out_dir": str(tmp_path / "run"),
+    }))
+    assert run_command(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "family.r: only spectrum, ergodicity read it; 'sweep' would " \
+           "ignore it" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_classical_N_sets_the_ehrenfest_lines(tmp_path, capsys):
+    code = run_command(["classical", "--N", "64,128", "--t-max", "5",
+                        "--samples", "20000", "--lyapunov-steps", "10000",
+                        "--lyapunov-seeds", "5", "--out", str(tmp_path)])
+    assert code == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("ehrenfest time")]
+    assert [ln.split(":")[0] for ln in lines] == [
+        "ehrenfest time at N=64", "ehrenfest time at N=128"]
+
+
 def test_config_file_supplies_the_command(tmp_path, capsys):
     out = tmp_path / "run"
     cfg = tmp_path / "run.json"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qmap import ConfigurationError, RunSpec, load_config, make_runspec
-from qmap.config import COMMANDS, SINGLE_N_COMMANDS
+from qmap.config import COMMANDS, READ_BY_ALL, READS, SINGLE_N_COMMANDS
 
 
 def test_minimal_spectrum_config_fills_defaults():
@@ -23,7 +23,7 @@ def test_minimal_spectrum_config_fills_defaults():
 
 def test_family_block_sets_variant_and_r():
     spec = make_runspec({
-        "command": "sweep",
+        "command": "spectrum",
         "family": {"variant": "regular", "r": 1.5},
         "N": 64,
     })
@@ -120,9 +120,13 @@ def test_sizes_must_be_even_and_ascending():
 def test_r_window_must_open_for_sweeps():
     with pytest.raises(ConfigurationError, match="r1"):
         make_runspec({"command": "sweep", "r0": 2.0, "r1": 1.0})
-    # classical never sweeps r, so the window is not checked there
-    spec = make_runspec({"command": "classical", "r0": 2.0, "r1": 1.0})
-    assert spec.command == "classical"
+    # classical never sweeps r, so it rejects any window at all
+    with pytest.raises(ConfigurationError) as info:
+        make_runspec({"command": "classical", "r0": 2.0, "r1": 1.0})
+    text = str(info.value)
+    assert "r0: only sweep, scaling read it" in text
+    assert "r1: only sweep, scaling read it" in text
+    assert "must exceed" not in text
 
 
 def test_explicit_r_grid_replaces_the_window():
@@ -147,6 +151,47 @@ def test_grids_are_rejected_where_they_would_be_ignored(field, value, readers):
         else:
             with pytest.raises(ConfigurationError, match=f"{field}: only"):
                 make_runspec(config)
+
+
+# a valid value other than the default for every field some command reads;
+# N = 16 also differs from the first entry of the default ladder
+_NON_DEFAULT = {
+    "r": 1.5, "observable": "cos2pi_p", "seed": 7, "N": 16,
+    "N_list": (16, 32, 64, 128), "r0": 0.5, "r1": 1.0, "delta_r": 0.1,
+    "r_grid": (0.0, 0.5), "T_grid": (0.0, 1.0), "t_max": 5,
+    "samples": 20_000, "lyapunov_steps": 20_000, "lyapunov_seeds": 6,
+    "subtract_mean": False, "sorted_pairing": True,
+}
+
+
+def _config_setting(command, field):
+    value = _NON_DEFAULT[field]
+    if field == "r":
+        return {"command": command, "family": {"variant": "chaotic", "r": value}}
+    return {"command": command,
+            field: list(value) if isinstance(value, tuple) else value}
+
+
+def test_every_field_is_read_by_some_command():
+    read = set(READ_BY_ALL).union(*READS.values())
+    assert read == set(RunSpec.__dataclass_fields__)
+    assert set(_NON_DEFAULT) == read - set(READ_BY_ALL)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_accepts_exactly_the_fields_it_reads(command):
+    for field, value in _NON_DEFAULT.items():
+        config = _config_setting(command, field)
+        if field in READS[command]:
+            assert getattr(make_runspec(config), field) == value
+            continue
+        with pytest.raises(ConfigurationError) as info:
+            make_runspec(config)
+        path = "family.r" if field == "r" else field
+        # N and N_list keep their own message, since --N sets both
+        assert (f"  - {path}: only " in str(info.value)
+                and f"{command!r} would ignore it" in str(info.value)) \
+            or f"  - {path}: {command} reads only" in str(info.value)
 
 
 def test_T_grid_validation():

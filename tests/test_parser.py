@@ -4,6 +4,7 @@ import argparse
 
 from qmap import OBSERVABLES, VARIANTS
 from qmap.cli import build_parser
+from qmap.config import READ_BY_ALL, READS
 
 
 def subparsers(parser):
@@ -20,4 +21,18 @@ def test_choices_come_from_the_library():
     for sub in commands.values():
         choices = {a.dest: a.choices for a in sub._actions}
         assert tuple(choices["variant"]) == VARIANTS
-        assert tuple(choices["observable"]) == OBSERVABLES
+        if "observable" in choices:
+            assert tuple(choices["observable"]) == OBSERVABLES
+
+
+def test_each_command_has_the_flags_of_the_fields_it_reads():
+    for command, sub in subparsers(build_parser()).items():
+        options = {a.dest: a.option_strings for a in sub._actions
+                   if a.dest not in ("help", "config")}
+        # the grids are set from config files only
+        expected = set(READ_BY_ALL + READS[command]) - {"command", "r_grid",
+                                                       "T_grid"}
+        assert set(options) == expected, command
+        # N and N_list share --N; a command reads one of them
+        assert [options[f] for f in ("N", "N_list") if f in options] \
+            == [["--N"]]

@@ -228,7 +228,8 @@ def test_persistent_tracking_failure_aborts(monkeypatch):
 
 def test_nested_bisection_visits_points_in_order(monkeypatch):
     # two failures in a row: [0, 0.25] is halved, then [0, 0.125] too; the
-    # deeper halves finish before the shallower ones resume
+    # deeper halves finish before the shallower ones resume, and each
+    # point is diagonalized once
     visited = []
     real_spectrum = sweep_mod._spectrum_at
 
@@ -249,7 +250,7 @@ def test_nested_bisection_visits_points_in_order(monkeypatch):
     monkeypatch.setattr(sweep_mod, "track_levels", flaky)
     traj = sweep_quantization(MapFamily("chaotic"), PlanckScale(16),
                               r0=0.0, r1=0.5, delta_r=0.25)
-    assert visited == [0.0, 0.25, 0.125, 0.0625, 0.125, 0.25, 0.5]
+    assert visited == [0.0, 0.25, 0.125, 0.0625, 0.5]
     assert traj.refined_steps == 2
     assert np.array_equal(traj.r_grid, [0.0, 0.25, 0.5])
 
