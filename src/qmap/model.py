@@ -111,6 +111,15 @@ class PhaseSpacePoint:
         object.__setattr__(self, "p", self.p % 1.0)
 
 
+def quantization_profile(x):
+    """cos(2 pi x) elementwise: the shape of the r h^2 term at its site.
+
+    Its diagonal element in an eigenstate is that level's velocity
+    d phi / dr in units of the mean spacing (Hellmann-Feynman).
+    """
+    return np.cos(2.0 * np.pi * x)
+
+
 def _with_quantization_term(value, family: MapFamily, site: str, x,
                             scale: PlanckScale | None, derivative: int = 0):
     """Add r h^2 cos(2 pi x), or its x-derivative, to value at the family's
@@ -119,7 +128,7 @@ def _with_quantization_term(value, family: MapFamily, site: str, x,
         return value
     pert = family.r * scale.h ** 2
     if derivative == 0:
-        return value + pert * np.cos(2.0 * np.pi * x)
+        return value + pert * quantization_profile(x)
     return value - 2.0 * np.pi * pert * np.sin(2.0 * np.pi * x)
 
 

@@ -85,6 +85,12 @@ def write_fit_json(path: str, spec: RunSpec, study) -> None:
         "model": study.model,
         "d": study.d,
     }
+    if study.first_order_estimates is not None:
+        payload["data"]["first_order_estimate"] = [
+            float(e) for e in study.first_order_estimates]
+        payload["data"]["first_order_ratio"] = [
+            float(x) for x in study.first_order_ratios]
+        payload["first_order_response"] = study.first_order_response
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -11,6 +11,26 @@ MAX_REFINEMENTS levels deep; refined points steady the tracking but only
 requested grid points enter the output.  Sorted-index pairing is the same
 loop with identity matching in place of tracking, kept behind a flag for
 comparison: it mislabels levels wherever they cross.
+
+The grid r0 + k delta_r is a lattice the sweep may step over.  `sweep`
+requests every lattice point, so each step spans one interval.
+`scaling` reads only the two ends of its window and requests only those
+(ends_only): it tries the whole window as one step and bisects on the
+lattice wherever a step of more than one interval is not certified.  At
+worst it walks every lattice point, each diagonalized at most once.  A
+multi-interval step is accepted only when tracking succeeds under the
+usual rules and a gap certificate holds: with the Hellmann-Feynman level
+velocities <n|cos 2 pi x|n> at both ends (level dynamics: Pechukas, PRL
+51, 943 (1983)), no two cyclic neighbours may meet when their gap is
+extrapolated linearly from either end, and the tracked levels must keep
+their cyclic order.  A certified step diagonalizes the same r as the
+lattice walk at its end and pairs the levels the same way, so it ends on
+the same phases bit for bit.  Checked: the end phases equal the lattice
+walk's exactly for all three variants at N = 64..512 on r = 0..0.5 and
+0..3, and in 1584 cases at N = 4..128 with delta_r = 0.05..0.5.  The
+chaotic ladder then needs 2 diagonalizations per N on r = 0..0.5 (8
+against 44) and 26 against 244 on r = 0..3.  Single-interval steps keep
+the overlap bisection, and only that bisection counts in refined_steps.
 """
 
 from __future__ import annotations
@@ -22,13 +42,16 @@ import numpy as np
 from scipy.optimize import least_squares, linear_sum_assignment
 
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
-from .model import MapFamily, PlanckScale
+from .model import MapFamily, PlanckScale, quantization_profile
 from .quantize import build_floquet
 from .spectral import diagonalize, mean_spacing, wrap_phase
 
 TRACK_FAIL_BELOW = 0.25
 MAX_REFINEMENTS = 3
 MODEL_NAMES = ("power_law", "constant", "log_model")
+# a scaling fit is in first-order response while every N's mean_sq is at
+# least this share of its one-diagonalization estimate
+FIRST_ORDER_FLOOR = 0.9
 
 
 def track_levels(prev, next, fail_below: float = TRACK_FAIL_BELOW):
@@ -83,6 +106,9 @@ class LevelTrajectories:
     point g to its rank at g+1 (ranks use the raw [0, 2 pi) cut).
     crossings and permutations are computed from the phases on each read,
     uncached, so scaling, which reads neither, computes neither.
+    start_velocities holds each trajectory's level velocity at r_grid[0]
+    (spacings per unit r) when the sweep computed them (ends_only), else
+    None.
     """
 
     family: MapFamily
@@ -92,10 +118,13 @@ class LevelTrajectories:
     min_overlap: float
     refined_steps: int
     sorted_pairing: bool = False
+    start_velocities: np.ndarray | None = None
 
     def __post_init__(self):
         self.r_grid.setflags(write=False)
         self.phases.setflags(write=False)
+        if self.start_velocities is not None:
+            self.start_velocities.setflags(write=False)
 
     @property
     def N(self) -> int:
@@ -117,6 +146,51 @@ class LevelTrajectories:
 def _spectrum_at(family: MapFamily, scale: PlanckScale, r: float):
     data = diagonalize(build_floquet(dataclasses.replace(family, r=r), scale))
     return data.phases, data.vectors
+
+
+def level_velocities(family: MapFamily, vectors: np.ndarray) -> np.ndarray:
+    """Hellmann-Feynman velocities d phi_n / dr of eigenvector columns.
+
+    r enters U only through the phase exp(-i r (2 pi / N) cos 2 pi x) at
+    the family's perturbation site, so level n moves at <n|cos 2 pi x|n>
+    mean spacings per unit r: sum_j |V_jn|^2 cos(2 pi q_j) at the position
+    site, the same sum over the unitary Fourier transform of each column
+    at the momentum site.  O(N^2) from vectors already held (O(N^2 log N)
+    for the momentum site).
+    """
+    N = vectors.shape[0]
+    if family.perturbation_site == "momentum":
+        vectors = np.fft.fft(vectors, axis=0) / np.sqrt(N)
+    return quantization_profile(np.arange(N) / N) @ np.abs(vectors) ** 2
+
+
+def _gaps_stay_open(phases_a, velocities_a, phases_b, velocities_b,
+                    delta_r: float) -> bool:
+    """Gap certificate of a tracked step of delta_r between ends a and b.
+
+    The arrays hold each tracked level at both ends.  At each end the
+    phases are sorted around the circle; the gap between every pair of
+    cyclic neighbours, moved linearly by the difference of their
+    velocities towards the other end, must stay open.  Levels whose gaps
+    cannot close keep their cyclic order, so the tracked end phases must
+    be in the start's order too: a swap means tracking followed a
+    diabatic state through an avoided crossing the linear model missed.
+    """
+    span = delta_r * mean_spacing(phases_a.size)
+    orders = []
+    for phases, velocities, direction in ((phases_a, velocities_a, 1.0),
+                                          (phases_b, velocities_b, -1.0)):
+        wrapped = np.mod(phases, 2.0 * np.pi)
+        order = np.argsort(wrapped)
+        ordered = wrapped[order]
+        gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+        closing = np.roll(velocities[order], -1) - velocities[order]
+        if not np.all(gaps + direction * span * closing > 0.0):
+            return False
+        orders.append(order)
+    # equal up to a rotation: a level may pass the 0 / 2 pi cut
+    shift = int(np.flatnonzero(orders[1] == orders[0][0])[0])
+    return bool(np.array_equal(np.roll(orders[1], -shift), orders[0]))
 
 
 def _unwrap_step(prev_unwrapped: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -180,7 +254,8 @@ def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:
 def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
                        r0: float = 0.0, r1: float = 3.0,
                        delta_r: float = 0.05,
-                       sorted_pairing: bool = False) -> LevelTrajectories:
+                       sorted_pairing: bool = False,
+                       ends_only: bool = False) -> LevelTrajectories:
     """Follow every eigenphase along an ascending r grid.
 
     Pass an explicit r_grid, or let one be built from r0/r1/delta_r.  On a
@@ -188,54 +263,91 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     to MAX_REFINEMENTS levels deep, before giving up with TrackingError.
     sorted_pairing runs the same loop with identity matching (level n
     continues as the n-th phase in sorted order), which never refines.
+
+    ends_only returns only the first and last grid points (with the level
+    velocities at the first) and treats the grid as a lattice to step
+    over: a step of several intervals is taken where tracking succeeds and
+    the gap certificate holds, and split at its middle lattice point where
+    either fails.
     """
-    grid = _build_grid(r_grid, r0, r1, delta_r)
+    lattice = _build_grid(r_grid, r0, r1, delta_r)
+    last = lattice.size - 1
+    requested = [0, last] if ends_only and last > 0 else list(range(last + 1))
     match = _pair_by_rank if sorted_pairing else track_levels
-    raw, vectors = _spectrum_at(family, scale, grid[0])
+    raw, vectors = _spectrum_at(family, scale, lattice[0])
     unwrapped = raw.copy()
-    phases = np.empty((scale.N, grid.size))
+    phases = np.empty((scale.N, len(requested)))
     phases[:, 0] = unwrapped
+    # velocities of the current columns, computed when a step needs them
+    velocities = level_velocities(family, vectors) if ends_only else None
+    start_velocities = velocities
 
     min_seen = 1.0
     refined = 0
-    for g in range(1, grid.size):
-        # pending (r_to, depth, spectrum at r_to or None) targets, nearest
-        # last; a failure pushes its target back, spectrum kept, then r_mid
-        r_from = grid[g - 1]
-        pending = [(grid[g], 0, None)]
+    k_from = 0
+    for column in range(1, len(requested)):
+        # pending (r_to, lattice index or None, depth, spectrum, velocities)
+        # targets, nearest last; a failed step pushes its target back with
+        # what was computed there, then the midpoint: the middle lattice
+        # point of a multi-interval step, the middle r of a single one
+        r_from = lattice[k_from]
+        k_end = requested[column]
+        pending = [(lattice[k_end], k_end, 0, None, None)]
         while pending:
-            r_to, depth, spectrum = pending.pop()
+            r_to, k_to, depth, spectrum, velocities_to = pending.pop()
             if spectrum is None:
                 spectrum = _spectrum_at(family, scale, r_to)
             raw_next, vec_next = spectrum
             try:
                 perm, overlaps = match(vectors, vec_next)
+                accepted = True
             except StepTooLargeError:
+                accepted = False
+            coarse = k_to is not None and k_to - k_from > 1
+            if coarse and accepted:
+                if velocities is None:
+                    velocities = level_velocities(family, vectors)
+                if velocities_to is None:
+                    velocities_to = level_velocities(family, vec_next)
+                accepted = _gaps_stay_open(unwrapped, velocities,
+                                           raw_next[perm], velocities_to[perm],
+                                           r_to - r_from)
+            if coarse and not accepted:
+                k_mid = (k_from + k_to) // 2
+                pending += [(r_to, k_to, 0, spectrum, velocities_to),
+                            (lattice[k_mid], k_mid, 0, None, None)]
+                continue
+            if not accepted:
                 if depth >= MAX_REFINEMENTS:
                     raise TrackingError(
                         f"sweep: tracking failed on [{r_from:.6g}, {r_to:.6g}] "
                         f"after {MAX_REFINEMENTS} bisections"
                     ) from None
                 refined += 1
-                pending += [(r_to, depth + 1, spectrum),
-                            (0.5 * (r_from + r_to), depth + 1, None)]
+                pending += [(r_to, k_to, depth + 1, spectrum, velocities_to),
+                            (0.5 * (r_from + r_to), None, depth + 1, None,
+                             None)]
                 continue
             min_seen = min(min_seen, float(overlaps.min()))
             unwrapped = _unwrap_step(unwrapped, raw_next[perm])
             vectors = vec_next[:, perm]
+            velocities = None if velocities_to is None else velocities_to[perm]
             # free the unpermuted basis before the next diagonalization
-            del raw_next, vec_next, spectrum
+            del raw_next, vec_next, spectrum, velocities_to
             r_from = r_to
-        phases[:, g] = unwrapped
+            if k_to is not None:
+                k_from = k_to
+        phases[:, column] = unwrapped
 
     return LevelTrajectories(
         family=family,
         scale=scale,
-        r_grid=grid,
+        r_grid=lattice[requested],
         phases=phases,
         min_overlap=min_seen,
         refined_steps=refined,
         sorted_pairing=sorted_pairing,
+        start_velocities=start_velocities,
     )
 
 
@@ -366,6 +478,8 @@ class ScalingFit:
     ``model`` names the winner by small-sample corrected AIC; residuals
     for every candidate stay available in ``models``.  d = 2 throughout
     (kicked maps behave as two-dimensional autonomous systems).
+    first_order_estimates holds each N's (r1 - r0)^2 var(v) from the level
+    velocities at r0, or None when a supplied trajectory kept none.
     """
 
     family: MapFamily
@@ -374,6 +488,7 @@ class ScalingFit:
     models: dict
     model: str
     d: int = 2
+    first_order_estimates: tuple | None = None
 
     @property
     def N_values(self) -> np.ndarray:
@@ -394,6 +509,21 @@ class ScalingFit:
     @property
     def residual_sum(self) -> float:
         return self.models[self.model].rss_log
+
+    @property
+    def first_order_ratios(self) -> np.ndarray | None:
+        """mean_sq over its first-order estimate, per N; None without them."""
+        if self.first_order_estimates is None:
+            return None
+        return self.mean_sq / np.array(self.first_order_estimates)
+
+    @property
+    def first_order_response(self) -> bool | None:
+        """Whether every ratio reaches FIRST_ORDER_FLOOR; None without them."""
+        ratios = self.first_order_ratios
+        if ratios is None:
+            return None
+        return bool(ratios.min() >= FIRST_ORDER_FLOOR)
 
 
 def fit_shift_scaling(N_values, mean_sq) -> tuple:
@@ -425,6 +555,23 @@ def fit_shift_scaling(N_values, mean_sq) -> tuple:
     return models, winner
 
 
+def _first_order_estimate(traj: LevelTrajectories, r0: float, r1: float,
+                          subtract_mean: bool) -> float | None:
+    """(r1 - r0)^2 times the shift statistic of the velocities at r0.
+
+    Levels moving at constant velocity v_n shift by (r1 - r0) v_n, so this
+    is the mean-square shift of first-order response: (r1 - r0)^2 var(v)
+    with the mean subtracted.  None when the sweep kept no velocities
+    (only an ends_only sweep, which starts at r0, keeps them).
+    """
+    v = traj.start_velocities
+    if v is None:
+        return None
+    if subtract_mean:
+        v = v - np.mean(v)
+    return float((r1 - r0) ** 2 * np.mean(v ** 2))
+
+
 def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
                   delta_r: float = 0.05, subtract_mean: bool = True,
                   trajectories: dict | None = None) -> ScalingFit:
@@ -432,19 +579,23 @@ def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
 
     trajectories, when given, maps N to a precomputed LevelTrajectories
     over [r0, r1] for the same family, letting callers reuse heavy sweeps.
+    The others are swept ends_only, which also yields the first-order
+    estimates; the fit carries them when every N has one.
     """
     N_list = [int(N) for N in N_list]
     if len(N_list) < 4:
         raise DomainError(
             f"scaling: need at least 4 ladder points, got {len(N_list)}")
     stats = []
+    estimates = []
     for N in N_list:
         traj = None if trajectories is None else trajectories.get(N)
         if traj is None:
             traj = sweep_quantization(family, PlanckScale(N), r0=r0, r1=r1,
-                                      delta_r=delta_r)
+                                      delta_r=delta_r, ends_only=True)
         stats.append(shift_statistics(traj, r0=r0, r1=r1,
                                       subtract_mean=subtract_mean))
+        estimates.append(_first_order_estimate(traj, r0, r1, subtract_mean))
 
     y = [s.mean_sq_spacing_units for s in stats]
     models, winner = fit_shift_scaling(N_list, y)
@@ -454,4 +605,5 @@ def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
         per_N=tuple(stats),
         models=models,
         model=winner,
+        first_order_estimates=None if None in estimates else tuple(estimates),
     )

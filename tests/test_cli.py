@@ -180,7 +180,21 @@ def test_unwritable_output_directory_exits_one(tmp_path, capsys):
     assert "i/o failure" in capsys.readouterr().err
 
 
-def test_scaling_run_writes_fits(tmp_path):
+def test_window_beside_an_r_grid_exits_two(tmp_path, capsys):
+    # the grid replaces the window; a window beside it would be echoed unread
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "command": "sweep", "N": 16, "r_grid": [0.0, 0.7, 1.1],
+        "r0": 5.0, "r1": 1.0, "out_dir": str(tmp_path / "run"),
+    }))
+    assert run_command(["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "r0: r_grid replaces the r0/r1/delta_r window" in err
+    assert "r1: r_grid replaces the r0/r1/delta_r window" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_scaling_run_writes_fits(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_command(["scaling", "--N", "8,12,16,20", "--r0", "0",
                         "--r1", "1", "--delta-r", "0.5", "--out", str(out)])
@@ -200,6 +214,17 @@ def test_scaling_run_writes_fits(tmp_path):
     for fit in payload["models"].values():
         assert set(fit) == {"params", "rss_log", "aic", "predicted"}
         assert len(fit["predicted"]) == 4
+
+    # each N's first-order estimate, its ratio, and the window's verdict
+    data = payload["data"]
+    ratios = [y / e for y, e in zip(data["mean_sq_shift_spacing_units"],
+                                    data["first_order_estimate"])]
+    assert data["first_order_ratio"] == ratios
+    assert payload["first_order_response"] == (min(ratios) >= 0.9)
+    printed = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("N=")]
+    assert [ln.rsplit(" ", 1)[1] for ln in printed] == \
+        [f"{x:.3f}" for x in ratios]
 
 
 def test_ergodicity_run_writes_all_tables(tmp_path):

@@ -130,9 +130,17 @@ def test_r_window_must_open_for_sweeps():
 
 
 def test_explicit_r_grid_replaces_the_window():
-    spec = make_runspec({"command": "sweep", "r_grid": [0.0, 0.7, 1.1],
-                         "r0": 5.0, "r1": 1.0})
+    spec = make_runspec({"command": "sweep", "r_grid": [0.0, 0.7, 1.1]})
     assert spec.r_grid == (0.0, 0.7, 1.1)
+    # the window it replaces must keep its defaults, or the header would
+    # echo a window the sweep never read; every such field is reported
+    with pytest.raises(ConfigurationError) as info:
+        make_runspec({"command": "sweep", "r_grid": [0.0, 0.7, 1.1],
+                      "r0": 5.0, "r1": 1.0, "delta_r": 0.1})
+    text = str(info.value)
+    for name in ("r0", "r1", "delta_r"):
+        assert f"  - {name}: r_grid replaces the r0/r1/delta_r window" in text
+    assert "must exceed" not in text
     with pytest.raises(ConfigurationError, match="ascending"):
         make_runspec({"command": "sweep", "r_grid": [0.0, 1.1, 0.7]})
     with pytest.raises(ConfigurationError, match="r_grid"):

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 import qmap.sweep as sweep_mod
-from conftest import random_unitary
+from conftest import LADDER, SHIFT_WINDOW, random_unitary
 from qmap.sweep import MODEL_NAMES
 from qmap import (
     DomainError,
@@ -21,6 +21,7 @@ from qmap import (
     build_floquet,
     diagonalize,
     fit_shift_scaling,
+    level_velocities,
     mean_spacing,
     scaling_study,
     shift_statistics,
@@ -365,3 +366,168 @@ def test_displacements_are_in_radians(chaotic_ladder):
     stats = shift_statistics(traj, subtract_mean=False)
     assert stats.mean_sq_spacing_units == pytest.approx(
         float(np.mean((d / mean_spacing(64)) ** 2)), rel=1e-12)
+
+
+# the fixed-grid mean_sq of slow_ergodic N = 256 on r = 0..0.5; one step
+# over the window jumps the narrow avoided crossing of levels 151/152 near
+# r = 0.1 (minimum gap 0.067 spacings, every overlap still >= 0.75)
+SLOW_256_FIXED_GRID = 0.0046231354
+
+
+@pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
+def test_velocities_are_the_derivative_of_the_tracked_phases(variant):
+    # both perturbation sites: position (chaotic, regular), momentum
+    # (slow_ergodic); a central difference is exact to O(eps^2)
+    fam = MapFamily(variant)
+    scale = PlanckScale(64)
+    r, eps = 0.3, 1e-3
+    raw, vectors = sweep_mod._spectrum_at(fam, scale, r)
+    ends = []
+    for r_end in (r - eps, r + eps):
+        raw_end, vectors_end = sweep_mod._spectrum_at(fam, scale, r_end)
+        perm, _ = track_levels(vectors, vectors_end)
+        ends.append(raw_end[perm])
+    slope = ((ends[1] - ends[0]) / (2.0 * eps)) / mean_spacing(64)
+    velocities = level_velocities(fam, vectors)
+    assert np.max(np.abs(velocities)) > 0.2
+    assert np.max(np.abs(slope - velocities)) < 1e-6
+
+
+def _window_mean_sq(ladder, r1):
+    return [shift_statistics(ladder[N], r0=0.0, r1=r1).mean_sq_spacing_units
+            for N in LADDER]
+
+
+def test_stepping_over_the_lattice_reproduces_the_fixed_grid(
+        chaotic_ladder, regular_ladder, slow_ladder):
+    # bit for bit: the certified steps land on the same end phases
+    for variant, ladder in (("chaotic", chaotic_ladder),
+                            ("regular", regular_ladder),
+                            ("slow_ergodic", slow_ladder)):
+        study = scaling_study(MapFamily(variant), LADDER, r0=SHIFT_WINDOW[0],
+                              r1=SHIFT_WINDOW[1])
+        assert list(study.mean_sq) == _window_mean_sq(ladder,
+                                                      SHIFT_WINDOW[1])
+    study = scaling_study(MapFamily("chaotic"), LADDER, r0=0.0, r1=3.0)
+    assert list(study.mean_sq) == _window_mean_sq(chaotic_ladder, 3.0)
+
+
+def _slow_256_window():
+    traj = sweep_quantization(MapFamily("slow_ergodic"), PlanckScale(256),
+                              r0=0.0, r1=0.5, ends_only=True)
+    return shift_statistics(traj).mean_sq_spacing_units
+
+
+def test_gap_certificate_keeps_the_narrow_avoided_crossing(slow_ladder):
+    value = _slow_256_window()
+    assert value == _window_mean_sq(slow_ladder, 0.5)[2]
+    assert value == pytest.approx(SLOW_256_FIXED_GRID, abs=1e-10)
+
+
+def test_without_the_gap_certificate_the_crossing_is_jumped(monkeypatch):
+    # the same run with every step certified tracks the window in one step
+    # and lands 4% off: the overlaps alone cannot see the crossing
+    monkeypatch.setattr(sweep_mod, "_gaps_stay_open", lambda *args: True)
+    value = _slow_256_window()
+    assert value != pytest.approx(SLOW_256_FIXED_GRID, abs=1e-10)
+    assert value == pytest.approx(0.00482297, rel=1e-5)
+
+
+def _recording_spectra(monkeypatch):
+    visited = []
+    real_spectrum = sweep_mod._spectrum_at
+
+    def recording(family, scale, r):
+        visited.append((scale.N, float(r)))
+        return real_spectrum(family, scale, r)
+
+    monkeypatch.setattr(sweep_mod, "_spectrum_at", recording)
+    return visited
+
+
+def test_chaotic_ladder_window_takes_two_diagonalizations_per_N(monkeypatch):
+    visited = _recording_spectra(monkeypatch)
+    study = scaling_study(MapFamily("chaotic"), LADDER, r0=0.0, r1=0.5)
+    assert visited == [(N, r) for N in LADDER for r in (0.0, 0.5)]
+    assert all(s.r1 == 0.5 for s in study.per_N)
+
+
+def test_rejected_steps_fall_back_to_the_lattice(monkeypatch):
+    # with no step certified the controller walks every lattice point,
+    # each diagonalized once, and lands on the fixed-grid phases; lattice
+    # splits are not refinements
+    fam = MapFamily("chaotic")
+    scale = PlanckScale(32)
+    plain = sweep_quantization(fam, scale, r0=0.0, r1=0.5)
+    visited = _recording_spectra(monkeypatch)
+    monkeypatch.setattr(sweep_mod, "_gaps_stay_open", lambda *args: False)
+    traj = sweep_quantization(fam, scale, r0=0.0, r1=0.5, ends_only=True)
+    r_values = [r for _, r in visited]
+    assert sorted(r_values) == list(plain.r_grid)
+    assert r_values[:4] == [0.0, 0.5, 0.25, 0.1]
+    assert traj.refined_steps == 0
+    assert np.array_equal(traj.r_grid, [0.0, 0.5])
+    assert np.array_equal(traj.phases, plain.phases[:, [0, -1]])
+
+
+def test_failed_multi_interval_tracking_splits_on_the_lattice(monkeypatch):
+    fam = MapFamily("chaotic")
+    scale = PlanckScale(16)
+    plain = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.25)
+    real_track = sweep_mod.track_levels
+    failures = {"left": 1}
+
+    def flaky(prev, nxt, **kwargs):
+        if failures["left"]:
+            failures["left"] -= 1
+            raise StepTooLargeError("injected")
+        return real_track(prev, nxt, **kwargs)
+
+    visited = _recording_spectra(monkeypatch)
+    monkeypatch.setattr(sweep_mod, "track_levels", flaky)
+    traj = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.25,
+                              ends_only=True)
+    assert [r for _, r in visited] == [0.0, 0.5, 0.25]
+    assert traj.refined_steps == 0
+    assert np.array_equal(traj.phases, plain.phases[:, [0, -1]])
+
+
+@pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
+def test_coarse_lattice_ends_match_the_lattice_walk(variant):
+    # delta_r = 0.5 at small N takes steps of up to six intervals; chaotic
+    # N = 16 passes the gap rule from r = 2 to 3 across an avoided crossing
+    # (gap 0.17 spacings at r = 3) and only the cyclic-order check stops it
+    fam = MapFamily(variant)
+    for N in (8, 12, 16, 20, 32):
+        scale = PlanckScale(N)
+        walk = sweep_quantization(fam, scale, r0=0.0, r1=3.0, delta_r=0.5)
+        ends = sweep_quantization(fam, scale, r0=0.0, r1=3.0, delta_r=0.5,
+                                  ends_only=True)
+        assert np.array_equal(ends.phases, walk.phases[:, [0, -1]]), N
+
+
+def test_full_grid_sweep_computes_no_velocities(monkeypatch):
+    def unread(family, vectors):
+        raise AssertionError("a full-grid sweep computed level velocities")
+
+    monkeypatch.setattr(sweep_mod, "level_velocities", unread)
+    traj = sweep_quantization(MapFamily("slow_ergodic"), PlanckScale(32),
+                              r0=0.0, r1=0.5)
+    assert traj.start_velocities is None
+    assert traj.r_grid.size == 11
+
+
+def test_first_order_estimate_tracks_the_window():
+    # in first-order response mean_sq is (r1 - r0)^2 var(v); over r = 0..3
+    # the N = 64 chaotic levels have left it
+    fam = MapFamily("chaotic")
+    ladder = (16, 32, 48, 64)
+    short = scaling_study(fam, ladder, r0=0.0, r1=0.5)
+    full = scaling_study(fam, ladder, r0=0.0, r1=3.0)
+    velocities = sweep_quantization(fam, PlanckScale(64), r0=0.0, r1=0.5,
+                                    ends_only=True).start_velocities
+    assert short.first_order_estimates[-1] == pytest.approx(
+        0.25 * np.var(velocities), rel=1e-12)
+    assert short.first_order_ratios[-1] == pytest.approx(0.955, abs=0.005)
+    assert full.first_order_ratios[-1] == pytest.approx(0.578, abs=0.005)
+    assert full.first_order_response is False
