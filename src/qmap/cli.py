@@ -129,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _runspec_from_args(args):
-    from .config import load_config, make_runspec
+    from .config import make_runspec, read_config
     from .errors import ConfigurationError
 
     config_path = getattr(args, "config", None)
-    file_spec = load_config(config_path) if config_path else None
+    raw = read_config(config_path) if config_path else {}
 
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config") and v is not None}
@@ -149,18 +149,19 @@ def _runspec_from_args(args):
     elif "N_list" in overrides:
         overrides["N"] = overrides["N_list"][0]
 
-    if file_spec is not None:
-        if args.command and args.command != file_spec.command:
-            raise ConfigurationError(
-                f"subcommand {args.command!r} conflicts with command "
-                f"{file_spec.command!r} in {config_path}")
-        base = file_spec.as_dict()
-    elif args.command:
-        base = {"command": args.command}
-    else:
+    if args.command and "command" in raw and args.command != raw["command"]:
+        raise ConfigurationError(
+            f"subcommand {args.command!r} conflicts with command "
+            f"{raw['command']!r} in {config_path}")
+    if not args.command and "command" not in raw:
         raise ConfigurationError(
             "no command: give a subcommand or --config with a \"command\" key")
-    return make_runspec(base, _source="command line", **overrides)
+    # one validation after the merge: a flag may mend a bad file value
+    sources = [f"config {config_path}"] if config_path else []
+    if args.command or overrides:
+        sources.append("command line")
+    return make_runspec(raw, _source=" and ".join(sources),
+                        command=args.command, **overrides)
 
 
 def run_classical(spec) -> dict:

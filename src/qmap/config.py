@@ -260,12 +260,9 @@ def make_runspec(config: dict | None = None, _source: str = "configuration",
     return spec
 
 
-def load_config(path: str) -> RunSpec:
-    """Read a JSON config file into a validated RunSpec.
-
-    The command lives inside the file; every field is checked here so a
-    bad file fails before any computation starts.
-    """
+def read_config(path: str) -> dict:
+    """The JSON object of a config file, not yet validated, so that flags
+    can override its values before make_runspec checks them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -275,4 +272,10 @@ def load_config(path: str) -> RunSpec:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config {path} must be a JSON object")
-    return make_runspec(raw, _source=f"config {path}")
+    return raw
+
+
+def load_config(path: str) -> RunSpec:
+    """Read a JSON config file, command included, into a validated RunSpec,
+    so a bad file fails before any computation starts."""
+    return make_runspec(read_config(path), _source=f"config {path}")

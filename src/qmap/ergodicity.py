@@ -98,13 +98,13 @@ def _wrapped_gaps(phases: np.ndarray) -> np.ndarray:
     return wrap_phase(phases[:, None] - phases[None, :])
 
 
-def diagonal_elements_report(data: SpectralData, obs: ObservableMatrix,
-                             a0: float | None = None) -> ErgodicityReport:
-    """Mean-square and worst-case deviation of <n|A|n> from the average a0.
+def diagonal_elements_report(data: SpectralData,
+                             obs: ObservableMatrix) -> ErgodicityReport:
+    """Diagonal elements <n|A|n>, their mean and mean-square deviation from a0.
 
-    a0 defaults to the microcanonical average of the observable's classical
-    symbol.  Diagonals of a Hermitian matrix are real; the imaginary parts
-    are checked against 1e-8 and then discarded.
+    a0 is the microcanonical average of the observable's classical symbol.
+    Diagonals of a Hermitian matrix are real; the imaginary parts are
+    checked against 1e-8 and then discarded.
     """
     M = _eigenbasis_matrix(data, obs)
     diag = np.diagonal(M)
@@ -114,8 +114,7 @@ def diagonal_elements_report(data: SpectralData, obs: ObservableMatrix,
             f"ergodicity: diagonal element imaginary part {worst_imag:.3e} "
             f"breaks Hermiticity (threshold {DIAGONAL_IMAG_TOL:.0e})")
     d = diag.real.copy()
-    if a0 is None:
-        a0 = microcanonical_average(obs.classical_label)
+    a0 = microcanonical_average(obs.classical_label)
 
     mean = float(np.mean(d))
     variance = float(np.mean((d - a0) ** 2))

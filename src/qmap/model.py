@@ -32,22 +32,16 @@ K = 0.4
 # amplitude of the parity-breaking sin(2 pi q) term in V
 SIN_AMPLITUDE = K / (2.0 * math.pi) ** 2
 
-#: default tent height of the slow-ergodic sawtooth potential
+#: tent height of the slow-ergodic sawtooth potential, read at each call
 SAWTOOTH_HEIGHT = 0.3
 
 
 @dataclass(frozen=True)
 class MapFamily:
-    """One kicked-map family together with its quantization parameter r.
-
-    ``sawtooth_height`` rescales the slow-ergodic tent potential and exists
-    so degenerate configurations (V identically zero, free shear) can be
-    built for testing; physical runs leave it at the default.
-    """
+    """One kicked-map family together with its quantization parameter r."""
 
     variant: str
     r: float = 0.0
-    sawtooth_height: float = SAWTOOTH_HEIGHT
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -135,7 +129,7 @@ def _with_quantization_term(value, family: MapFamily, site: str, x,
 def potential(family: MapFamily, q, scale: PlanckScale | None = None):
     """V(q) elementwise; without a scale, the classical h -> 0 limit."""
     if family.variant == "slow_ergodic":
-        V = family.sawtooth_height * np.abs(q - 0.5)
+        V = SAWTOOTH_HEIGHT * np.abs(q - 0.5)
     else:
         V = (family.quadratic_sign * q * q / 2.0
              + SIN_AMPLITUDE * np.sin(2.0 * np.pi * q))
@@ -153,7 +147,7 @@ def classical_slope(family: MapFamily, q, cos_2pi_q=None, out=None):
     """
     if family.variant == "slow_ergodic":
         side = np.sign(np.subtract(q, 0.5, out=out), out=out)
-        return np.multiply(side, family.sawtooth_height, out=out)
+        return np.multiply(side, SAWTOOTH_HEIGHT, out=out)
     if cos_2pi_q is None:
         cos_2pi_q = np.cos(np.multiply(q, 2.0 * np.pi, out=out), out=out)
     wave = np.multiply(cos_2pi_q, K / (2.0 * np.pi), out=out)

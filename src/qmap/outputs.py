@@ -72,6 +72,8 @@ def write_fit_json(path: str, spec: RunSpec, study) -> None:
             "N": [int(n) for n in study.N_values],
             "h": [float(h) for h in study.h_values],
             "mean_sq_shift_spacing_units": [float(y) for y in study.mean_sq],
+            "first_order_estimate": list(study.first_order_estimates),
+            "first_order_ratio": study.first_order_ratios.tolist(),
         },
         "models": {
             name: {
@@ -84,13 +86,8 @@ def write_fit_json(path: str, spec: RunSpec, study) -> None:
         },
         "model": study.model,
         "d": study.d,
+        "first_order_response": study.first_order_response,
     }
-    if study.first_order_estimates is not None:
-        payload["data"]["first_order_estimate"] = [
-            float(e) for e in study.first_order_estimates]
-        payload["data"]["first_order_ratio"] = [
-            float(x) for x in study.first_order_ratios]
-        payload["first_order_response"] = study.first_order_response
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -78,24 +78,28 @@ class SpectralData:
         return mean_spacing(self.N)
 
 
-def phase_clusters(phases: np.ndarray, gap: float = CLUSTER_GAP) -> list:
-    """Chains of consecutive phases separated by less than ``gap``.
+def cyclic_gaps(phases: np.ndarray) -> np.ndarray:
+    """Gap from each ascending phase to the next, the last across 2 pi."""
+    return np.diff(phases, append=phases[0] + 2.0 * np.pi)
+
+
+def phase_clusters(phases: np.ndarray) -> list:
+    """Chains of consecutive phases separated by less than CLUSTER_GAP.
 
     Clusters may wrap through the 0 / 2 pi seam; indices are returned in
     chain order, so a wrapping cluster lists the top-of-circle members
     first.
     """
-    N = phases.size
-    if N == 0:
+    if phases.size == 0:
         return []
-    breaks = np.flatnonzero(np.diff(phases) >= gap)
-    clusters = []
-    start = 0
-    for b in breaks:
-        clusters.append(list(range(start, b + 1)))
-        start = b + 1
-    clusters.append(list(range(start, N)))
-    if len(clusters) > 1 and (phases[0] + 2.0 * np.pi - phases[-1]) < gap:
+    clusters = [[]]
+    for n, wide in enumerate(cyclic_gaps(phases) >= CLUSTER_GAP):
+        clusters[-1].append(n)
+        if wide:
+            clusters.append([])
+    # the chain still open at the seam (empty after a wide seam gap) runs
+    # on into the first one
+    if len(clusters) > 1:
         clusters[0] = clusters.pop() + clusters[0]
     return clusters
 
@@ -148,7 +152,7 @@ def _certify(U: np.ndarray, basis: np.ndarray):
 
 def _widest_gap_shift(phases: np.ndarray) -> float:
     """Shift that puts the Cayley pole in the middle of the widest phase gap."""
-    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    gaps = cyclic_gaps(phases)
     k = int(np.argmax(gaps))
     # the pole of the shift alpha sits at phi = alpha - pi
     return float(phases[k] + 0.5 * gaps[k] + np.pi)

@@ -39,12 +39,11 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, linear_sum_assignment
 
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale, quantization_profile
 from .quantize import build_floquet
-from .spectral import diagonalize, mean_spacing, wrap_phase
+from .spectral import cyclic_gaps, diagonalize, mean_spacing, wrap_phase
 
 TRACK_FAIL_BELOW = 0.25
 MAX_REFINEMENTS = 3
@@ -54,7 +53,7 @@ MODEL_NAMES = ("power_law", "constant", "log_model")
 FIRST_ORDER_FLOOR = 0.9
 
 
-def track_levels(prev, next, fail_below: float = TRACK_FAIL_BELOW):
+def track_levels(prev, next):
     """Match eigenvector columns across a parameter step.
 
     prev and next are SpectralData (or bare matrices of orthonormal column
@@ -65,7 +64,7 @@ def track_levels(prev, next, fail_below: float = TRACK_FAIL_BELOW):
     The two agree whenever the maxima exceed 1/2: a column of orthonormal
     overlaps sums to at most 1, so it holds at most one entry above 1/2,
     and any other pairing has a smaller entry in every row it changes.
-    Overlaps below fail_below even then mean the step outran the
+    Overlaps below TRACK_FAIL_BELOW even then mean the step outran the
     eigenbasis: StepTooLargeError tells the caller to refine the grid.
     """
     prev_vectors = getattr(prev, "vectors", prev)
@@ -79,15 +78,17 @@ def track_levels(prev, next, fail_below: float = TRACK_FAIL_BELOW):
     perm = O.argmax(axis=1)
     overlaps = O[rows, perm]
     if not overlaps.min() > 0.5:
+        # rarely reached; scipy.optimize is a third of a CLI run's start-up
+        from scipy.optimize import linear_sum_assignment
         perm = linear_sum_assignment(-O)[1]
         overlaps = O[rows, perm]
 
     worst = float(overlaps.min())
-    if worst < fail_below:
+    if worst < TRACK_FAIL_BELOW:
         n_bad = int(np.argmin(overlaps))
         raise StepTooLargeError(
-            f"track_levels: overlap {worst:.3f} below {fail_below} at level "
-            f"{n_bad}; parameter step too large for unambiguous tracking"
+            f"track_levels: overlap {worst:.3f} below {TRACK_FAIL_BELOW} "
+            f"at level {n_bad}; step too large for unambiguous tracking"
         )
     return perm, overlaps
 
@@ -182,8 +183,7 @@ def _gaps_stay_open(phases_a, velocities_a, phases_b, velocities_b,
                                           (phases_b, velocities_b, -1.0)):
         wrapped = np.mod(phases, 2.0 * np.pi)
         order = np.argsort(wrapped)
-        ordered = wrapped[order]
-        gaps = np.diff(ordered, append=ordered[0] + 2.0 * np.pi)
+        gaps = cyclic_gaps(wrapped[order])
         closing = np.roll(velocities[order], -1) - velocities[order]
         if not np.all(gaps + direction * span * closing > 0.0):
             return False
@@ -450,6 +450,7 @@ def _fit_log_model(log_N: np.ndarray, y: np.ndarray,
     # y = 1 / (alpha + beta log N)^2; a prefactor would be redundant (it
     # rescales alpha and beta).  Linearize through z = 1/sqrt(y), then
     # polish the log-space residuals directly.
+    from scipy.optimize import least_squares
     z = 1.0 / np.sqrt(y)
     design = np.column_stack([np.ones_like(log_N), log_N])
     x0, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
@@ -479,20 +480,19 @@ class ScalingFit:
     for every candidate stay available in ``models``.  d = 2 throughout
     (kicked maps behave as two-dimensional autonomous systems).
     first_order_estimates holds each N's (r1 - r0)^2 var(v) from the level
-    velocities at r0, or None when a supplied trajectory kept none.
+    velocities at r0, in the order of the ShiftStatistics in per_N.
     """
 
     family: MapFamily
-    points: tuple
     per_N: tuple
     models: dict
     model: str
-    d: int = 2
-    first_order_estimates: tuple | None = None
+    first_order_estimates: tuple
+    d = 2
 
     @property
     def N_values(self) -> np.ndarray:
-        return np.array([N for N, _ in self.points], dtype=float)
+        return np.array([s.N for s in self.per_N], dtype=float)
 
     @property
     def h_values(self) -> np.ndarray:
@@ -500,7 +500,7 @@ class ScalingFit:
 
     @property
     def mean_sq(self) -> np.ndarray:
-        return np.array([y for _, y in self.points])
+        return np.array([s.mean_sq_spacing_units for s in self.per_N])
 
     @property
     def exponent(self) -> float:
@@ -511,19 +511,14 @@ class ScalingFit:
         return self.models[self.model].rss_log
 
     @property
-    def first_order_ratios(self) -> np.ndarray | None:
-        """mean_sq over its first-order estimate, per N; None without them."""
-        if self.first_order_estimates is None:
-            return None
+    def first_order_ratios(self) -> np.ndarray:
+        """mean_sq over its first-order estimate, per N."""
         return self.mean_sq / np.array(self.first_order_estimates)
 
     @property
-    def first_order_response(self) -> bool | None:
-        """Whether every ratio reaches FIRST_ORDER_FLOOR; None without them."""
-        ratios = self.first_order_ratios
-        if ratios is None:
-            return None
-        return bool(ratios.min() >= FIRST_ORDER_FLOOR)
+    def first_order_response(self) -> bool:
+        """Whether every first-order ratio reaches FIRST_ORDER_FLOOR."""
+        return bool(self.first_order_ratios.min() >= FIRST_ORDER_FLOOR)
 
 
 def fit_shift_scaling(N_values, mean_sq) -> tuple:
@@ -556,31 +551,26 @@ def fit_shift_scaling(N_values, mean_sq) -> tuple:
 
 
 def _first_order_estimate(traj: LevelTrajectories, r0: float, r1: float,
-                          subtract_mean: bool) -> float | None:
+                          subtract_mean: bool) -> float:
     """(r1 - r0)^2 times the shift statistic of the velocities at r0.
 
     Levels moving at constant velocity v_n shift by (r1 - r0) v_n, so this
     is the mean-square shift of first-order response: (r1 - r0)^2 var(v)
-    with the mean subtracted.  None when the sweep kept no velocities
-    (only an ends_only sweep, which starts at r0, keeps them).
+    with the mean subtracted, v as an ends_only sweep from r0 keeps them.
     """
     v = traj.start_velocities
-    if v is None:
-        return None
     if subtract_mean:
         v = v - np.mean(v)
     return float((r1 - r0) ** 2 * np.mean(v ** 2))
 
 
 def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
-                  delta_r: float = 0.05, subtract_mean: bool = True,
-                  trajectories: dict | None = None) -> ScalingFit:
+                  delta_r: float = 0.05,
+                  subtract_mean: bool = True) -> ScalingFit:
     """Sweep each N in the ladder and fit how mean-square shifts scale with h.
 
-    trajectories, when given, maps N to a precomputed LevelTrajectories
-    over [r0, r1] for the same family, letting callers reuse heavy sweeps.
-    The others are swept ends_only, which also yields the first-order
-    estimates; the fit carries them when every N has one.
+    Each N is swept ends_only over [r0, r1], which also yields the level
+    velocities at r0 and so the first-order estimate of its mean_sq.
     """
     N_list = [int(N) for N in N_list]
     if len(N_list) < 4:
@@ -589,10 +579,8 @@ def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
     stats = []
     estimates = []
     for N in N_list:
-        traj = None if trajectories is None else trajectories.get(N)
-        if traj is None:
-            traj = sweep_quantization(family, PlanckScale(N), r0=r0, r1=r1,
-                                      delta_r=delta_r, ends_only=True)
+        traj = sweep_quantization(family, PlanckScale(N), r0=r0, r1=r1,
+                                  delta_r=delta_r, ends_only=True)
         stats.append(shift_statistics(traj, r0=r0, r1=r1,
                                       subtract_mean=subtract_mean))
         estimates.append(_first_order_estimate(traj, r0, r1, subtract_mean))
@@ -601,9 +589,8 @@ def scaling_study(family: MapFamily, N_list, r0: float = 0.0, r1: float = 3.0,
     models, winner = fit_shift_scaling(N_list, y)
     return ScalingFit(
         family=family,
-        points=tuple((int(N), float(v)) for N, v in zip(N_list, y)),
         per_N=tuple(stats),
         models=models,
         model=winner,
-        first_order_estimates=None if None in estimates else tuple(estimates),
+        first_order_estimates=tuple(estimates),
     )

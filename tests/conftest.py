@@ -5,6 +5,8 @@ heavy is session-scoped and computed at most once; the acceptance gate and
 the unit tests draw from the same objects.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qmap import (
     build_floquet,
     classical_correlator,
     diagonalize,
+    fit_shift_scaling,
     lyapunov_exponent,
     quantize_observable,
     shift_statistics,
@@ -67,6 +70,33 @@ def linear_response_guard(ladder: dict, r1: float) -> tuple:
     return ok, (f"ballistic ratio at r1 = {r1:g} over r = "
                 f"{BALLISTIC_REFERENCE_R:g} ({per_N}; "
                 f"each >= {BALLISTIC_FLOOR})")
+
+
+@dataclass(frozen=True, eq=False)
+class WindowFit:
+    """Shift-scaling fit of a ladder of full-grid sweeps on one r window."""
+
+    N_values: tuple
+    mean_sq: np.ndarray
+    models: dict
+    model: str
+
+    @property
+    def exponent(self) -> float:
+        return self.models["power_law"].params["exponent"]
+
+
+def fit_window(ladder: dict, r0: float = SHIFT_WINDOW[0],
+               r1: float = SHIFT_WINDOW[1]) -> WindowFit:
+    """Fit the mean-square shifts of {N: trajectories} between r0 and r1.
+
+    The fixtures sweep every grid point of r = 0..3, so one ladder serves
+    every window; scaling_study would sweep each window again.
+    """
+    mean_sq = np.array([shift_statistics(traj, r0=r0, r1=r1)
+                        .mean_sq_spacing_units for traj in ladder.values()])
+    models, winner = fit_shift_scaling(list(ladder), mean_sq)
+    return WindowFit(tuple(ladder), mean_sq, models, winner)
 
 
 def random_unitary(rng, N: int) -> np.ndarray:

@@ -8,8 +8,8 @@ are replayed in an "acceptance results" section at the end of the run.
 
 import numpy as np
 
-from conftest import (LADDER, SHIFT_WINDOW, linear_response_guard,
-                      record_result)
+from conftest import (LADDER, SHIFT_WINDOW, fit_window,
+                      linear_response_guard, record_result)
 from qmap import (
     MapFamily,
     PlanckScale,
@@ -20,16 +20,10 @@ from qmap import (
     quantize_observable,
     quantum_F_curve,
     quantum_classical_compare,
-    scaling_study,
 )
 from qmap.cli import run_command
 
 LINEAR_BAND = (0.65, 1.35)
-
-
-def _window_study(variant, ladder, r1=SHIFT_WINDOW[1]):
-    return scaling_study(MapFamily(variant), LADDER, r0=SHIFT_WINDOW[0], r1=r1,
-                         trajectories=ladder)
 
 
 def _in_linear_band(study) -> bool:
@@ -99,19 +93,20 @@ def test_regular_levels_cross(regular_ladder):
 def test_chaotic_shift_scaling_is_linear_in_h(chaotic_ladder, slow_ladder,
                                               regular_ladder):
     r0, r1 = SHIFT_WINDOW
-    study = _window_study("chaotic", chaotic_ladder)
+    study = fit_window(chaotic_ladder)
     s = study.exponent
     guard_ok, guard = linear_response_guard(chaotic_ladder, r1)
     # the band must single out the chaotic family on the same window
-    slow = _window_study("slow_ergodic", slow_ladder)
-    regular = _window_study("regular", regular_ladder)
+    slow = fit_window(slow_ladder)
+    regular = fit_window(regular_ladder)
     rejects_others = not (_in_linear_band(slow) or _in_linear_band(regular))
     # and the guard must catch the saturated full window
     full_guard_ok, full_guard = linear_response_guard(chaotic_ladder, 3.0)
-    s_full = _window_study("chaotic", chaotic_ladder, r1=3.0).exponent
+    s_full = fit_window(chaotic_ladder, r1=3.0).exponent
     ok = guard_ok and _in_linear_band(study) and rejects_others \
         and not full_guard_ok
-    points = ", ".join(f"N={N}: {y:.5f}" for N, y in study.points)
+    points = ", ".join(f"N={N}: {y:.5f}"
+                       for N, y in zip(study.N_values, study.mean_sq))
     detail = (
         f"window r {r0:g} to {r1:g}: power-law exponent s = {s:.3f} vs "
         f"required 1.0 +/- 0.35 (mean_sq by N: {points}); {guard}; "
@@ -128,8 +123,7 @@ def test_chaotic_shift_scaling_is_linear_in_h(chaotic_ladder, slow_ladder,
 
 
 def test_regular_shift_plateau(regular_ladder):
-    study = scaling_study(MapFamily("regular"), LADDER,
-                          trajectories=regular_ladder)
+    study = fit_window(regular_ladder, r1=3.0)
     s = study.exponent
     ok = abs(s) < 0.35 and study.model == "constant"
     record_result(
@@ -142,12 +136,12 @@ def test_regular_shift_plateau(regular_ladder):
 def test_slow_ergodic_logarithmic_shift_law(slow_ladder, chaotic_ladder,
                                             regular_ladder):
     r0, r1 = SHIFT_WINDOW
-    study = _window_study("slow_ergodic", slow_ladder)
+    study = fit_window(slow_ladder)
     law_ok, ratio, monotone = _slow_law(study)
     guard_ok, guard = linear_response_guard(slow_ladder, r1)
     # the criterion must single out the slow_ergodic family on the same window
-    chaotic = _window_study("chaotic", chaotic_ladder)
-    regular = _window_study("regular", regular_ladder)
+    chaotic = fit_window(chaotic_ladder)
+    regular = fit_window(regular_ladder)
     regular_ok, _, regular_monotone = _slow_law(regular)
     rejects_others = not (_slow_law(chaotic)[0] or regular_ok)
     ok = guard_ok and law_ok and rejects_others

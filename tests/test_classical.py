@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import qmap.classical
+import qmap.model
 from qmap import (
     DomainError,
     LyapunovReport,
@@ -27,7 +28,7 @@ from qmap.model import K, VARIANTS, potential_curvature
 def _reference_step(family, q, p):
     """One period as first written: V' spelled out, fresh arrays, x % 1.0."""
     if family.variant == "slow_ergodic":
-        slope = family.sawtooth_height * np.sign(q - 0.5)
+        slope = qmap.model.SAWTOOTH_HEIGHT * np.sign(q - 0.5)
     else:
         slope = (family.quadratic_sign * q
                  + K / (2.0 * np.pi) * np.cos(2.0 * np.pi * q))
@@ -80,9 +81,10 @@ def _reference_lyapunov(family, seeds, steps):
     return float(np.mean(lams)), float(np.max(lams) - np.min(lams))
 
 
-def test_free_shear_step():
+def test_free_shear_step(monkeypatch):
     # sawtooth with zero tent height has V identically zero
-    fam = MapFamily("slow_ergodic", sawtooth_height=0.0)
+    monkeypatch.setattr(qmap.model, "SAWTOOTH_HEIGHT", 0.0)
+    fam = MapFamily("slow_ergodic")
     out = map_step(PhaseSpacePoint(0.25, 0.5), fam)
     assert (out.q, out.p) == (0.75, 0.5)
 
@@ -142,8 +144,9 @@ def test_lyapunov_seed_independence():
     assert gap <= reps[0].spread + reps[1].spread + 1e-3
 
 
-def test_shear_map_has_zero_exponent():
-    fam = MapFamily("slow_ergodic", sawtooth_height=0.0)
+def test_shear_map_has_zero_exponent(monkeypatch):
+    monkeypatch.setattr(qmap.model, "SAWTOOTH_HEIGHT", 0.0)
+    fam = MapFamily("slow_ergodic")
     seeds = [PhaseSpacePoint(0.1 * k, 0.07 * k) for k in range(1, 6)]
     rep = lyapunov_exponent(fam, seeds, 20_000)
     # unipotent tangent map: growth is linear in t, so the log rate decays

@@ -172,6 +172,35 @@ def test_flags_override_config_values(tmp_path):
     assert any(ln == "# family.r=2" for ln in lines)
 
 
+def test_flags_mend_a_config_file_before_validation(tmp_path, capsys):
+    # three sizes alone are too few for a scaling ladder; the flag's four
+    # replace them before anything is validated
+    out = tmp_path / "run"
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps({"command": "scaling", "N_list": [8, 16, 32],
+                               "r1": 0.1, "delta_r": 0.05}))
+    assert run_command(["--config", str(cfg), "scaling", "--N", "8,16,32,64",
+                        "--out", str(out)]) == 0
+    assert "# N_list=8,16,32,64" in read_lines(out / "shifts.csv")
+    payload = json.loads((out / "fit.json").read_text())
+    assert payload["runspec"]["N_list"] == [8, 16, 32, 64]
+    capsys.readouterr()
+
+    # a bad file field that no flag overrides still fails, naming the
+    # field and both sources
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"command": "scaling", "N_list": [8, 16, 32],
+                               "r1": "far", "delta_r": 0.05}))
+    other = tmp_path / "other"
+    assert run_command(["--config", str(bad), "scaling", "--N", "8,16,32,64",
+                        "--out", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid config {bad} and command line" in err
+    assert "r1: expected a finite number, got 'far'" in err
+    assert "N_list" not in err
+    assert not other.exists()
+
+
 def test_unwritable_output_directory_exits_one(tmp_path, capsys):
     blocked = tmp_path / "blocked"
     blocked.write_text("in the way")
@@ -308,6 +337,18 @@ def test_importing_the_cli_leaves_numpy_unloaded():
                           env=child_env(QMAP_THREADS="1"),
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False True True"
+
+
+def test_loading_the_library_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported where the rare assignment fallback and the
+    # log-model fit call it, not when the library loads
+    probe = ("import sys, qmap\n"
+             "qmap._load_all()\n"
+             "print('scipy.linalg' in sys.modules, "
+             "'scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "True False"
 
 
 def test_results_agree_across_thread_counts(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qmap.model
 from qmap import (
     ConfigurationError,
     MapFamily,
@@ -15,9 +16,10 @@ from qmap import (
 from qmap.quantize import _circulant_from_momentum_diagonal
 
 
-def test_two_level_free_propagator_matrix():
+def test_two_level_free_propagator_matrix(monkeypatch):
     # V identically zero leaves U = F^-1 D_T F with D_T = diag(1, e^{-i pi/2})
-    fam = MapFamily("slow_ergodic", sawtooth_height=0.0)
+    monkeypatch.setattr(qmap.model, "SAWTOOTH_HEIGHT", 0.0)
+    fam = MapFamily("slow_ergodic")
     op = build_floquet(fam, PlanckScale(2))
     expected = 0.5 * np.array([[1.0 - 1.0j, 1.0 + 1.0j],
                                [1.0 + 1.0j, 1.0 - 1.0j]])
@@ -73,9 +75,10 @@ def test_changing_r_composes_a_diagonal_kick():
     assert np.allclose(U_rdr, U_r * extra[None, :], atol=1e-13)
 
 
-def test_free_hamiltonian_commutes_with_momentum_observable():
+def test_free_hamiltonian_commutes_with_momentum_observable(monkeypatch):
     # V identically zero: U and cos2pi_p are both diagonal in momentum
-    fam = MapFamily("slow_ergodic", sawtooth_height=0.0)
+    monkeypatch.setattr(qmap.model, "SAWTOOTH_HEIGHT", 0.0)
+    fam = MapFamily("slow_ergodic")
     scale = PlanckScale(16)
     U = build_floquet(fam, scale).U
     B = quantize_observable("cos2pi_p", scale).matrix

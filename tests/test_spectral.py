@@ -199,9 +199,9 @@ def test_non_unitary_input_rejected():
 def test_phase_clusters_chain_and_seam():
     eps = 1e-9
     phases = np.array([0.0, eps, 0.5, 2.0 * np.pi - eps])
-    clusters = phase_clusters(phases, gap=1e-8)
+    clusters = phase_clusters(phases)
     # the top-of-circle member joins the cluster at zero
     assert sorted(map(sorted, clusters)) == [[0, 1, 3], [2]]
-    assert phase_clusters(np.array([]), gap=1e-8) == []
+    assert phase_clusters(np.array([])) == []
     spread = np.array([0.1, 0.4, 0.9])
-    assert phase_clusters(spread, gap=1e-8) == [[0], [1], [2]]
+    assert phase_clusters(spread) == [[0], [1], [2]]

@@ -58,9 +58,10 @@ def test_tracking_follows_a_column_swap(chaotic_32):
     assert np.all(overlaps >= 1.0 - 1e-12)
 
 
-def test_largest_overlap_matching_equals_the_optimal_assignment():
+def test_largest_overlap_matching_equals_the_optimal_assignment(monkeypatch):
     # near-identity steps of random orthonormal bases, columns shuffled;
     # small steps take the largest-overlap path, large ones the assignment
+    monkeypatch.setattr(sweep_mod, "TRACK_FAIL_BELOW", 0.0)
     rng = np.random.default_rng(31)
     paths = set()
     for N, step in [(16, 0.05), (64, 0.2), (64, 0.5), (128, 0.3), (32, 1.5)]:
@@ -71,7 +72,7 @@ def test_largest_overlap_matching_equals_the_optimal_assignment():
             nxt = (prev @ rotation)[:, rng.permutation(N)]
             O = np.abs(prev.conj().T @ nxt) ** 2
             paths.add(bool(O.max(axis=1).min() > 0.5))
-            perm, overlaps = track_levels(prev, nxt, fail_below=0.0)
+            perm, overlaps = track_levels(prev, nxt)
             assert np.array_equal(perm, linear_sum_assignment(-O)[1])
             assert np.array_equal(overlaps, O[np.arange(N), perm])
     assert paths == {True, False}
@@ -331,7 +332,7 @@ def test_scaling_study_on_a_small_ladder():
     ladder = (8, 12, 16, 20)
     trajs = {N: sweep_quantization(fam, PlanckScale(N), r0=0.0, r1=1.0,
                                    delta_r=0.5) for N in ladder}
-    study = scaling_study(fam, ladder, r0=0.0, r1=1.0, trajectories=trajs)
+    study = scaling_study(fam, ladder, r0=0.0, r1=1.0, delta_r=0.5)
     assert study.d == 2
     assert tuple(int(N) for N in study.N_values) == ladder
     assert np.allclose(study.h_values, 1.0 / np.array(ladder))
