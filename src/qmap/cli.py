@@ -11,7 +11,9 @@ fits, unwritable outputs), 2 bad usage or configuration.
 QMAP_THREADS caps the BLAS thread pools (0 means automatic); it is
 applied to the standard environment knobs before numpy is first imported,
 which is why `import qmap` loads no numerical module and the numerical
-modules are imported inside functions here.
+modules are imported inside functions here.  Every dense product and
+every LAPACK call runs on one pool, scipy's OpenBLAS (see
+qmap.quantize.matmul), and QMAP_THREADS in effect caps that pool.
 """
 
 from __future__ import annotations

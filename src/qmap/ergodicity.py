@@ -24,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zdotc
 
 from .classical import CorrelatorCurve, microcanonical_average
 from .errors import DomainError, NumericalError
-from .quantize import FloquetOperator, ObservableMatrix
+from .quantize import FloquetOperator, ObservableMatrix, matmul
 from .spectral import SpectralData, phase_clusters, wrap_phase
 
 DIAGONAL_IMAG_TOL = 1e-8
@@ -90,7 +91,8 @@ def _check_t_range(t_range: int) -> None:
 
 def _eigenbasis_matrix(data: SpectralData, obs: ObservableMatrix) -> np.ndarray:
     _check_dimension(obs, data.N, "spectrum")
-    return data.vectors.conj().T @ obs.matrix @ data.vectors
+    return matmul(data.vectors, matmul(obs.matrix, data.vectors),
+                  adjoint_a=True)
 
 
 def _wrapped_gaps(phases: np.ndarray) -> np.ndarray:
@@ -188,11 +190,11 @@ def offdiag_near_degenerate(data: SpectralData, obs: ObservableMatrix,
             continue
         idx = np.array(cluster)
         block = vectors[:, idx]
-        A_block = block.conj().T @ obs.matrix @ block
+        A_block = matmul(block, matmul(obs.matrix, block), adjoint_a=True)
         _, W = np.linalg.eigh(0.5 * (A_block + A_block.conj().T))
-        vectors[:, idx] = block @ W
+        vectors[:, idx] = matmul(block, W)
 
-    M = vectors.conj().T @ obs.matrix @ vectors
+    M = matmul(vectors, matmul(obs.matrix, vectors), adjoint_a=True)
     gaps = np.abs(_wrapped_gaps(data.phases))
     n_idx, m_idx = np.nonzero(np.triu(gaps < gap_tol, k=1))
     elements = np.abs(M[n_idx, m_idx])
@@ -221,6 +223,7 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
     _check_dimension(obs, op.N, "operator")
     A = obs.matrix
     # tr(A B) = sum_ij conj((A*)_ji) B_ji, one dot product over the entries
+    # (zdotc, on the BLAS that runs every other product; see quantize)
     A_adjoint = np.ascontiguousarray(A.conj().T)
     kick = op.kick_phases[:, None] * op.kick_phases.conj()[None, :]
     drift = op.drift_phases[:, None]
@@ -237,7 +240,7 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
             np.fft.ifft(B, axis=1, out=B)
             B *= drift_adjoint
             np.fft.fft(B, axis=1, out=B)
-        f_t = np.vdot(A_adjoint, B) / op.N
+        f_t = zdotc(A_adjoint.ravel(), B.ravel()) / op.N
         if abs(f_t.imag) >= QUANTUM_REAL_TOL:
             raise NumericalError(
                 f"ergodicity: f({t}) has imaginary part {f_t.imag:.3e}; "

@@ -13,6 +13,9 @@ only the eigenpair residual is certified).  Each phase is read from the
 Rayleigh quotient v* U v rather than from the eigenvalue of H, which
 loses accuracy near the pole phi = alpha - pi.
 
+The LU solve, eigh and the certificate's product U V (quantize.matmul)
+all run on scipy's OpenBLAS, one thread pool that QMAP_THREADS caps.
+
 The shift depends on U alone, so reruns are byte-identical.  The first
 pass uses the fixed CAYLEY_SHIFT.  When an eigenvalue of H exceeds
 CAYLEY_MAX_EIGENVALUE in magnitude (a phase sits close to the pole) or
@@ -33,7 +36,7 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .errors import DomainError, NumericalError
 from .model import MapFamily, PlanckScale
-from .quantize import FloquetOperator, _unitarity_defect
+from .quantize import FloquetOperator, _unitarity_defect, matmul
 
 RESIDUAL_TOL = 1e-10
 CLUSTER_GAP = 1e-8
@@ -141,7 +144,7 @@ def _certify(U: np.ndarray, basis: np.ndarray):
     Returns (phases, vectors, residuals) sorted by phase, where residuals[n]
     is the 2-norm of U v - exp(-i phi) v for column n.
     """
-    deviation = U @ basis
+    deviation = matmul(U, basis)
     phases = np.mod(-np.angle(np.einsum("ij,ij->j", basis.conj(), deviation)),
                     2.0 * np.pi)
     deviation -= basis * np.exp(-1j * phases)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale, quantization_profile
-from .quantize import build_floquet
+from .quantize import build_floquet, matmul
 from .spectral import cyclic_gaps, diagonalize, mean_spacing, wrap_phase
 
 TRACK_FAIL_BELOW = 0.25
@@ -72,7 +72,7 @@ def track_levels(prev, next):
     if prev_vectors.shape != next_vectors.shape:
         raise DomainError("track_levels: vector blocks must have equal shapes")
     N = prev_vectors.shape[1]
-    O = np.abs(prev_vectors.conj().T @ next_vectors) ** 2
+    O = np.abs(matmul(prev_vectors, next_vectors, adjoint_a=True)) ** 2
 
     rows = np.arange(N)
     perm = O.argmax(axis=1)
@@ -162,7 +162,8 @@ def level_velocities(family: MapFamily, vectors: np.ndarray) -> np.ndarray:
     N = vectors.shape[0]
     if family.perturbation_site == "momentum":
         vectors = np.fft.fft(vectors, axis=0) / np.sqrt(N)
-    return quantization_profile(np.arange(N) / N) @ np.abs(vectors) ** 2
+    profile = quantization_profile(np.arange(N) / N)
+    return matmul(profile[None, :], np.abs(vectors) ** 2)[0]
 
 
 def _gaps_stay_open(phases_a, velocities_a, phases_b, velocities_b,
@@ -436,7 +437,8 @@ def _fit_power_law(log_h: np.ndarray, log_y: np.ndarray) -> ModelFit:
     if rank < 2:
         raise FitError("scaling: power-law design matrix is singular")
     params = {"prefactor": float(np.exp(coef[0])), "exponent": float(coef[1])}
-    return _scored("power_law", params, log_y, design @ coef, 2)
+    return _scored("power_law", params, log_y,
+                   matmul(design, coef[:, None])[:, 0], 2)
 
 
 def _fit_constant(log_y: np.ndarray) -> ModelFit:

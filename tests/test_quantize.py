@@ -1,7 +1,12 @@
 """Floquet operator construction and observable quantization."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmap.model
 from qmap import (
@@ -13,7 +18,72 @@ from qmap import (
     kick_propagator,
     quantize_observable,
 )
-from qmap.quantize import _circulant_from_momentum_diagonal
+from qmap.quantize import (_circulant_from_momentum_diagonal,
+                           _unitarity_defect, matmul)
+
+# numpy functions and methods that run a dense product on numpy's own BLAS
+_NUMPY_PRODUCTS = ("dot", "vdot", "matmul", "inner", "tensordot")
+
+
+def _operand(rng, shape, is_complex, layout):
+    """Random array of the shape: row-major, column-major or a strided view."""
+    rows, cols = shape
+    x = rng.standard_normal((rows, 2 * cols))
+    if is_complex:
+        x = x + 1j * rng.standard_normal((rows, 2 * cols))
+    if layout == "strided":
+        return x[:, ::2]
+    return np.asarray(x[:, :cols], order=layout)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40), k=st.integers(1, 40), n=st.integers(1, 40),
+       complex_a=st.booleans(), complex_b=st.booleans(), adjoint=st.booleans(),
+       layout_a=st.sampled_from(["C", "F", "strided"]),
+       layout_b=st.sampled_from(["C", "F", "strided"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_equals_numpy_products(m, k, n, complex_a, complex_b, adjoint,
+                                      layout_a, layout_b, seed):
+    rng = np.random.default_rng(seed)
+    a = _operand(rng, (k, m) if adjoint else (m, k), complex_a, layout_a)
+    b = _operand(rng, (k, n), complex_b, layout_b)
+    op_a = a.conj().T if adjoint else a
+    expected = op_a @ b
+    got = matmul(a, b, adjoint_a=adjoint)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    # relative to the sum of |terms| of each entry, the scale of its roundoff
+    scale = np.abs(op_a) @ np.abs(b)
+    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_matmul_propagates_nan(layout):
+    U = np.array(build_floquet(MapFamily("chaotic"), PlanckScale(16)).U,
+                 order=layout)
+    U[3, 5] = np.nan
+    gram = matmul(U, U, adjoint_a=True)
+    assert np.isnan(gram[5]).all() and np.isnan(gram[:, 5]).all()
+    assert np.isnan(_unitarity_defect(U))
+
+
+def test_every_dense_product_goes_through_matmul():
+    # numpy's @ and dot run on numpy's BLAS pool, beside the scipy pool
+    # that LAPACK uses; on a few cores the two pools contend
+    offenders = []
+    for path in sorted(pathlib.Path(qmap.model.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)):
+                offenders.append(f"{path.name}:{node.lineno} @")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _NUMPY_PRODUCTS
+                  and (node.func.attr == "dot"
+                       or (isinstance(node.func.value, ast.Name)
+                           and node.func.value.id in ("np", "numpy")))):
+                offenders.append(
+                    f"{path.name}:{node.lineno} .{node.func.attr}()")
+    assert not offenders, offenders
 
 
 def test_two_level_free_propagator_matrix(monkeypatch):
