@@ -17,23 +17,22 @@ from ._version import __version__
 
 _EXPORTS = {
     "classical": ("OBSERVABLES", "CorrelatorCurve", "LyapunovReport",
-                  "classical_correlator", "lyapunov_exponent", "map_step",
+                  "classical_correlator", "lyapunov_exponent",
                   "microcanonical_average"),
-    "config": ("RunSpec", "load_config", "make_runspec"),
-    "ergodicity": ("ErgodicityReport", "FCurveReport", "OffdiagReport",
-                   "diagonal_elements_report",
-                   "offdiag_near_degenerate", "quantum_F_curve",
+    "config": ("RunSpec", "make_runspec"),
+    "ergodicity": ("ErgodicityReport", "FCurveReport",
+                   "diagonal_elements_report", "quantum_F_curve",
                    "quantum_classical_compare", "quantum_correlator",
                    "quantum_correlator_eigenbasis"),
     "errors": ("ConfigurationError", "DomainError", "FitError",
                "NumericalError", "QmapError", "StepTooLargeError",
                "TrackingError"),
     "model": ("VARIANTS", "MapFamily", "PhaseSpacePoint", "PlanckScale",
-              "evaluate", "require_even_dimension"),
+              "require_even_dimension"),
     "quantize": ("FloquetOperator", "ObservableMatrix", "build_floquet",
                  "free_propagator", "kick_propagator", "quantize_observable"),
     "spectral": ("SpectralData", "decompose_unitary", "diagonalize",
-                 "mean_spacing", "phase_clusters"),
+                 "mean_spacing"),
     "sweep": ("LevelTrajectories", "ModelFit", "ScalingFit", "ShiftStatistics",
               "fit_shift_scaling", "level_velocities", "scaling_study",
               "shift_statistics", "sweep_quantization", "track_levels"),

@@ -1,5 +1,5 @@
-"""Classical dynamics of the kicked maps: iteration, Lyapunov exponents,
-autocorrelators and their Gaussian time averages.
+"""Classical dynamics of the kicked maps: iteration, Lyapunov exponents
+and autocorrelators.
 
 The one-step map on the torus is
 
@@ -72,14 +72,6 @@ def _step_arrays(family: MapFamily, q: np.ndarray, p: np.ndarray,
     _reduce_mod_1(p, scratch)
     np.add(q, p, out=q)
     _reduce_mod_1(q, scratch)
-
-
-def map_step(point: PhaseSpacePoint, family: MapFamily) -> PhaseSpacePoint:
-    """Advance one torus point by one kick-then-drift period."""
-    q = np.array([point.q])
-    p = np.array([point.p])
-    _step_arrays(family, q, p, np.empty(1))
-    return PhaseSpacePoint(float(q[0]), float(p[0]))
 
 
 @dataclass(frozen=True)
@@ -168,28 +160,8 @@ class CorrelatorCurve:
             arr.setflags(write=False)
 
     @property
-    def values(self) -> list[tuple[int, float]]:
-        return [(int(t), float(c)) for t, c in zip(self.times, self.C)]
-
-    @property
     def t_max(self) -> int:
         return int(self.times[-1])
-
-    def time_averaged(self, T: float) -> float:
-        """Gaussian time average F_cl(T) = sum_t w_T(t) C(t) / sum_t w_T(t).
-
-        The sum runs over t in [-t_max, t_max] using C(-t) = C(t), with
-        weights w_T(t) = exp(-t^2 / 2 T^2) normalized by their own sum.
-        """
-        if T < 0.0:
-            raise DomainError(f"classical: need T >= 0, got {T}")
-        t = self.times.astype(float)
-        if T == 0.0:
-            return float(self.C[0])
-        w = np.exp(-(t * t) / (2.0 * T * T))
-        # two-sided sum: every t > 0 appears twice, t = 0 once
-        sides = np.where(t == 0.0, 1.0, 2.0)
-        return float(np.sum(sides * w * self.C) / np.sum(sides * w))
 
 
 def classical_correlator(family: MapFamily, observable: str, t_max: int,

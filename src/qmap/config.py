@@ -274,8 +274,3 @@ def read_config(path: str) -> dict:
         raise ConfigurationError(f"config {path} must be a JSON object")
     return raw
 
-
-def load_config(path: str) -> RunSpec:
-    """Read a JSON config file, command included, into a validated RunSpec,
-    so a bad file fails before any computation starts."""
-    return make_runspec(read_config(path), _source=f"config {path}")

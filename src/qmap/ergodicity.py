@@ -1,16 +1,16 @@
 """Coarse-grained ergodicity diagnostics in the eigenbasis.
 
-Three views of the same matrix M = V* A V of an observable A in the
+Two views of the same matrix M = V* A V of an observable A in the
 eigenbasis of a Floquet operator:
 
   * diagonal elements d_n against the microcanonical average a0,
   * the smoothed two-point sum F(T) = (1/N) sum_{n,m} |M_nm|^2
     exp(-delta_nm^2 T^2 / 2) with wrapped phase gaps delta_nm, which decays
-    from F(0) = tr(A^2)/N to F(inf) = (1/N) sum_n |M_nn|^2,
-  * raw off-diagonal elements across near-degenerate phase pairs.
+    from F(0) = tr(A^2)/N to F(inf) = (1/N) sum_n |M_nn|^2.  F(T) - F(inf)
+    weighs the off-diagonal elements across gaps below about 1/T, so it
+    also measures how large they are between near-degenerate levels.
 
-Each returns its own complete result: ErgodicityReport, FCurveReport and
-OffdiagReport.
+Each returns its own complete result: ErgodicityReport and FCurveReport.
 
 F(T) is assembled as (diag_sum + offdiag_sum(T)) / N with one shared
 diag_sum and same-shaped weight arrays for every T, so the inequalities
@@ -29,7 +29,7 @@ from scipy.linalg.blas import zdotc
 from .classical import CorrelatorCurve, microcanonical_average
 from .errors import DomainError, NumericalError
 from .quantize import FloquetOperator, ObservableMatrix, matmul
-from .spectral import SpectralData, phase_clusters, wrap_phase
+from .spectral import SpectralData, wrap_phase
 
 DIAGONAL_IMAG_TOL = 1e-8
 QUANTUM_REAL_TOL = 1e-9
@@ -63,19 +63,6 @@ class FCurveReport:
     N: int
     F_curve: tuple
     F_infinity: float
-
-
-@dataclass(frozen=True)
-class OffdiagReport:
-    """Largest |A_nm| over the pairs with wrapped phase gap below gap_tol.
-
-    offdiag_max is None when no pair qualifies.
-    """
-
-    N: int
-    offdiag_max: float | None
-    offdiag_pair_count: int
-    offdiag_gap_tol: float
 
 
 def _check_dimension(obs: ObservableMatrix, N: int, against: str) -> None:
@@ -168,42 +155,6 @@ def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
         N=N,
         F_curve=tuple((float(T), float(F)) for T, F in zip(T_grid, values)),
         F_infinity=diag_sum / N,
-    )
-
-
-def offdiag_near_degenerate(data: SpectralData, obs: ObservableMatrix,
-                            gap_tol: float = 1e-8) -> OffdiagReport:
-    """Largest |A_nm| between levels with wrapped phase gap below gap_tol.
-
-    Inside exactly degenerate eigenspaces (gaps below 1e-8) the eigenbasis
-    is an arbitrary rotation, so the observable is re-diagonalized there
-    first; elements across merely close pairs are basis independent and
-    reported as found.  offdiag_max is None when no pair qualifies.
-    """
-    if gap_tol <= 0.0:
-        raise DomainError(f"ergodicity: gap_tol must be positive, got {gap_tol}")
-    _check_dimension(obs, data.N, "spectrum")
-
-    vectors = np.array(data.vectors)
-    for cluster in phase_clusters(data.phases):
-        if len(cluster) < 2:
-            continue
-        idx = np.array(cluster)
-        block = vectors[:, idx]
-        A_block = matmul(block, matmul(obs.matrix, block), adjoint_a=True)
-        _, W = np.linalg.eigh(0.5 * (A_block + A_block.conj().T))
-        vectors[:, idx] = matmul(block, W)
-
-    M = matmul(vectors, matmul(obs.matrix, vectors), adjoint_a=True)
-    gaps = np.abs(_wrapped_gaps(data.phases))
-    n_idx, m_idx = np.nonzero(np.triu(gaps < gap_tol, k=1))
-    elements = np.abs(M[n_idx, m_idx])
-
-    return OffdiagReport(
-        N=data.N,
-        offdiag_max=float(elements.max()) if elements.size else None,
-        offdiag_pair_count=int(elements.size),
-        offdiag_gap_tol=float(gap_tol),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 VARIANTS = ("chaotic", "regular", "slow_ergodic")
 
@@ -115,15 +115,12 @@ def quantization_profile(x):
 
 
 def _with_quantization_term(value, family: MapFamily, site: str, x,
-                            scale: PlanckScale | None, derivative: int = 0):
-    """Add r h^2 cos(2 pi x), or its x-derivative, to value at the family's
-    perturbation_site; without a scale or at the other site, return value."""
+                            scale: PlanckScale | None):
+    """Add r h^2 cos(2 pi x) to value at the family's perturbation_site;
+    without a scale or at the other site, return value."""
     if scale is None or family.perturbation_site != site:
         return value
-    pert = family.r * scale.h ** 2
-    if derivative == 0:
-        return value + pert * quantization_profile(x)
-    return value - 2.0 * np.pi * pert * np.sin(2.0 * np.pi * x)
+    return value + family.r * scale.h ** 2 * quantization_profile(x)
 
 
 def potential(family: MapFamily, q, scale: PlanckScale | None = None):
@@ -156,12 +153,6 @@ def classical_slope(family: MapFamily, q, cos_2pi_q=None, out=None):
     return add(wave, q, out=out)
 
 
-def potential_slope(family: MapFamily, q, scale: PlanckScale | None = None):
-    """V'(q) elementwise; the sawtooth has V'(q) = 0.3 sign(q - 1/2), V'(1/2) = 0."""
-    return _with_quantization_term(classical_slope(family, q), family,
-                                   "position", q, scale, 1)
-
-
 def potential_curvature(family: MapFamily, q):
     """V''(q) elementwise, h -> 0 limit only; zero for the sawtooth."""
     if family.variant == "slow_ergodic":
@@ -173,22 +164,3 @@ def kinetic(family: MapFamily, p, scale: PlanckScale | None = None):
     """T(p) elementwise; without a scale, the classical h -> 0 limit."""
     return _with_quantization_term(p * p / 2.0, family, "momentum", p, scale)
 
-
-_COMPONENTS = {"V": potential, "Vprime": potential_slope, "T": kinetic}
-
-
-def evaluate(family: MapFamily, component: str, x: float,
-             scale: PlanckScale | None = None) -> float:
-    """Evaluate V, V' or T at one point of [0, 1): the array functions above
-    behind input checks.  A family with r != 0 needs a PlanckScale here."""
-    if not (0.0 <= x < 1.0):
-        raise DomainError(f"model: coordinate {x!r} outside [0, 1)")
-    if family.r != 0.0 and scale is None:
-        raise ConfigurationError(
-            "model: r != 0 requires a PlanckScale (perturbation amplitude is r h^2)"
-        )
-    formula = _COMPONENTS.get(component)
-    if formula is None:
-        raise DomainError(
-            f"model: unknown component {component!r}, expected V, Vprime or T")
-    return float(formula(family, x, scale))

@@ -39,7 +39,6 @@ from .model import MapFamily, PlanckScale
 from .quantize import FloquetOperator, _unitarity_defect, matmul
 
 RESIDUAL_TOL = 1e-10
-CLUSTER_GAP = 1e-8
 CAYLEY_SHIFT = 0.3
 CAYLEY_MAX_EIGENVALUE = 3000.0
 _UNITARY_INPUT_TOL = 1e-8
@@ -61,8 +60,9 @@ def wrap_phase(x: np.ndarray) -> np.ndarray:
 class SpectralData:
     """Sorted eigenphases with matching orthonormal eigenvector columns.
 
-    Only max_residual is certified; orthonormality is not checked (max
-    |V*V - 1| measured up to 1.4e-12 at N = 512).
+    Only max_residual is certified; orthonormality is not checked at run
+    time (the tests bound max |V*V - 1| by 1e-11 at N = 512; measured up
+    to 1.4e-12).
     """
 
     N: int
@@ -84,27 +84,6 @@ class SpectralData:
 def cyclic_gaps(phases: np.ndarray) -> np.ndarray:
     """Gap from each ascending phase to the next, the last across 2 pi."""
     return np.diff(phases, append=phases[0] + 2.0 * np.pi)
-
-
-def phase_clusters(phases: np.ndarray) -> list:
-    """Chains of consecutive phases separated by less than CLUSTER_GAP.
-
-    Clusters may wrap through the 0 / 2 pi seam; indices are returned in
-    chain order, so a wrapping cluster lists the top-of-circle members
-    first.
-    """
-    if phases.size == 0:
-        return []
-    clusters = [[]]
-    for n, wide in enumerate(cyclic_gaps(phases) >= CLUSTER_GAP):
-        clusters[-1].append(n)
-        if wide:
-            clusters.append([])
-    # the chain still open at the seam (empty after a wide seam gap) runs
-    # on into the first one
-    if len(clusters) > 1:
-        clusters[0] = clusters.pop() + clusters[0]
-    return clusters
 
 
 def _cayley_basis(U: np.ndarray, alpha: float):

@@ -103,10 +103,8 @@ def _pair_by_rank(prev_vectors: np.ndarray, next_vectors: np.ndarray):
 class LevelTrajectories:
     """Unwrapped eigenphase flow phi_n(r) on the requested r grid.
 
-    permutations[g] maps the phase-sorted rank of each trajectory at grid
-    point g to its rank at g+1 (ranks use the raw [0, 2 pi) cut).
-    crossings and permutations are computed from the phases on each read,
-    uncached, so scaling, which reads neither, computes neither.
+    crossings is computed from the phases on each read, uncached, so
+    scaling, which does not read it, does not compute it.
     start_velocities holds each trajectory's level velocity at r_grid[0]
     (spacings per unit r) when the sweep computed them (ends_only), else
     None.
@@ -134,10 +132,6 @@ class LevelTrajectories:
     @property
     def crossings(self) -> int:
         return _count_crossings(self.phases)
-
-    @property
-    def permutations(self) -> tuple:
-        return _rank_permutations(self.phases)
 
     def displacements(self, g0: int = 0, g1: int = -1) -> np.ndarray:
         """Per-level phase motion phi_n(r_grid[g1]) - phi_n(r_grid[g0])."""
@@ -219,17 +213,6 @@ def _count_crossings(phases: np.ndarray) -> int:
             count += int(np.count_nonzero(flips & through_zero))
         d_prev = d
     return count
-
-
-def _rank_permutations(phases: np.ndarray) -> tuple:
-    raw = np.mod(phases, 2.0 * np.pi)
-    G = raw.shape[1]
-    ranks = np.argsort(np.argsort(raw, axis=0), axis=0)
-    perms = []
-    for g in range(G - 1):
-        order_g = np.argsort(ranks[:, g])
-        perms.append(ranks[order_g, g + 1].copy())
-    return tuple(perms)
 
 
 def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:

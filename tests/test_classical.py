@@ -18,7 +18,6 @@ from qmap import (
     PhaseSpacePoint,
     classical_correlator,
     lyapunov_exponent,
-    map_step,
     microcanonical_average,
 )
 from qmap.classical import OBSERVABLES
@@ -81,34 +80,39 @@ def _reference_lyapunov(family, seeds, steps):
     return float(np.mean(lams)), float(np.max(lams) - np.min(lams))
 
 
+def _one_step(family, q, p):
+    """One period of the production kernel at a single point: (q, p)."""
+    q, p = np.array([q]), np.array([p])
+    qmap.classical._step_arrays(family, q, p, np.empty(1))
+    return float(q[0]), float(p[0])
+
+
 def test_free_shear_step(monkeypatch):
     # sawtooth with zero tent height has V identically zero
     monkeypatch.setattr(qmap.model, "SAWTOOTH_HEIGHT", 0.0)
     fam = MapFamily("slow_ergodic")
-    out = map_step(PhaseSpacePoint(0.25, 0.5), fam)
-    assert (out.q, out.p) == (0.75, 0.5)
+    assert _one_step(fam, 0.25, 0.5) == (0.75, 0.5)
 
 
 def test_chaotic_step_by_hand():
-    out = map_step(PhaseSpacePoint(0.0, 0.5), MapFamily("chaotic"))
+    q, p = _one_step(MapFamily("chaotic"), 0.0, 0.5)
     expected = 0.5 - 0.4 / (2.0 * math.pi)
-    assert out.p == pytest.approx(expected, abs=1e-12)
-    assert out.q == pytest.approx(expected, abs=1e-12)
-    assert out.p == pytest.approx(0.4363380, abs=1e-7)
+    assert p == pytest.approx(expected, abs=1e-12)
+    assert q == pytest.approx(expected, abs=1e-12)
+    assert p == pytest.approx(0.4363380, abs=1e-7)
 
 
 def test_sawtooth_step_by_hand():
-    out = map_step(PhaseSpacePoint(0.75, 0.0), MapFamily("slow_ergodic"))
-    assert out.p == pytest.approx(0.7, abs=1e-12)
-    assert out.q == pytest.approx(0.45, abs=1e-12)
+    q, p = _one_step(MapFamily("slow_ergodic"), 0.75, 0.0)
+    assert p == pytest.approx(0.7, abs=1e-12)
+    assert q == pytest.approx(0.45, abs=1e-12)
 
 
 def test_classical_map_ignores_r():
     # the quantization parameter carries an h^2 prefactor and is absent
     # from the classical limit
-    a = map_step(PhaseSpacePoint(0.3, 0.7), MapFamily("chaotic", r=0.0))
-    b = map_step(PhaseSpacePoint(0.3, 0.7), MapFamily("chaotic", r=5.0))
-    assert (a.q, a.p) == (b.q, b.p)
+    assert (_one_step(MapFamily("chaotic", r=0.0), 0.3, 0.7)
+            == _one_step(MapFamily("chaotic", r=5.0), 0.3, 0.7))
 
 
 def test_map_preserves_uniform_measure():
@@ -221,23 +225,6 @@ def test_correlator_seed_agreement():
     b = classical_correlator(fam, "cos2pi_q", t_max=10, samples=100_000,
                              rng_seed=2)
     assert np.all(np.abs(a.C - b.C) <= 3.0 * (a.stderr + b.stderr))
-
-
-def test_time_average_is_eventually_non_increasing(chaotic_classical):
-    vals = [chaotic_classical.time_averaged(T) for T in (5, 10, 20, 40, 80)]
-    assert np.all(np.diff(vals) <= 0.0)
-
-
-def test_time_average_edge_cases(chaotic_classical):
-    assert chaotic_classical.time_averaged(0.0) == chaotic_classical.C[0]
-    with pytest.raises(DomainError):
-        chaotic_classical.time_averaged(-1.0)
-
-
-def test_correlator_values_view(chaotic_classical):
-    vals = chaotic_classical.values
-    assert vals[0] == (0, float(chaotic_classical.C[0]))
-    assert len(vals) == 26
 
 
 def test_correlator_preconditions():

@@ -160,6 +160,19 @@ def test_config_file_supplies_the_command(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_unreadable_config_files_exit_two(tmp_path, capsys):
+    for name, text, message in (
+            ("missing.json", None, "cannot read config {path}: "),
+            ("bad.json", "{not json", "config {path} is not valid JSON: "),
+            ("array.json", "[1, 2]", "config {path} must be a JSON object\n")):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert run_command(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "qmap: error: " + message.format(path=path))
+
+
 def test_flags_override_config_values(tmp_path):
     out = tmp_path / "run"
     cfg = tmp_path / "run.json"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qmap import ConfigurationError, RunSpec, load_config, make_runspec
+from qmap import ConfigurationError, RunSpec, make_runspec
 from qmap.config import COMMANDS, READ_BY_ALL, READS, SINGLE_N_COMMANDS
 
 
@@ -290,23 +290,3 @@ def test_command_list_is_stable():
     assert COMMANDS == ("classical", "spectrum", "sweep", "scaling",
                         "ergodicity")
 
-
-def test_load_config_reads_json(tmp_path):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps({"command": "spectrum", "N": 64}))
-    spec = load_config(str(path))
-    assert spec.command == "spectrum"
-    assert spec.N == 64
-
-
-def test_load_config_error_paths(tmp_path):
-    with pytest.raises(ConfigurationError, match="cannot read config"):
-        load_config(str(tmp_path / "missing.json"))
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigurationError, match="not valid JSON"):
-        load_config(str(bad))
-    arr = tmp_path / "arr.json"
-    arr.write_text("[1, 2]")
-    with pytest.raises(ConfigurationError, match="must be a JSON object"):
-        load_config(str(arr))

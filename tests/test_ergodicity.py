@@ -1,4 +1,4 @@
-"""Eigenbasis statistics: diagonal elements, F(T), off-diagonals, correlators."""
+"""Eigenbasis statistics: diagonal elements, F(T), correlators."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from qmap import (
     diagonal_elements_report,
     diagonalize,
     mean_spacing,
-    offdiag_near_degenerate,
     quantize_observable,
     quantum_F_curve,
     quantum_classical_compare,
@@ -26,6 +25,7 @@ from qmap import (
 )
 from qmap.classical import OBSERVABLES
 from qmap.model import VARIANTS
+from qmap.spectral import cyclic_gaps
 
 
 @pytest.fixture(scope="module")
@@ -114,43 +114,24 @@ def test_f_curve_grid_validation(small_chaotic):
         quantum_F_curve(data, obs, [-1.0, 2.0])
 
 
-def test_no_degenerate_pairs_in_chaotic_spectrum(chaotic_512, cos_q_512):
+def test_no_degenerate_pairs_in_chaotic_spectrum(chaotic_512):
     _, data = chaotic_512
-    rep = offdiag_near_degenerate(data, cos_q_512, gap_tol=1e-8)
-    assert rep.offdiag_max is None
-    assert rep.offdiag_pair_count == 0
-
-
-def test_offdiagonals_vanish_inside_degenerate_space():
-    # U = I: every state is degenerate, so the observable is re-diagonalized
-    # inside the cluster and its off-diagonal elements collapse
-    rng = np.random.default_rng(3)
-    Q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    data = SpectralData(N=8, family=MapFamily("chaotic"), scale=PlanckScale(8),
-                        phases=np.zeros(8), vectors=Q, max_residual=0.0)
-    obs = quantize_observable("cos2pi_q", PlanckScale(8))
-    rep = offdiag_near_degenerate(data, obs, gap_tol=1e-8)
-    assert rep.offdiag_pair_count == 8 * 7 // 2
-    assert rep.offdiag_max < 1e-10
+    assert cyclic_gaps(data.phases).min() > 1e-8
 
 
 def test_quasi_degenerate_offdiagonals_shrink_with_dimension(chaotic_spectra,
                                                              cos_q_512):
-    reps = {}
+    # F(T) - F(inf) = (1/N) sum_{n != m} |M_nm|^2 exp(-delta_nm^2 T^2 / 2):
+    # at T = 1 / mean spacing it weighs the off-diagonal elements between
+    # levels closer than about one spacing, and falls off as 1/N
+    excess = {}
     for N in (128, 512):
         obs = (cos_q_512 if N == 512
                else quantize_observable("cos2pi_q", PlanckScale(N)))
-        reps[N] = offdiag_near_degenerate(chaotic_spectra[N], obs,
-                                          gap_tol=mean_spacing(N) / 10.0)
-    assert reps[128].offdiag_pair_count >= 1
-    assert reps[512].offdiag_pair_count >= 1
-    assert reps[512].offdiag_max < reps[128].offdiag_max
-
-
-def test_offdiag_gap_tol_validation(small_chaotic):
-    _, data, obs = small_chaotic
-    with pytest.raises(DomainError):
-        offdiag_near_degenerate(data, obs, gap_tol=0.0)
+        rep = quantum_F_curve(chaotic_spectra[N], obs, [1.0 / mean_spacing(N)])
+        excess[N] = rep.F_curve[0][1] - rep.F_infinity
+    assert excess[128] > 0.0
+    assert excess[512] < 0.5 * excess[128]
 
 
 def test_correlator_routes_agree(small_chaotic):

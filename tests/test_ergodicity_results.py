@@ -10,12 +10,10 @@ from qmap import (
     ErgodicityReport,
     FCurveReport,
     MapFamily,
-    OffdiagReport,
     PlanckScale,
     build_floquet,
     diagonal_elements_report,
     diagonalize,
-    offdiag_near_degenerate,
     quantize_observable,
     quantum_correlator,
     quantum_correlator_eigenbasis,
@@ -30,8 +28,7 @@ def chaotic_32():
     return op, diagonalize(op), quantize_observable("cos2pi_p", scale)
 
 
-@pytest.mark.parametrize("cls", [ErgodicityReport, FCurveReport,
-                                 OffdiagReport])
+@pytest.mark.parametrize("cls", [ErgodicityReport, FCurveReport])
 def test_every_field_is_required(cls):
     for field in dataclasses.fields(cls):
         assert field.default is dataclasses.MISSING, field.name
@@ -41,14 +38,10 @@ def test_each_diagnostic_returns_its_own_type(chaotic_32):
     _, data, obs = chaotic_32
     rep = diagonal_elements_report(data, obs)
     curve = quantum_F_curve(data, obs, [0.0, 2.0])
-    off = offdiag_near_degenerate(data, obs, gap_tol=0.5)
     assert type(rep) is ErgodicityReport
     assert type(curve) is FCurveReport
-    assert type(off) is OffdiagReport
-    assert rep.N == curve.N == off.N == 32
+    assert rep.N == curve.N == 32
     assert curve.F_infinity == rep.F_infinity
-    assert off.offdiag_gap_tol == 0.5
-    assert off.offdiag_pair_count >= 1
 
 
 def test_conjugation_route_matches_the_direct_trace(chaotic_32):
@@ -70,7 +63,7 @@ def test_argument_checks_share_their_messages(chaotic_32):
     with pytest.raises(DomainError, match="16 != spectrum dimension 32"):
         diagonal_elements_report(data, wrong)
     with pytest.raises(DomainError, match="16 != spectrum dimension 32"):
-        offdiag_near_degenerate(data, wrong)
+        quantum_F_curve(data, wrong, [1.0])
     with pytest.raises(DomainError, match="16 != operator dimension 32"):
         quantum_correlator(op, wrong, 2)
     obs = quantize_observable("cos2pi_q", PlanckScale(32))

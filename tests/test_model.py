@@ -6,15 +6,13 @@ import pytest
 
 from qmap import (
     ConfigurationError,
-    DomainError,
     MapFamily,
     PhaseSpacePoint,
     PlanckScale,
     VARIANTS,
-    evaluate,
     require_even_dimension,
 )
-from qmap.model import SIN_AMPLITUDE
+from qmap.model import SIN_AMPLITUDE, classical_slope, kinetic, potential
 
 
 def test_variant_catalogue():
@@ -59,81 +57,62 @@ def test_phase_space_point_reduced_mod_one():
 
 
 def test_potential_at_origin_vanishes():
-    assert evaluate(MapFamily("chaotic"), "V", 0.0) == 0.0
+    assert potential(MapFamily("chaotic"), 0.0) == 0.0
 
 
 def test_kick_derivative_at_origin():
     # d/dq of the sin term at q = 0
-    got = evaluate(MapFamily("chaotic"), "Vprime", 0.0)
+    got = classical_slope(MapFamily("chaotic"), 0.0)
     assert got == pytest.approx(0.4 / (2.0 * math.pi), abs=1e-12)
     assert got == pytest.approx(0.0636620, abs=1e-7)
 
 
 def test_kinetic_perturbation_amplitude():
-    got = evaluate(MapFamily("slow_ergodic", r=2.0), "T", 0.0,
-                   scale=PlanckScale(64))
+    got = kinetic(MapFamily("slow_ergodic", r=2.0), 0.0, PlanckScale(64))
     assert got == 4.8828125e-4  # 2 * (1/64)^2, exact in binary
 
 
 def test_sawtooth_potential_value():
     for r in (0.0, 1.0, 3.0):
-        got = evaluate(MapFamily("slow_ergodic", r=r), "V", 0.25,
-                       scale=PlanckScale(32))
+        got = potential(MapFamily("slow_ergodic", r=r), 0.25, PlanckScale(32))
         assert got == pytest.approx(0.075, abs=1e-15)
 
 
 def test_sawtooth_is_periodic():
     fam = MapFamily("slow_ergodic")
-    assert evaluate(fam, "V", 0.0) == pytest.approx(0.15, abs=1e-15)
-    assert evaluate(fam, "V", 1.0 - 1e-9) == pytest.approx(0.15, abs=1e-8)
+    assert potential(fam, 0.0) == pytest.approx(0.15, abs=1e-15)
+    assert potential(fam, 1.0 - 1e-9) == pytest.approx(0.15, abs=1e-8)
 
 
 def test_sawtooth_derivative_sign_convention():
     fam = MapFamily("slow_ergodic")
-    assert evaluate(fam, "Vprime", 0.25) == -0.3
-    assert evaluate(fam, "Vprime", 0.75) == +0.3
-    assert evaluate(fam, "Vprime", 0.5) == 0.0
+    assert classical_slope(fam, 0.25) == -0.3
+    assert classical_slope(fam, 0.75) == +0.3
+    assert classical_slope(fam, 0.5) == 0.0
 
 
 def test_perturbation_scales_as_h_squared():
-    base = evaluate(MapFamily("chaotic"), "V", 0.3)
-    at_64 = evaluate(MapFamily("chaotic", r=1.0), "V", 0.3, PlanckScale(64))
-    at_128 = evaluate(MapFamily("chaotic", r=1.0), "V", 0.3, PlanckScale(128))
+    base = potential(MapFamily("chaotic"), 0.3)
+    at_64 = potential(MapFamily("chaotic", r=1.0), 0.3, PlanckScale(64))
+    at_128 = potential(MapFamily("chaotic", r=1.0), 0.3, PlanckScale(128))
     assert (at_64 - base) == pytest.approx(4.0 * (at_128 - base), rel=1e-12)
 
 
 @pytest.mark.parametrize("variant,q", [("chaotic", 0.37), ("regular", 0.81),
                                        ("slow_ergodic", 0.2)])
 def test_vprime_matches_numerical_derivative(variant, q):
+    # the classical limit: without a scale the r term is dropped
     fam = MapFamily(variant, r=1.5)
-    scale = PlanckScale(32)
     eps = 1e-4
-    numeric = (evaluate(fam, "V", q + eps, scale)
-               - evaluate(fam, "V", q - eps, scale)) / (2.0 * eps)
-    assert evaluate(fam, "Vprime", q, scale) == pytest.approx(numeric, abs=1e-6)
+    numeric = (potential(fam, q + eps) - potential(fam, q - eps)) / (2.0 * eps)
+    assert classical_slope(fam, q) == pytest.approx(numeric, abs=1e-6)
 
 
 def test_kinetic_term_is_quadratic_without_perturbation():
-    assert evaluate(MapFamily("chaotic"), "T", 0.5) == 0.125
-    assert evaluate(MapFamily("regular"), "T", 0.25) == 0.03125
+    assert kinetic(MapFamily("chaotic"), 0.5) == 0.125
+    assert kinetic(MapFamily("regular"), 0.25) == 0.03125
 
 
 def test_chaotic_potential_value():
-    assert evaluate(MapFamily("chaotic"), "V", 0.3) == pytest.approx(
+    assert potential(MapFamily("chaotic"), 0.3) == pytest.approx(
         -0.045 + SIN_AMPLITUDE * math.sin(0.6 * math.pi), rel=1e-15)
-
-
-def test_perturbed_evaluation_requires_a_scale():
-    with pytest.raises(ConfigurationError):
-        evaluate(MapFamily("chaotic", r=1.0), "V", 0.3)
-
-
-@pytest.mark.parametrize("x", [-0.1, 1.0, 1.5])
-def test_coordinates_outside_unit_cell_rejected(x):
-    with pytest.raises(DomainError):
-        evaluate(MapFamily("chaotic"), "V", x)
-
-
-def test_unknown_component_rejected():
-    with pytest.raises(DomainError):
-        evaluate(MapFamily("chaotic"), "W", 0.3)

@@ -35,9 +35,18 @@ def chaotic_32():
     return diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(32)))
 
 
+def _rank_permutations(traj):
+    """perms[g] maps the phase-sorted rank of each trajectory at grid point
+    g to its rank at g + 1 (ranks use the raw [0, 2 pi) cut)."""
+    ranks = np.argsort(np.argsort(np.mod(traj.phases, 2.0 * np.pi), axis=0),
+                       axis=0)
+    return [ranks[np.argsort(ranks[:, g]), g + 1]
+            for g in range(ranks.shape[1] - 1)]
+
+
 def _end_to_end_pairing(traj):
     total = np.arange(traj.N)
-    for perm in traj.permutations:
+    for perm in _rank_permutations(traj):
         total = perm[total]
     return total
 
@@ -116,7 +125,7 @@ def test_single_point_grid_is_the_sorted_spectrum(chaotic_32):
                               r_grid=[0.0])
     assert np.allclose(traj.phases[:, 0], chaotic_32.phases, atol=1e-12)
     assert traj.crossings == 0
-    assert traj.permutations == ()
+    assert _rank_permutations(traj) == []
     assert traj.N == 32
 
 
@@ -136,7 +145,7 @@ def test_unwrapped_steps_stay_below_pi(chaotic_ladder):
 
 
 def test_every_adjacent_map_is_a_permutation(chaotic_ladder):
-    for perm in chaotic_ladder[64].permutations:
+    for perm in _rank_permutations(chaotic_ladder[64]):
         assert np.array_equal(np.sort(perm), np.arange(64))
 
 
@@ -176,7 +185,7 @@ def test_crossing_resolves_to_a_transposition():
     assert traj.min_overlap > 0.9
     assert traj.crossings >= 1
     transpositions = 0
-    for perm in traj.permutations:
+    for perm in _rank_permutations(traj):
         moved = np.flatnonzero(perm != np.arange(64))
         if moved.size == 2:
             i, j = moved
@@ -344,12 +353,11 @@ def test_scaling_study_on_a_small_ladder():
     assert np.allclose(study.mean_sq, expected, atol=1e-15)
 
 
-def test_scaling_study_reads_no_crossings_or_permutations(monkeypatch):
+def test_scaling_study_reads_no_crossings(monkeypatch):
     def unread(phases):
         raise AssertionError("scaling_study computed an unread summary")
 
     monkeypatch.setattr(sweep_mod, "_count_crossings", unread)
-    monkeypatch.setattr(sweep_mod, "_rank_permutations", unread)
     study = scaling_study(MapFamily("chaotic"), (8, 12, 16, 20),
                           r0=0.0, r1=1.0, delta_r=0.5)
     assert study.model in MODEL_NAMES
