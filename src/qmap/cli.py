@@ -13,7 +13,10 @@ applied to the standard environment knobs before numpy is first imported,
 which is why `import qmap` loads no numerical module and the numerical
 modules are imported inside functions here.  Every dense product and
 every LAPACK call runs on one pool, scipy's OpenBLAS (see
-qmap.quantize.matmul), and QMAP_THREADS in effect caps that pool.
+qmap.quantize.matmul), and QMAP_THREADS in effect caps that pool.  It
+also caps the worker threads of the Monte Carlo correlator
+(qmap.classical.classical_correlator), whose result is bit-identical at
+every count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import os
 import sys
 
 from . import _load_all
+from ._threads import requested_threads
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -35,18 +39,7 @@ _THREAD_VARS = (
 
 
 def _apply_thread_env() -> None:
-    raw = os.environ.get("QMAP_THREADS")
-    if raw is None:
-        return
-    from .errors import ConfigurationError
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"QMAP_THREADS must be a non-negative integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigurationError(
-            f"QMAP_THREADS must be a non-negative integer, got {raw!r}")
+    n = requested_threads()
     if n == 0:
         return
     for var in _THREAD_VARS:

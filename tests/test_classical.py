@@ -1,6 +1,8 @@
 """Classical map iteration, Lyapunov exponents, and Monte Carlo correlators."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from scipy import stats
 import qmap.classical
 import qmap.model
 from qmap import (
+    ConfigurationError,
     DomainError,
     LyapunovReport,
     MapFamily,
@@ -239,15 +242,73 @@ def test_correlator_preconditions():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("observable", OBSERVABLES)
-def test_correlator_is_bit_identical_to_reference_loop(variant, observable):
-    # the in-place kernel with a shared kick cosine and the floor reduction
-    # must not move a single bit of C or its standard error
+def test_correlator_is_bit_identical_to_reference_loop(variant, observable,
+                                                     monkeypatch):
+    # the in-place kernel with a shared kick cosine and the floor reduction,
+    # cut into 1, 2, 4 or 8 segments, must not move a single bit of C or its
+    # standard error; 10 007 samples put the cuts off a power-of-two grid
     fam = MapFamily(variant)
-    curve = classical_correlator(fam, observable, t_max=20, samples=10_000,
-                                 rng_seed=1005)
-    C, stderr = _reference_correlator(fam, observable, 20, 10_000, 1005)
-    assert np.array_equal(curve.C, C)
-    assert np.array_equal(curve.stderr, stderr)
+    for samples in (10_000, 10_007):
+        C, stderr = _reference_correlator(fam, observable, 20, samples, 1005)
+        for threads in ("1", "2", "3", "4", "8"):
+            monkeypatch.setenv("QMAP_THREADS", threads)
+            curve = classical_correlator(fam, observable, t_max=20,
+                                         samples=samples, rng_seed=1005)
+            assert np.array_equal(curve.C.view(np.uint64), C.view(np.uint64))
+            assert np.array_equal(curve.stderr.view(np.uint64),
+                                  stderr.view(np.uint64))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=10_000, max_value=300_000),
+       st.sampled_from([1, 2, 4, 8]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_pairwise_cuts_rebuild_numpy_sum(n, leaves, seed):
+    # the segment sums, added up the cut tree, are numpy's pairwise sum of
+    # the whole array bit for bit; values of mixed sign and magnitude make
+    # any other summation order round differently
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+    bounds = qmap.classical._pairwise_cuts(n, leaves)
+    assert len(bounds) == leaves + 1 and bounds[0] == 0 and bounds[-1] == n
+    total = qmap.classical._pairwise_total(
+        [np.add.reduce(x[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    assert np.float64(total).view(np.uint64) \
+        == np.add.reduce(x).view(np.uint64)
+
+
+def test_correlator_is_exact_under_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a
+    # segment touched by two workers, or a sum read before its worker
+    # finished, would move a bit
+    monkeypatch.setenv("QMAP_THREADS", "8")
+    fam = MapFamily("chaotic")
+    C, stderr = _reference_correlator(fam, "cos2pi_p", 10, 10_007, 77)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        curve = classical_correlator(fam, "cos2pi_p", t_max=10,
+                                     samples=10_007, rng_seed=77)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(curve.C.view(np.uint64), C.view(np.uint64))
+    assert np.array_equal(curve.stderr.view(np.uint64), stderr.view(np.uint64))
+
+
+def test_correlator_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setenv("QMAP_THREADS", "4")
+    before = threading.active_count()
+    classical_correlator(MapFamily("chaotic"), "cos2pi_q", t_max=5,
+                         samples=10_000, rng_seed=3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_correlator_rejects_a_bad_thread_count(value, monkeypatch):
+    monkeypatch.setenv("QMAP_THREADS", value)
+    with pytest.raises(ConfigurationError, match="QMAP_THREADS"):
+        classical_correlator(MapFamily("chaotic"), "cos2pi_q", t_max=5,
+                             samples=10_000, rng_seed=3)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -364,6 +364,24 @@ def test_loading_the_library_leaves_scipy_optimize_unloaded():
     assert done.stdout.splitlines()[-1] == "True False"
 
 
+def test_classical_curve_is_identical_across_thread_counts(tmp_path):
+    # the Monte Carlo correlator sums along numpy's own pairwise tree, so,
+    # unlike the BLAS results below, it is bit-identical at every count
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "qmap.cli", "classical", "--samples",
+             "10000", "--t-max", "20", "--lyapunov-steps", "10000",
+             "--out", str(out)],
+            env=child_env(QMAP_THREADS=threads), capture_output=True,
+            text=True, check=True)
+        texts.append([ln for ln in read_lines(out / "classical.csv")
+                      if not ln.startswith("# out_dir=")])
+    assert len(texts[0]) > 21
+    assert texts[0] == texts[1]
+
+
 def test_results_agree_across_thread_counts(tmp_path):
     # reruns are byte-identical at one thread count; across counts the BLAS
     # reduction order differs, so values agree to roundoff only
