@@ -11,6 +11,14 @@ with F the unitary discrete Fourier transform; -2 pi N x = -x/hbar.  The
 free part F^-1 D_T F is circulant, so U is assembled from one inverse FFT
 of the free-flight phases instead of dense Fourier conjugation.
 
+The half drift C^(1/2) = F^-1 D_T^(1/2) F takes D_T^(1/2) = diag exp(-i pi
+N T(p'_k)) on the folded grid p'_k = min(k, N - k)/N.  For even N it squares
+to D_T, and it is even in k, so C^(1/2) is a symmetric circulant and
+U_s = C^(1/2) D_V C^(1/2) a complex symmetric matrix similar to U, the
+time-reversal structure the spectral module diagonalizes through.  The
+square root on the plain grid p_k is not even.  For the position-site
+variants the similarity does not depend on r.
+
 The quantization parameter enters only through the r h^2 cos term in V
 (position-site variants) or T (slow_ergodic), hence changing r multiplies
 U on the right by a diagonal phase for position-site variants.
@@ -45,6 +53,17 @@ def free_propagator(family: MapFamily, scale: PlanckScale) -> np.ndarray:
     """Diagonal entries exp(-2 pi i N T(p_k)) of the free flight in the momentum basis."""
     T = kinetic(family, np.arange(scale.N) / scale.N, scale)
     return np.exp(-2j * np.pi * scale.N * T)
+
+
+def half_free_propagator(family: MapFamily, scale: PlanckScale) -> np.ndarray:
+    """Diagonal exp(-i pi N T(p'_k)) of the half drift, p'_k = min(k, N - k)/N.
+
+    For even N its square is free_propagator's diagonal: N (T(p) - T(1 - p))
+    = k - N/2 is an integer, and the r h^2 cos(2 pi p) term is even.
+    """
+    k = np.arange(scale.N)
+    T = kinetic(family, np.minimum(k, scale.N - k) / scale.N, scale)
+    return np.exp(-1j * np.pi * scale.N * T)
 
 
 def _circulant_from_momentum_diagonal(diag: np.ndarray) -> np.ndarray:

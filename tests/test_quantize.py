@@ -23,6 +23,14 @@ from qmap.quantize import (_circulant_from_momentum_diagonal,
 
 # numpy functions and methods that run a dense product on numpy's own BLAS
 _NUMPY_PRODUCTS = ("dot", "vdot", "matmul", "inner", "tensordot")
+# numpy.linalg routines that run LAPACK there; lstsq (the few-row scaling
+# fits) and norm stay allowed
+_NUMPY_LAPACK = ("cholesky", "solve", "inv", "eig", "eigh", "eigvalsh", "qr",
+                 "svd")
+
+
+def _is_numpy(node) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
 
 def _operand(rng, shape, is_complex, layout):
@@ -67,8 +75,8 @@ def test_matmul_propagates_nan(layout):
 
 
 def test_every_dense_product_goes_through_matmul():
-    # numpy's @ and dot run on numpy's BLAS pool, beside the scipy pool
-    # that LAPACK uses; on a few cores the two pools contend
+    # numpy's @, dot and linalg run on numpy's BLAS pool, beside the scipy
+    # pool that LAPACK uses; on a few cores the two pools contend
     offenders = []
     for path in sorted(pathlib.Path(qmap.model.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -79,10 +87,20 @@ def test_every_dense_product_goes_through_matmul():
                   and isinstance(node.func, ast.Attribute)
                   and node.func.attr in _NUMPY_PRODUCTS
                   and (node.func.attr == "dot"
-                       or (isinstance(node.func.value, ast.Name)
-                           and node.func.value.id in ("np", "numpy")))):
+                       or _is_numpy(node.func.value))):
                 offenders.append(
                     f"{path.name}:{node.lineno} .{node.func.attr}()")
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr in _NUMPY_LAPACK
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "linalg"
+                  and _is_numpy(node.value.value)):
+                offenders.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module == "numpy.linalg"):
+                offenders.extend(f"{path.name}:{node.lineno} linalg.{alias.name}"
+                                 for alias in node.names
+                                 if alias.name in _NUMPY_LAPACK)
     assert not offenders, offenders
 
 

@@ -1,5 +1,7 @@
 """Eigendecomposition of unitaries: phases, vectors, certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,11 @@ from qmap import (
     build_floquet,
     decompose_unitary,
     diagonalize,
+    free_propagator,
     mean_spacing,
 )
-from qmap.spectral import CAYLEY_SHIFT
+from qmap.quantize import _circulant_from_momentum_diagonal, half_free_propagator
+from qmap.spectral import CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT
 
 
 def schur_phases(U):
@@ -159,13 +163,133 @@ def test_failed_cayley_passes_fall_back_to_schur(monkeypatch):
         return np.zeros(H.shape[0]), np.eye(H.shape[0], dtype=complex)
 
     monkeypatch.setattr(spectral_mod, "eigh", bad_eigh)
-    passes = record_calls(monkeypatch, "_cayley_basis")
+    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
     fallbacks = record_calls(monkeypatch, "schur")
     data = diagonalize(op)
     assert len(passes) == 2 and len(fallbacks) == 1
     assert data.max_residual < 1e-11
     assert orthonormality_defect(data.vectors) < 1e-12
     assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+
+
+def skewed_eigh(monkeypatch, name):
+    """Make spectral.<name> stretch its first eigenvector by 1 + 1e-9:
+    eigenpairs stay accurate, orthonormality fails its certificate."""
+    real = getattr(spectral_mod, name)
+
+    def skewed(*args, **kwargs):
+        *rest, vectors = real(*args, **kwargs)
+        vectors = vectors.copy()
+        vectors[:, 0] *= 1.0 + 1e-9
+        return (*rest, vectors)
+
+    monkeypatch.setattr(spectral_mod, name, skewed)
+
+
+def test_non_orthonormal_passes_fall_back_to_schur(monkeypatch):
+    op = build_floquet(MapFamily("regular", r=0.4), PlanckScale(64))
+    skewed_eigh(monkeypatch, "eigh")
+    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    fallbacks = record_calls(monkeypatch, "schur")
+    data = diagonalize(op)
+    assert len(passes) == 2 and len(fallbacks) == 1
+    assert orthonormality_defect(data.vectors) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+
+
+def test_no_orthonormal_pass_raises(monkeypatch):
+    skewed_eigh(monkeypatch, "eigh")
+    skewed_eigh(monkeypatch, "schur")
+    with pytest.raises(NumericalError, match="orthonormality"):
+        diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(16)))
+    with pytest.raises(NumericalError, match="orthonormality"):
+        decompose_unitary(build_floquet(MapFamily("chaotic"), PlanckScale(16)).U)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(1, 64),
+       r=st.floats(0.0, 3.0))
+def test_half_drift_gives_a_symmetric_similar_form(variant, half_N, r):
+    N = 2 * half_N
+    family, scale = MapFamily(variant, r=r), PlanckScale(N)
+    half = half_free_propagator(family, scale)
+    # free_propagator's phase argument 2 pi N T(p) reaches pi N, so its
+    # entries carry roundoff of order pi N eps; the half drift's argument
+    # stays below pi N / 8
+    assert np.max(np.abs(half ** 2 - free_propagator(family, scale))) \
+        < 4.0 * np.pi * N * np.finfo(float).eps
+    op = build_floquet(family, scale)
+    U_s = spectral_mod._symmetric_form(op, half)
+    assert np.max(np.abs(U_s - U_s.T)) < 1e-13
+    # U C^(1/2) = C^(1/2) U_s: the two are similar
+    C_half = _circulant_from_momentum_diagonal(half)
+    assert np.max(np.abs(op.U @ C_half - C_half @ U_s)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_floquet_operators_take_the_real_route(monkeypatch, variant, N):
+    complex_passes = record_calls(monkeypatch, "_cayley_basis")
+    real_passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    data = diagonalize(build_floquet(MapFamily(variant, r=0.7), PlanckScale(N)))
+    assert not complex_passes
+    assert real_passes and real_passes[0][1] == CAYLEY_SHIFT
+    assert data.max_residual < 1e-11
+
+
+def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
+    op = build_floquet(MapFamily("chaotic", r=0.4), PlanckScale(64))
+    reference = diagonalize(op)
+    # the pole of the shift alpha sits at phi = alpha - pi
+    shift = float(reference.phases[11] + np.pi)
+    monkeypatch.setattr(spectral_mod, "CAYLEY_SHIFT", shift)
+    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    fallbacks = record_calls(monkeypatch, "schur")
+    data = diagonalize(op)
+    # the first pass meets the pole (1 + A is singular to roundoff there);
+    # the second, with the pole moved, certifies
+    assert len(passes) == 2 and not fallbacks
+    assert passes[0][1] == shift and passes[1][1] != shift
+    assert data.max_residual < 1e-11
+    assert orthonormality_defect(data.vectors) < 1e-12
+    assert circular_mismatch(data.phases, reference.phases) < 1e-12
+
+
+def test_failed_factor_moves_the_pole_to_the_opposite_side(monkeypatch):
+    # a failed Cholesky factor of 1 + A leaves no phases to find a gap in
+    real = spectral_mod.dpotrf
+    failures = []
+
+    def failing_once(a, **kwargs):
+        c, info = real(a, **kwargs)
+        if not failures:
+            failures.append(info)
+            info = 1
+        return c, info
+
+    monkeypatch.setattr(spectral_mod, "dpotrf", failing_once)
+    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    fallbacks = record_calls(monkeypatch, "schur")
+    op = build_floquet(MapFamily("slow_ergodic", r=0.4), PlanckScale(64))
+    data = diagonalize(op)
+    assert [alpha for _, alpha in passes] == [CAYLEY_SHIFT, CAYLEY_SHIFT + np.pi]
+    assert not fallbacks
+    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_diagonalize_peak_memory(variant, N):
+    # units of one complex N x N matrix; regular N = 512 at r = 0 needs a
+    # second pass, which must not hold the first pass's basis
+    op = build_floquet(MapFamily(variant), PlanckScale(N))
+    tracemalloc.start()
+    try:
+        diagonalize(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 16 * N * N
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
