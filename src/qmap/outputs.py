@@ -64,6 +64,20 @@ def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
                 fh.write(",".join(format_value(v) for v in row) + "\n")
 
 
+def _model_entry(fit) -> dict:
+    entry = {
+        "params": {k: float(v) for k, v in fit.params.items()},
+        "rss_log": float(fit.rss_log),
+        "aic": float(fit.aic),
+        "predicted": [float(p) for p in fit.predicted],
+    }
+    if fit.iterations is not None:
+        # how the iterative fit ended: deterministic, so reruns stay equal
+        entry["iterations"] = int(fit.iterations)
+        entry["converged"] = bool(fit.converged)
+    return entry
+
+
 def write_fit_json(path: str, spec: RunSpec, study) -> None:
     payload = {
         "qmap_version": __version__,
@@ -75,15 +89,8 @@ def write_fit_json(path: str, spec: RunSpec, study) -> None:
             "first_order_estimate": list(study.first_order_estimates),
             "first_order_ratio": study.first_order_ratios.tolist(),
         },
-        "models": {
-            name: {
-                "params": {k: float(v) for k, v in fit.params.items()},
-                "rss_log": float(fit.rss_log),
-                "aic": float(fit.aic),
-                "predicted": [float(p) for p in fit.predicted],
-            }
-            for name, fit in study.models.items()
-        },
+        "models": {name: _model_entry(fit)
+                   for name, fit in study.models.items()},
         "model": study.model,
         "d": study.d,
         "first_order_response": study.first_order_response,

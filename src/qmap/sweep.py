@@ -18,8 +18,9 @@ requests every lattice point, so each step spans one interval.
 (ends_only): it tries the whole window as one step and bisects on the
 lattice wherever a step of more than one interval is not certified.  At
 worst it walks every lattice point, each diagonalized at most once.  A
-multi-interval step is accepted only when tracking succeeds under the
-usual rules and a gap certificate holds: with the Hellmann-Feynman level
+multi-interval step is accepted only when every level's largest overlap
+exceeds 1/2 (a step that would need the assignment is split without
+solving it) and a gap certificate holds: with the Hellmann-Feynman level
 velocities <n|cos 2 pi x|n> at both ends (level dynamics: Pechukas, PRL
 51, 943 (1983)), no two cyclic neighbours may meet when their gap is
 extrapolated linearly from either end, and the tracked levels must keep
@@ -51,9 +52,15 @@ MODEL_NAMES = ("power_law", "constant", "log_model")
 # a scaling fit is in first-order response while every N's mean_sq is at
 # least this share of its one-diagonalization estimate
 FIRST_ORDER_FLOOR = 0.9
+# the log model is degenerate where |alpha + beta log N| falls below this
+DEGENERATE_BASE = 1e-12
+LM_MAX_ITERATIONS = 100
+# a log-model step whose cost change is within this share of its rounding
+# meets the stop rule
+LM_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
-def track_levels(prev, next):
+def track_levels(prev, next, assign: bool = True):
     """Match eigenvector columns across a parameter step.
 
     prev and next are SpectralData (or bare matrices of orthonormal column
@@ -66,6 +73,8 @@ def track_levels(prev, next):
     and any other pairing has a smaller entry in every row it changes.
     Overlaps below TRACK_FAIL_BELOW even then mean the step outran the
     eigenbasis: StepTooLargeError tells the caller to refine the grid.
+    With assign=False a maximum at or below 1/2 raises StepTooLargeError
+    at once, for callers that split the step rather than assign.
     """
     prev_vectors = getattr(prev, "vectors", prev)
     next_vectors = getattr(next, "vectors", next)
@@ -78,7 +87,12 @@ def track_levels(prev, next):
     perm = O.argmax(axis=1)
     overlaps = O[rows, perm]
     if not overlaps.min() > 0.5:
-        # rarely reached; scipy.optimize is a third of a CLI run's start-up
+        if not assign:
+            raise StepTooLargeError(
+                f"track_levels: overlap {float(overlaps.min()):.3f} not above "
+                f"1/2; step split instead of assigned")
+        # only single-interval sweep steps get here, rarely; importing
+        # scipy.optimize costs about a quarter of a scaling run
         from scipy.optimize import linear_sum_assignment
         perm = linear_sum_assignment(-O)[1]
         overlaps = O[rows, perm]
@@ -93,8 +107,12 @@ def track_levels(prev, next):
     return perm, overlaps
 
 
-def _pair_by_rank(prev_vectors: np.ndarray, next_vectors: np.ndarray):
-    """Sorted-index pairing: level n continues in column n, at any overlap."""
+def _pair_by_rank(prev_vectors: np.ndarray, next_vectors: np.ndarray,
+                  assign: bool = True):
+    """Sorted-index pairing: level n continues in column n, at any overlap.
+
+    assign is track_levels' and has no effect: this pairing never fails.
+    """
     overlaps = np.abs(np.sum(prev_vectors.conj() * next_vectors, axis=0)) ** 2
     return np.arange(prev_vectors.shape[1]), overlaps
 
@@ -282,12 +300,13 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
             if spectrum is None:
                 spectrum = _spectrum_at(family, scale, r_to)
             raw_next, vec_next = spectrum
+            coarse = k_to is not None and k_to - k_from > 1
+            # a coarse step that needs the assignment is split instead
             try:
-                perm, overlaps = match(vectors, vec_next)
+                perm, overlaps = match(vectors, vec_next, assign=not coarse)
                 accepted = True
             except StepTooLargeError:
                 accepted = False
-            coarse = k_to is not None and k_to - k_from > 1
             if coarse and accepted:
                 if velocities is None:
                     velocities = level_velocities(family, vectors)
@@ -386,13 +405,20 @@ def shift_statistics(traj: LevelTrajectories, r0: float | None = None,
 
 @dataclass(frozen=True, eq=False)
 class ModelFit:
-    """One candidate model of mean-square shift versus h, scored in log space."""
+    """One candidate model of mean-square shift versus h, scored in log space.
+
+    iterations and converged describe an iterative fit: the trials it made
+    and whether its stop rule ended it (False: the iteration cap did).
+    Closed-form fits leave both None.
+    """
 
     name: str
     params: dict
     rss_log: float
     aic: float
     predicted: np.ndarray
+    iterations: int | None = None
+    converged: bool | None = None
 
     def __post_init__(self):
         self.predicted.setflags(write=False)
@@ -407,11 +433,12 @@ def _aicc(n: int, rss: float, k: int) -> float:
 
 
 def _scored(name: str, params: dict, log_y: np.ndarray,
-            pred_log: np.ndarray, k: int) -> ModelFit:
+            pred_log: np.ndarray, k: int, **solver) -> ModelFit:
     """A k-parameter fit with its log-space residual and AICc."""
     rss = float(np.sum((log_y - pred_log) ** 2))
     return ModelFit(name=name, params=params, rss_log=rss,
-                    aic=_aicc(log_y.size, rss, k), predicted=np.exp(pred_log))
+                    aic=_aicc(log_y.size, rss, k), predicted=np.exp(pred_log),
+                    **solver)
 
 
 def _fit_power_law(log_h: np.ndarray, log_y: np.ndarray) -> ModelFit:
@@ -432,29 +459,78 @@ def _fit_constant(log_y: np.ndarray) -> ModelFit:
 
 def _fit_log_model(log_N: np.ndarray, y: np.ndarray,
                    log_y: np.ndarray) -> ModelFit:
-    # y = 1 / (alpha + beta log N)^2; a prefactor would be redundant (it
-    # rescales alpha and beta).  Linearize through z = 1/sqrt(y), then
-    # polish the log-space residuals directly.
-    from scipy.optimize import least_squares
-    z = 1.0 / np.sqrt(y)
+    """Fit y = 1 / (alpha + beta log N)^2 by Levenberg-Marquardt in log space.
+
+    A prefactor would be redundant (it rescales alpha and beta).  The start
+    is the linear fit of z = 1/sqrt(y) = alpha + beta log N; from there the
+    residuals log y + 2 log|base|, base = alpha + beta log N, are minimized
+    with the analytic Jacobian, row i (2 / base_i) [1, log N_i], and
+    Marquardt's damping scaled by the Jacobian's column norms (SIAM J.
+    Appl. Math. 11, 431 (1963)).  A trial step that raises the cost, passes
+    a base through 0 or leaves one below DEGENERATE_BASE is rejected and
+    the damping grows tenfold; an accepted step shrinks it tenfold.
+
+    A step's cost change is summed from the residual changes
+    -2 log1p(d base / base), free of the cancellation in a difference of
+    costs.  The loop stops once a step changes the cost by no more than
+    the roundoff of that sum, or after LM_MAX_ITERATIONS steps, and the
+    fit records which.  The cap binds only where the best fit puts a pole
+    of the model inside the ladder (a base that changes sign): residuals
+    of order one there slow Gauss-Newton's linear convergence.
+    """
     design = np.column_stack([np.ones_like(log_N), log_N])
-    x0, _, rank, _ = np.linalg.lstsq(design, z, rcond=None)
+    params, _, rank, _ = np.linalg.lstsq(design, 1.0 / np.sqrt(y), rcond=None)
     if rank < 2:
         raise FitError("scaling: log-model design matrix is singular")
 
-    def residuals(p):
+    def base_of(p):
         base = p[0] + p[1] * log_N
-        if np.any(np.abs(base) < 1e-12):
-            return np.full(log_N.size, 1e6)
-        return log_y - (-2.0 * np.log(np.abs(base)))
+        return base if np.all(np.abs(base) >= DEGENERATE_BASE) else None
 
-    sol = least_squares(residuals, x0=x0, method="lm")
-    base = sol.x[0] + sol.x[1] * log_N
-    if np.any(np.abs(base) < 1e-12):
+    def residuals_at(p, base):
+        """Residuals, and the size of each one's rounding in units of eps:
+        that of log y, of the log, and of forming base from p."""
+        residual = log_y + 2.0 * np.log(np.abs(base))
+        formed = (np.abs(p[0]) + np.abs(p[1] * log_N)) / np.abs(base)
+        return residual, np.abs(log_y) + np.abs(residual) + 2.0 * formed
+
+    base = base_of(params)
+    if base is None:
         raise FitError("scaling: log model degenerate (alpha + beta log N ~ 0)")
-    params = {"alpha": float(sol.x[0]), "beta": float(sol.x[1])}
-    return _scored("log_model", params, log_y,
-                   -2.0 * np.log(np.abs(base)), 2)
+    residual, rounding = residuals_at(params, base)
+    damping = 1e-3
+    converged = False
+    for iterations in range(1, LM_MAX_ITERATIONS + 1):
+        jacobian = (2.0 / base)[:, None] * design
+        scale = np.sqrt(damping * np.sum(jacobian ** 2, axis=0))
+        step = np.linalg.lstsq(np.vstack([jacobian, np.diag(scale)]),
+                               np.concatenate([-residual, [0.0, 0.0]]),
+                               rcond=None)[0]
+        trial = params + step
+        moved = trial - params  # the step as rounded into trial
+        # relative move of each base; below -1 the step passes through 0
+        ratio = (moved[0] + moved[1] * log_N) / base
+        trial_base = base_of(trial)
+        if trial_base is not None and np.all(ratio > -1.0):
+            # residual minus trial residual, and the cost's fall from it
+            change = -2.0 * np.log1p(ratio)
+            fall = float(np.sum(change * (2.0 * residual - change)))
+            roundoff = LM_ROUNDOFF * float(
+                np.sum(np.abs(change) * (rounding + np.abs(change))))
+            if fall > roundoff:
+                params, base = trial, trial_base
+                residual, rounding = residuals_at(params, base)
+                damping *= 0.1
+                continue
+            if fall >= -roundoff:
+                converged = True
+                break
+        damping *= 10.0
+
+    return _scored("log_model",
+                   {"alpha": float(params[0]), "beta": float(params[1])},
+                   log_y, -2.0 * np.log(np.abs(base)), 2,
+                   iterations=iterations, converged=converged)
 
 
 @dataclass(frozen=True, eq=False)

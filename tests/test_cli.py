@@ -1,7 +1,9 @@
 """End-to-end command line runs against a temporary output directory."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 
 import qmap
 from qmap.cli import _THREAD_VARS, run_command
-from qmap.sweep import MODEL_NAMES
+from qmap.sweep import LM_MAX_ITERATIONS, MODEL_NAMES
 
 
 def read_lines(path):
@@ -253,9 +255,14 @@ def test_scaling_run_writes_fits(tmp_path, capsys):
     assert "qmap_version" in payload
     assert payload["runspec"]["command"] == "scaling"
     assert len(payload["data"]["N"]) == 4
-    for fit in payload["models"].values():
-        assert set(fit) == {"params", "rss_log", "aic", "predicted"}
+    for name, fit in payload["models"].items():
+        # only the iterative log-model fit says how its loop ended
+        solver = {"iterations", "converged"} if name == "log_model" else set()
+        assert set(fit) == {"params", "rss_log", "aic", "predicted"} | solver
         assert len(fit["predicted"]) == 4
+    log_fit = payload["models"]["log_model"]
+    assert log_fit["converged"] is True
+    assert 1 <= log_fit["iterations"] < LM_MAX_ITERATIONS
 
     # each N's first-order estimate, its ratio, and the window's verdict
     data = payload["data"]
@@ -352,9 +359,10 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert done.stdout.splitlines()[-1] == "False True True"
 
 
-def test_loading_the_library_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is imported where the rare assignment fallback and the
-    # log-model fit call it, not when the library loads
+def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
+    # scipy.optimize is imported only where the rare assignment fallback
+    # calls it, not when the library loads; the scaling fits and the coarse
+    # sweep steps of `scaling` never reach that fallback
     probe = ("import sys, qmap\n"
              "qmap._load_all()\n"
              "print('scipy.linalg' in sys.modules, "
@@ -362,6 +370,47 @@ def test_loading_the_library_leaves_scipy_optimize_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "True False"
+    for variant in ("chaotic", "regular"):
+        out = tmp_path / variant
+        probe = ("import sys, qmap.cli\n"
+                 "code = qmap.cli.run_command(['scaling', '--variant', "
+                 f"'{variant}', '--N', '16,32,64,128', '--out', r'{out}'])\n"
+                 "print(code, 'scipy.optimize' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 False", variant
+        assert (out / "fit.json").exists()
+
+
+def _scipy_optimize_imports(node, function=None):
+    """(enclosing function, line) of every scipy.optimize import below node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _scipy_optimize_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""] + [f"{child.module}.{alias.name}"
+                                             for alias in child.names]
+        else:
+            names = []
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
+               for name in names):
+            found.append((function, child.lineno))
+        found += _scipy_optimize_imports(child, function)
+    return found
+
+
+def test_only_the_assignment_fallback_imports_scipy_optimize():
+    found = []
+    for path in sorted(pathlib.Path(qmap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, function, line)
+                  for function, line in _scipy_optimize_imports(tree)]
+    assert [entry[:2] for entry in found] == [("sweep.py", "track_levels")], \
+        found
 
 
 def test_classical_curve_is_identical_across_thread_counts(tmp_path):

@@ -125,6 +125,20 @@ def test_free_propagator_phases():
     diag = free_propagator(MapFamily("chaotic"), PlanckScale(4))
     p = np.arange(4) / 4.0
     assert np.allclose(diag, np.exp(-2j * np.pi * 4 * p * p / 2.0), atol=1e-12)
+    with pytest.raises(ConfigurationError, match="N must be even"):
+        free_propagator(MapFamily("chaotic"), PlanckScale(5))
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_free_propagator_phases_carry_folded_grid_roundoff(N):
+    # T = p^2 / 2: the phase -2 pi N T(k / N) = -pi k^2 / N, reduced
+    # exactly mod 2 pi in integers.  The folded grid's argument stays below
+    # pi N / 8 and squaring doubles its rounding; the plain grid's
+    # argument reaches pi N.
+    k = np.arange(N)
+    exact = np.exp(-1j * np.pi * ((k * k) % (2 * N)) / N)
+    diag = free_propagator(MapFamily("chaotic"), PlanckScale(N))
+    assert np.max(np.abs(diag - exact)) < np.pi * N * np.finfo(float).eps / 4
 
 
 @pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])

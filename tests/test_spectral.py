@@ -19,9 +19,9 @@ from qmap import (
     build_floquet,
     decompose_unitary,
     diagonalize,
-    free_propagator,
     mean_spacing,
 )
+from qmap.model import kinetic
 from qmap.quantize import _circulant_from_momentum_diagonal, half_free_propagator
 from qmap.spectral import CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT
 
@@ -213,10 +213,11 @@ def test_half_drift_gives_a_symmetric_similar_form(variant, half_N, r):
     N = 2 * half_N
     family, scale = MapFamily(variant, r=r), PlanckScale(N)
     half = half_free_propagator(family, scale)
-    # free_propagator's phase argument 2 pi N T(p) reaches pi N, so its
-    # entries carry roundoff of order pi N eps; the half drift's argument
-    # stays below pi N / 8
-    assert np.max(np.abs(half ** 2 - free_propagator(family, scale))) \
+    # the drift on the plain grid, whose phase argument 2 pi N T(p) reaches
+    # pi N, so its entries carry roundoff of order pi N eps; the half
+    # drift's argument stays below pi N / 8
+    plain = np.exp(-2j * np.pi * N * kinetic(family, np.arange(N) / N, scale))
+    assert np.max(np.abs(half ** 2 - plain)) \
         < 4.0 * np.pi * N * np.finfo(float).eps
     op = build_floquet(family, scale)
     U_s = spectral_mod._symmetric_form(op, half)

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import least_squares, linear_sum_assignment
 
 import qmap.sweep as sweep_mod
 from conftest import LADDER, SHIFT_WINDOW, random_unitary
@@ -69,7 +69,8 @@ def test_tracking_follows_a_column_swap(chaotic_32):
 
 def test_largest_overlap_matching_equals_the_optimal_assignment(monkeypatch):
     # near-identity steps of random orthonormal bases, columns shuffled;
-    # small steps take the largest-overlap path, large ones the assignment
+    # small steps take the largest-overlap path, large ones the assignment,
+    # which assign=False (the sweep's multi-interval steps) refuses
     monkeypatch.setattr(sweep_mod, "TRACK_FAIL_BELOW", 0.0)
     rng = np.random.default_rng(31)
     paths = set()
@@ -80,10 +81,17 @@ def test_largest_overlap_matching_equals_the_optimal_assignment(monkeypatch):
             rotation = expm(0.5j * step * (K + K.conj().T) / np.sqrt(N))
             nxt = (prev @ rotation)[:, rng.permutation(N)]
             O = np.abs(prev.conj().T @ nxt) ** 2
-            paths.add(bool(O.max(axis=1).min() > 0.5))
+            by_maxima = bool(O.max(axis=1).min() > 0.5)
+            paths.add(by_maxima)
             perm, overlaps = track_levels(prev, nxt)
             assert np.array_equal(perm, linear_sum_assignment(-O)[1])
             assert np.array_equal(overlaps, O[np.arange(N), perm])
+            if by_maxima:
+                assert np.array_equal(
+                    track_levels(prev, nxt, assign=False)[0], perm)
+            else:
+                with pytest.raises(StepTooLargeError, match="not above 1/2"):
+                    track_levels(prev, nxt, assign=False)
     assert paths == {True, False}
 
 
@@ -315,6 +323,99 @@ def test_inverse_square_log_data_selects_log_model():
     assert models["log_model"].params["alpha"] == pytest.approx(2.0, abs=1e-6)
     assert models["log_model"].params["beta"] == pytest.approx(0.5, abs=1e-6)
     assert models["log_model"].rss_log < 1e-12
+
+
+def _has_pole(base):
+    """Whether alpha + beta log N changes sign across the ladder."""
+    return bool(np.any(base < 0.0) and np.any(base > 0.0))
+
+
+def _scipy_log_model_fit(log_N, y, log_y):
+    """(rss_log, base) of the log model from MINPACK's Levenberg-Marquardt.
+
+    The reference fit: the same start and residual, with a large constant
+    residual on a degenerate base, at least_squares' default tolerances.
+    """
+    design = np.column_stack([np.ones_like(log_N), log_N])
+    x0 = np.linalg.lstsq(design, 1.0 / np.sqrt(y), rcond=None)[0]
+
+    def residuals(p):
+        base = p[0] + p[1] * log_N
+        if np.any(np.abs(base) < 1e-12):
+            return np.full(log_N.size, 1e6)
+        return log_y + 2.0 * np.log(np.abs(base))
+
+    p = least_squares(residuals, x0=x0, method="lm").x
+    return float(np.sum(residuals(p) ** 2)), p[0] + p[1] * log_N
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ladder=st.lists(st.integers(8, 1024), min_size=4, max_size=6,
+                       unique=True),
+       log_c=st.floats(-7.0, 2.3), s=st.floats(0.0, 2.0),
+       sigma=st.floats(0.0, 0.3),
+       noise=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+def test_log_model_fit_is_first_order_optimal(ladder, log_c, s, sigma, noise):
+    N = np.sort(np.array(ladder, dtype=float))
+    y = np.exp(log_c) * N ** -s * np.exp(sigma * np.array(noise[:N.size]))
+    log_N, log_y = np.log(N), np.log(y)
+    fit = sweep_mod._fit_log_model(log_N, y, log_y)
+    alpha, beta = fit.params["alpha"], fit.params["beta"]
+    base = alpha + beta * log_N
+    r = log_y + 2.0 * np.log(np.abs(base))
+    J = (2.0 / base)[:, None] * np.column_stack([np.ones_like(log_N), log_N])
+    # each residual carries rounding from log y, the log and forming base
+    r_roundoff = np.finfo(float).eps * np.linalg.norm(
+        np.abs(log_y) + np.abs(r)
+        + 2.0 * (abs(alpha) + np.abs(beta * log_N)) / np.abs(base))
+    assert fit.rss_log == pytest.approx(float(np.sum(r ** 2)), rel=1e-12,
+                                        abs=1e-30)
+    if not fit.converged:
+        # Gauss-Newton crawls only with a pole of the model inside the
+        # ladder, where the residuals are of order one; the cap then ends it
+        assert fit.iterations == sweep_mod.LM_MAX_ITERATIONS
+        assert _has_pole(base)
+        return
+    assert np.linalg.norm(J.T @ r) <= 64.0 * np.linalg.norm(J) * r_roundoff
+    reference, reference_base = _scipy_log_model_fit(log_N, y, log_y)
+    if _has_pole(base) or _has_pole(reference_base):
+        # a pole splits the cost into basins; the two searches may end in
+        # different ones, so only their own optimality is comparable
+        return
+    assert fit.rss_log <= reference + 8.0 * np.sqrt(N.size) * r_roundoff * (
+        np.sqrt(reference) + r_roundoff)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ladder=st.lists(st.integers(8, 1024), min_size=4, max_size=6,
+                       unique=True),
+       alpha=st.floats(0.1, 10.0), beta=st.floats(-0.5, 3.0))
+def test_log_model_fit_recovers_exact_data(ladder, alpha, beta):
+    N = np.sort(np.array(ladder, dtype=float))
+    log_N = np.log(N)
+    base = alpha + beta * log_N
+    # no pole inside the ladder: the fit searches its start's basin
+    assume(np.all(base > 0.05 * alpha) or np.all(base < -0.05 * alpha))
+    y = 1.0 / base ** 2
+    fit = sweep_mod._fit_log_model(log_N, y, np.log(y))
+    assert fit.converged
+    # (alpha, beta) and (-alpha, -beta) give the same y
+    sign = np.sign(base[0] * (fit.params["alpha"]
+                              + fit.params["beta"] * log_N[0]))
+    scale = abs(alpha) + abs(beta) * log_N[-1]
+    assert abs(sign * fit.params["alpha"] - alpha) <= 1e-10 * scale
+    assert abs(sign * fit.params["beta"] - beta) <= 1e-10 * scale
+
+
+def test_log_model_fit_errors(monkeypatch):
+    flat = np.full(4, np.log(64.0))
+    y = np.array([0.1, 0.2, 0.3, 0.4])
+    with pytest.raises(FitError, match="singular"):
+        sweep_mod._fit_log_model(flat, y, np.log(y))
+    log_N = np.log([64.0, 128.0, 256.0, 512.0])
+    monkeypatch.setattr(sweep_mod, "DEGENERATE_BASE", 1e6)
+    with pytest.raises(FitError, match="degenerate"):
+        sweep_mod._fit_log_model(log_N, y, np.log(y))
 
 
 def test_all_candidate_models_reported():
