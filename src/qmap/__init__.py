@@ -31,8 +31,7 @@ _EXPORTS = {
               "require_even_dimension"),
     "quantize": ("FloquetOperator", "ObservableMatrix", "build_floquet",
                  "free_propagator", "kick_propagator", "quantize_observable"),
-    "spectral": ("SpectralData", "decompose_unitary", "diagonalize",
-                 "mean_spacing"),
+    "spectral": ("SpectralData", "diagonalize", "mean_spacing"),
     "sweep": ("LevelTrajectories", "ModelFit", "ScalingFit", "ShiftStatistics",
               "fit_shift_scaling", "level_velocities", "scaling_study",
               "shift_statistics", "sweep_quantization", "track_levels"),

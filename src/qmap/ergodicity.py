@@ -82,11 +82,6 @@ def _eigenbasis_matrix(data: SpectralData, obs: ObservableMatrix) -> np.ndarray:
                   adjoint_a=True)
 
 
-def _wrapped_gaps(phases: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix of phase differences wrapped to [-pi, pi]."""
-    return wrap_phase(phases[:, None] - phases[None, :])
-
-
 def diagonal_elements_report(data: SpectralData,
                              obs: ObservableMatrix) -> ErgodicityReport:
     """Diagonal elements <n|A|n>, their mean and mean-square deviation from a0.
@@ -142,7 +137,7 @@ def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
     P = np.abs(M) ** 2
     diag_sum = float(np.sum(np.diagonal(P)))
     np.fill_diagonal(P, 0.0)
-    delta = _wrapped_gaps(data.phases)
+    delta = wrap_phase(data.phases[:, None] - data.phases[None, :])
 
     N = data.N
     values = np.empty_like(T_grid)
@@ -202,15 +197,19 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
 
 def quantum_correlator_eigenbasis(data: SpectralData, obs: ObservableMatrix,
                                   t_range: int) -> np.ndarray:
-    """Same trace autocorrelation evaluated from eigenphases and |M_nm|^2."""
+    """Same trace autocorrelation from eigenphases and P = |M_nm|^2.
+
+    f(t) = (1/N) sum_nm P_nm cos((phi_n - phi_m) t) = (1/N) [c_t^T P c_t +
+    s_t^T P s_t], c_t = cos(phi t), s_t = sin(phi t): one real product
+    P [C S] serves every lag.
+    """
     _check_t_range(t_range)
-    M = _eigenbasis_matrix(data, obs)
-    P = np.abs(M) ** 2
-    delta = _wrapped_gaps(data.phases)
-    values = np.empty(t_range + 1)
-    for t in range(t_range + 1):
-        values[t] = float(np.sum(P * np.cos(delta * t))) / data.N
-    return values
+    P = np.abs(_eigenbasis_matrix(data, obs)) ** 2
+    angles = data.phases[:, None] * np.arange(t_range + 1)[None, :]
+    waves = np.concatenate((np.cos(angles), np.sin(angles)), axis=1)
+    terms = matmul(P, waves) * waves
+    return (terms[:, :t_range + 1] + terms[:, t_range + 1:]).sum(axis=0) \
+        / data.N
 
 
 def quantum_classical_compare(op: FloquetOperator, obs: ObservableMatrix,

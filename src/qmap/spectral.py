@@ -3,72 +3,71 @@
 Eigenpairs follow the convention U v = exp(-i phi) v with phi in [0, 2 pi),
 so a small positive potential shifts phases positively.
 
-Diagonalization goes through the Cayley transform.  For W = exp(i alpha) U
-the matrix H = i (1 + W)^-1 (1 - W) has the eigenvectors of U and the
-eigenvalues tan((alpha - phi) / 2); it is Hermitian, and a Hermitian
-eigensolver gives a basis orthonormal to roundoff even inside the
-near-degenerate clusters that dense r sweeps sit on.  Each phase is read
-from the Rayleigh quotient v* U v rather than from the eigenvalue of H,
-which loses accuracy near the pole phi = alpha - pi.
+Diagonalization goes through the Cayley transform and the time-reversal
+symmetry of U = C D_V, with C the circulant free flight.  U is similar to
+the complex symmetric U_s = C^(1/2) D_V C^(1/2) (quantize.half_free_propagator
+gives C^(1/2)): U C^(1/2) = C^(1/2) U_s.  For W = exp(i alpha) U_s = A + i B,
+H = i (1 + W)^-1 (1 - W) has the eigenvectors of U_s and the eigenvalues
+tan((alpha - phi) / 2).  W is unitary and symmetric, so A and B are real
+symmetric, commute and satisfy A^2 + B^2 = 1, and H is the real symmetric
+X = (1 + A)^-1 B.  1 + A is positive semidefinite and singular only at the
+pole phi = alpha - pi, so one real Cholesky factorization and solve
+(dpotrf, dpotrs) form X, a failed factor signals the pole, and LAPACK's
+divide-and-conquer dsyevd (eigh driver "evd", orthonormal to about 2e-15)
+gives real eigenvectors R, orthonormal to roundoff even inside the
+near-degenerate clusters that dense r sweeps sit on.  C^(1/2) R are the
+eigenvectors of U.  Each phase is read from the Rayleigh quotient v* U v
+rather than from the eigenvalue of X, which loses accuracy near the pole.
 
-Floquet operators (diagonalize) take a real route through time-reversal
-symmetry.  U = C D_V, with C the circulant free flight, is similar to the
-complex symmetric U_s = C^(1/2) D_V C^(1/2) (quantize.half_free_propagator
-gives C^(1/2)): U C^(1/2) = C^(1/2) U_s.  W = exp(i alpha) U_s = A + i B is
-unitary and symmetric, so A and B are real symmetric, commute and satisfy
-A^2 + B^2 = 1, and H is the real symmetric X = (1 + A)^-1 B.  1 + A is
-positive semidefinite and singular only at the pole, so one real Cholesky
-factorization and solve (dpotrf, dpotrs) form X, a failed factor signals
-the pole, and LAPACK's divide-and-conquer dsyevd (eigh driver "evd",
-faster than "evr" on this real input and orthonormal to about 2e-15)
-gives real eigenvectors R.  C^(1/2) R are the eigenvectors of U.  Both
-U_s (from the dense D_V C^(1/2)) and C^(1/2) R take one FFT pair down the
-columns, cheaper in time and memory than a dense product.  The eigenpair residuals are taken against op.U
-itself, never against U_s alone, so an error in the half drift or in the
-lift cannot pass.  Near the pole the real X squares the conditioning of
-the complex H: a phase within about 1e-8 of it leaves X finite and small,
-and only the residual certificate catches that pass.  A bare matrix
-(decompose_unitary) takes the complex route: one LU solve (zgetrf,
-zgetrs) forms H and zheevr diagonalizes it; it is the reference the tests
-compare the real route with.
+U is never formed as a dense matrix outside the Schur fallback.  U_s (from
+the circulant C^(1/2) scaled by D_V) and the lift C^(1/2) R each take one
+FFT pair down the columns, and the eigenpair residuals apply U through
+the operator's own factors, U V = F^-1 D_T F (D_V V) (FloquetOperator.apply),
+never through U_s, so an error in the half drift or in the lift cannot
+pass.  diagonalize first checks, in O(N), that those factors lie on the
+unit circle and that D_T is the square of the half drift, the two facts
+the real route rests on.  Near the pole the real X squares the
+conditioning of the complex H: a phase within about 1e-8 of it leaves X
+finite and small, and only the residual certificate catches that pass.
 
 The factorizations, eigh and the certificates' products (quantize.matmul)
 all run on scipy's OpenBLAS, one thread pool that QMAP_THREADS caps; the
 FFTs are numpy's, on the calling thread.
 
-Both routes share one chain of passes.  The shifts depend on U alone, so
-reruns are byte-identical.  The first pass uses the fixed CAYLEY_SHIFT.
-When an eigenvalue of H exceeds CAYLEY_MAX_EIGENVALUE in magnitude (a
-phase sits close to the pole) or a certificate fails, a second pass puts
-the pole in the middle of the widest gap between the first pass's phases;
-when the first pass met the pole itself (a failed factor, no phases), the
-second puts it on the opposite side of the circle.  If the second pass
-fails too, the complex Schur decomposition (exactly unitary for a normal
-matrix) is the fallback.  A pass is accepted only if its largest
+The passes form one chain.  The shifts depend on U alone, so reruns are
+byte-identical.  The first pass uses the fixed CAYLEY_SHIFT.  When an
+eigenvalue of X exceeds CAYLEY_MAX_EIGENVALUE in magnitude (a phase sits
+close to the pole) or a certificate fails, a second pass puts the pole in
+the middle of the widest gap between the first pass's phases; when the
+first pass met the pole itself (a failed factor, no phases), the second
+puts it on the opposite side of the circle.  If the second pass fails too,
+the complex Schur decomposition of the dense U (exactly unitary for a
+normal matrix) is the fallback.  A pass is accepted only if its largest
 eigenpair residual |U v - exp(-i phi) v| is below 1e-10 and its basis is
 orthonormal, max |V*V - 1| below 1e-11 (one real Gram product R^T R on
-the real route, before the lift; C^(1/2) is unitary).  When no pass
-holds both, NumericalError.
+the real route, before the lift; C^(1/2) is unitary).  When no pass holds
+both, NumericalError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh, schur
-from scipy.linalg.lapack import dpotrf, dpotrs, zgetrf, zgetrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DomainError, NumericalError
 from .model import MapFamily, PlanckScale
-from .quantize import (FloquetOperator, _circulant_from_momentum_diagonal,
-                       _unitarity_defect, half_free_propagator, matmul)
+from .quantize import (UNITARITY_TOL, FloquetOperator,
+                       _circulant_from_momentum_diagonal, _unitarity_defect,
+                       half_free_propagator)
 
 RESIDUAL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
 CAYLEY_SHIFT = 0.3
 CAYLEY_MAX_EIGENVALUE = 3000.0
-_UNITARY_INPUT_TOL = 1e-8
+# columns per block of the certificate loop, which forms no N x N temporary
+_CERTIFY_BLOCK = 64
 
 
 def mean_spacing(N: int) -> float:
@@ -89,7 +88,9 @@ class SpectralData:
 
     Both are certified: max_residual, the largest eigenpair residual, is
     below 1e-10, and max |V*V - 1| below 1e-11 (the real route of
-    diagonalize reaches about 2e-15 at N = 512).
+    diagonalize reaches about 2e-15 at N = 512).  real_vectors holds the
+    real basis R with vectors = C^(1/2) R, columns in the same order, when
+    the real route gave the basis, and None after the Schur fallback.
     """
 
     N: int
@@ -98,10 +99,12 @@ class SpectralData:
     phases: np.ndarray
     vectors: np.ndarray
     max_residual: float
+    real_vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        self.phases.setflags(write=False)
-        self.vectors.setflags(write=False)
+        for arr in (self.phases, self.vectors, self.real_vectors):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def mean_spacing(self) -> float:
@@ -111,38 +114,6 @@ class SpectralData:
 def cyclic_gaps(phases: np.ndarray) -> np.ndarray:
     """Gap from each ascending phase to the next, the last across 2 pi."""
     return np.diff(phases, append=phases[0] + 2.0 * np.pi)
-
-
-def _cayley_basis(U: np.ndarray, alpha: float):
-    """Eigenbasis of U from H = i (1 + W)^-1 (1 - W), W = exp(i alpha) U.
-
-    Returns (vectors, largest |eigenvalue| of H, max |V*V - 1|), or None
-    when 1 + W is exactly singular or H is not finite.
-    """
-    N = U.shape[0]
-    # column-major buffers let the LU factor, the solve and eigh each
-    # overwrite their input instead of copying it
-    plus = np.multiply(U, np.exp(1j * alpha), order="F")
-    minus = np.negative(plus, order="F")
-    diag = np.diag_indices(N)
-    plus[diag] += 1.0
-    minus[diag] += 1.0
-    lu, piv, info = zgetrf(plus, overwrite_a=True)
-    if info != 0:
-        return None
-    H, info = zgetrs(lu, piv, minus, overwrite_b=True)
-    del lu, plus  # free the factor before eigh allocates its output
-    # the solve is Hermitian only to roundoff; eigh would read one triangle,
-    # spreading the error of the near-pole direction over every level, so
-    # average H with its adjoint instead
-    H *= 0.5j
-    H += H.conj().T
-    if info != 0 or not np.isfinite(H).all():
-        return None
-    eigenvalues, vectors = eigh(H, overwrite_a=True, check_finite=False,
-                                driver="evr")
-    return (vectors, float(np.max(np.abs(eigenvalues))),
-            _unitarity_defect(vectors))
 
 
 def _half_drift_columns(half: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -163,13 +134,13 @@ def _symmetric_form(op: FloquetOperator, half: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
-    """Eigenbasis of op.U from the real Cayley matrix of its symmetric form.
+    """Eigenbasis of U from the real Cayley matrix of its symmetric form.
 
     With W = exp(i alpha) U_s = A + i B, X = (1 + A)^-1 B is real symmetric
     with real orthonormal eigenvectors R; C^(1/2) R are eigenvectors of U.
-    Returns (C^(1/2) R, largest |eigenvalue| of X, max |R^T R - 1|), or None
-    when 1 + A is not positive definite (a phase on the pole) or X is not
-    finite.
+    Returns (C^(1/2) R, R, max |R^T R - 1|, largest |eigenvalue| of X), or
+    None when 1 + A is not positive definite (a phase on the pole) or X is
+    not finite.
     """
     half = half_free_propagator(op.family, op.scale)
     W = _symmetric_form(op, half)
@@ -183,7 +154,9 @@ def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
         return None
     X, info = dpotrs(factor, B, overwrite_b=True)
     del factor, A
-    # as in _cayley_basis: average the solve with its transpose
+    # the solve is symmetric only to roundoff; eigh would read one
+    # triangle, spreading the error of the near-pole direction over every
+    # level, so average X with its transpose instead
     X *= 0.5
     X += X.T
     if info != 0 or not np.isfinite(X).all():
@@ -192,22 +165,33 @@ def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
                           driver="evd")
     defect = _unitarity_defect(R)
     vectors = _half_drift_columns(half, R.astype(complex))
-    return vectors, float(np.max(np.abs(eigenvalues))), defect
+    return vectors, R, defect, float(np.max(np.abs(eigenvalues)))
 
 
-def _certify(U: np.ndarray, basis: np.ndarray):
-    """Rayleigh-quotient phases of an orthonormal basis, with residuals.
+def _certify(op, vectors: np.ndarray, real, defect: float):
+    """A pass's orthonormal basis sorted by phase, with its certificates.
 
-    Returns (phases, vectors, residuals) sorted by phase, where residuals[n]
-    is the 2-norm of U v - exp(-i phi) v for column n.
+    The phases are the Rayleigh quotients v* U v, and residuals[n] is the
+    2-norm of U v - exp(-i phi) v for column n, with U applied by
+    op.apply one block of columns at a time.  vectors, and the real basis
+    real unless None, are permuted in place.  Returns (phases, vectors,
+    real, residuals, defect).
     """
-    deviation = matmul(U, basis)
-    phases = np.mod(-np.angle(np.einsum("ij,ij->j", basis.conj(), deviation)),
-                    2.0 * np.pi)
-    deviation -= basis * np.exp(-1j * phases)
-    residuals = np.linalg.norm(deviation, axis=0)
+    phases = np.empty(vectors.shape[1])
+    residuals = np.empty(vectors.shape[1])
+    for start in range(0, phases.size, _CERTIFY_BLOCK):
+        block = slice(start, start + _CERTIFY_BLOCK)
+        v = vectors[:, block]
+        deviation = op.apply(v)
+        quotients = np.einsum("ij,ij->j", v.conj(), deviation)
+        phases[block] = np.mod(-np.angle(quotients), 2.0 * np.pi)
+        deviation -= v * np.exp(-1j * phases[block])
+        residuals[block] = np.linalg.norm(deviation, axis=0)
     order = np.argsort(phases, kind="stable")
-    return phases[order], basis[:, order], residuals[order]
+    vectors[:] = vectors[:, order]
+    if real is not None:
+        real[:] = real[:, order]
+    return phases[order], vectors, real, residuals[order], defect
 
 
 def _widest_gap_shift(phases: np.ndarray) -> float:
@@ -218,89 +202,74 @@ def _widest_gap_shift(phases: np.ndarray) -> float:
     return float(phases[k] + 0.5 * gaps[k] + np.pi)
 
 
-def _certified(result, defect: float) -> bool:
+def _certified(result) -> bool:
     # written so that a NaN fails
-    return defect < ORTHONORMALITY_TOL and result[2].max() < RESIDUAL_TOL
+    return result[4] < ORTHONORMALITY_TOL and result[3].max() < RESIDUAL_TOL
 
 
-def _eigenbasis(U: np.ndarray, cayley_basis):
-    """(phases, vectors, residuals, orthonormality defect) of U.
+def _eigenbasis(op: FloquetOperator):
+    """(phases, vectors, R or None, residuals, orthonormality defect) of U.
 
-    cayley_basis(alpha) is a Cayley pass at shift alpha.  The first pass
-    uses CAYLEY_SHIFT; the second puts the pole in the widest gap of the
-    first pass's phases, or, when the first pass met the pole itself, on
-    the opposite side of the circle; Schur is the fallback.
+    The first pass uses CAYLEY_SHIFT; the second puts the pole in the
+    widest gap of the first pass's phases, or, when the first pass met
+    the pole itself, on the opposite side of the circle; the Schur
+    decomposition of the dense U is the fallback, and leaves no R.
     """
-    first = cayley_basis(CAYLEY_SHIFT)
-    if first is None:
-        shift = CAYLEY_SHIFT + np.pi
-    else:
-        vectors, largest, defect = first
-        result = _certify(U, vectors)
-        if largest <= CAYLEY_MAX_EIGENVALUE and _certified(result, defect):
-            return (*result, defect)
-        shift = _widest_gap_shift(result[0])
-        del first, vectors, result  # free the first basis
-    second = cayley_basis(shift)
-    if second is not None:
-        result = _certify(U, second[0])
-        if _certified(result, second[2]):
-            return (*result, second[2])
-        del second, result
-    _, Z = schur(U, output="complex")
-    return (*_certify(U, Z), _unitarity_defect(Z))
+    shift, largest_allowed = CAYLEY_SHIFT, CAYLEY_MAX_EIGENVALUE
+    for _ in range(2):
+        basis = _symmetric_cayley_basis(op, shift)
+        if basis is None:
+            shift += np.pi
+            continue
+        *basis, largest = basis
+        result = _certify(op, *basis)
+        if largest <= largest_allowed and _certified(result):
+            return result
+        shift, largest_allowed = _widest_gap_shift(result[0]), np.inf
+        del basis, result  # free this pass's basis before the next
+    _, Z = schur(op.dense(), output="complex")
+    return _certify(op, Z, None, _unitarity_defect(Z))
 
 
-def _decompose(U: np.ndarray, cayley_basis):
-    phases, vectors, residuals, defect = _eigenbasis(U, cayley_basis)
+def _worst_certified_residual(residuals: np.ndarray, defect: float) -> float:
+    """The largest residual, or NumericalError when a certificate fails."""
     worst = float(residuals.max())
     # written so that a NaN residual fails the certificate
     if not worst < RESIDUAL_TOL:
         bad = np.flatnonzero(~(residuals < RESIDUAL_TOL))
         raise NumericalError(
             f"spectral: eigenpair residual {worst:.3e} at or above "
-            f"{RESIDUAL_TOL:.0e} (levels {bad[:8].tolist()} of {U.shape[0]})"
-        )
+            f"{RESIDUAL_TOL:.0e} (levels {bad[:8].tolist()} of "
+            f"{residuals.size})")
     if not defect < ORTHONORMALITY_TOL:
         raise NumericalError(
             f"spectral: orthonormality defect max |V*V - 1| = {defect:.3e} "
             f"at or above {ORTHONORMALITY_TOL:.0e}")
-    return phases, vectors, worst
-
-
-def decompose_unitary(U: np.ndarray):
-    """Eigenphases and eigenvectors of a unitary matrix.
-
-    Returns (phases, vectors, max_residual) with phases sorted ascending in
-    [0, 2 pi), vectors[:, n] the matching eigenvector, and max_residual the
-    largest 2-norm of U v - exp(-i phi) v over the basis, certified below
-    1e-10 with orthonormality to 1e-11.  The input must be unitary to 1e-8.
-    This is the complex route, the reference for diagonalize's real one.
-    """
-    U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise DomainError(f"spectral: expected a square matrix, got shape {U.shape}")
-    defect = _unitarity_defect(U)
-    # written so that a NaN entry fails the check
-    if not defect < _UNITARY_INPUT_TOL:
-        raise DomainError(
-            f"spectral: input is not unitary (max |U*U - 1| = {defect:.3e})")
-    return _decompose(U, partial(_cayley_basis, U))
+    return worst
 
 
 def diagonalize(op: FloquetOperator) -> SpectralData:
     """Full spectral data of a Floquet operator by the real route.
 
-    Residuals are certified to 1e-10 against op.U, orthonormality to 1e-11.
-    Unitarity is not checked again: build_floquet certified it to 1e-12.
+    The factors are checked first, in O(N): D_V on the unit circle and D_T
+    the square of the half drift, each to 1e-12.  Residuals are certified
+    to 1e-10 against U applied by those factors, orthonormality to 1e-11.
     """
-    phases, vectors, worst = _decompose(
-        op.U, partial(_symmetric_cayley_basis, op))
+    half = half_free_propagator(op.family, op.scale)
+    # written so that a NaN entry fails the check
+    factors = float(np.max(np.abs(np.concatenate(
+        (np.abs(op.kick_phases) - 1.0, half * half - op.drift_phases)))))
+    if not factors < UNITARITY_TOL:
+        raise NumericalError(
+            f"spectral: factors of U off the unit circle or the half drift's "
+            f"square by {factors:.3e} ({op.family.variant}, N={op.N})")
+    phases, vectors, real, residuals, defect = _eigenbasis(op)
     return SpectralData(
         N=op.N,
         family=op.family,
         scale=op.scale,
         phases=phases,
         vectors=vectors,
-        max_residual=worst,
+        max_residual=_worst_certified_residual(residuals, defect),
+        real_vectors=real,
     )

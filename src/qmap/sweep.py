@@ -60,6 +60,25 @@ LM_MAX_ITERATIONS = 100
 LM_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
+def _overlaps(prev, next) -> np.ndarray:
+    """|<v|w>|^2 between every column v of prev and w of next.
+
+    Where both carry the real basis R and the half drift C^(1/2) does not
+    depend on r (position-site variants), V = C^(1/2) R on both sides with
+    one unitary C^(1/2), so V_a* V_b = R_a^T R_b, one real product.
+    """
+    prev_vectors = getattr(prev, "vectors", prev)
+    next_vectors = getattr(next, "vectors", next)
+    if prev_vectors.shape != next_vectors.shape:
+        raise DomainError("track_levels: vector blocks must have equal shapes")
+    real = [getattr(side, "real_vectors", None) for side in (prev, next)]
+    if all(R is not None for R in real) and (
+            prev.family.perturbation_site == "position"
+            == next.family.perturbation_site):
+        return matmul(real[0], real[1], adjoint_a=True) ** 2
+    return np.abs(matmul(prev_vectors, next_vectors, adjoint_a=True)) ** 2
+
+
 def track_levels(prev, next, assign: bool = True):
     """Match eigenvector columns across a parameter step.
 
@@ -76,14 +95,8 @@ def track_levels(prev, next, assign: bool = True):
     With assign=False a maximum at or below 1/2 raises StepTooLargeError
     at once, for callers that split the step rather than assign.
     """
-    prev_vectors = getattr(prev, "vectors", prev)
-    next_vectors = getattr(next, "vectors", next)
-    if prev_vectors.shape != next_vectors.shape:
-        raise DomainError("track_levels: vector blocks must have equal shapes")
-    N = prev_vectors.shape[1]
-    O = np.abs(matmul(prev_vectors, next_vectors, adjoint_a=True)) ** 2
-
-    rows = np.arange(N)
+    O = _overlaps(prev, next)
+    rows = np.arange(O.shape[0])
     perm = O.argmax(axis=1)
     overlaps = O[rows, perm]
     if not overlaps.min() > 0.5:
@@ -107,14 +120,13 @@ def track_levels(prev, next, assign: bool = True):
     return perm, overlaps
 
 
-def _pair_by_rank(prev_vectors: np.ndarray, next_vectors: np.ndarray,
-                  assign: bool = True):
+def _pair_by_rank(prev, next, assign: bool = True):
     """Sorted-index pairing: level n continues in column n, at any overlap.
 
     assign is track_levels' and has no effect: this pairing never fails.
     """
-    overlaps = np.abs(np.sum(prev_vectors.conj() * next_vectors, axis=0)) ** 2
-    return np.arange(prev_vectors.shape[1]), overlaps
+    overlaps = np.abs(np.sum(prev.vectors.conj() * next.vectors, axis=0)) ** 2
+    return np.arange(prev.N), overlaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,8 +169,7 @@ class LevelTrajectories:
 
 
 def _spectrum_at(family: MapFamily, scale: PlanckScale, r: float):
-    data = diagonalize(build_floquet(dataclasses.replace(family, r=r), scale))
-    return data.phases, data.vectors
+    return diagonalize(build_floquet(dataclasses.replace(family, r=r), scale))
 
 
 def level_velocities(family: MapFamily, vectors: np.ndarray) -> np.ndarray:
@@ -276,12 +287,15 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     last = lattice.size - 1
     requested = [0, last] if ends_only and last > 0 else list(range(last + 1))
     match = _pair_by_rank if sorted_pairing else track_levels
-    raw, vectors = _spectrum_at(family, scale, lattice[0])
-    unwrapped = raw.copy()
+    data = _spectrum_at(family, scale, lattice[0])
+    # level n of the sweep sits in column column_of[n] of the current
+    # spectrum, whose columns stay in phase order
+    column_of = np.arange(scale.N)
+    unwrapped = data.phases.copy()
     phases = np.empty((scale.N, len(requested)))
     phases[:, 0] = unwrapped
     # velocities of the current columns, computed when a step needs them
-    velocities = level_velocities(family, vectors) if ends_only else None
+    velocities = level_velocities(family, data.vectors) if ends_only else None
     start_velocities = velocities
 
     min_seen = 1.0
@@ -296,28 +310,28 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
         k_end = requested[column]
         pending = [(lattice[k_end], k_end, 0, None, None)]
         while pending:
-            r_to, k_to, depth, spectrum, velocities_to = pending.pop()
-            if spectrum is None:
-                spectrum = _spectrum_at(family, scale, r_to)
-            raw_next, vec_next = spectrum
+            r_to, k_to, depth, data_to, velocities_to = pending.pop()
+            if data_to is None:
+                data_to = _spectrum_at(family, scale, r_to)
             coarse = k_to is not None and k_to - k_from > 1
             # a coarse step that needs the assignment is split instead
             try:
-                perm, overlaps = match(vectors, vec_next, assign=not coarse)
+                step, overlaps = match(data, data_to, assign=not coarse)
                 accepted = True
             except StepTooLargeError:
                 accepted = False
             if coarse and accepted:
                 if velocities is None:
-                    velocities = level_velocities(family, vectors)
+                    velocities = level_velocities(family, data.vectors)
                 if velocities_to is None:
-                    velocities_to = level_velocities(family, vec_next)
-                accepted = _gaps_stay_open(unwrapped, velocities,
-                                           raw_next[perm], velocities_to[perm],
-                                           r_to - r_from)
+                    velocities_to = level_velocities(family, data_to.vectors)
+                perm = step[column_of]
+                accepted = _gaps_stay_open(
+                    unwrapped, velocities[column_of], data_to.phases[perm],
+                    velocities_to[perm], r_to - r_from)
             if coarse and not accepted:
                 k_mid = (k_from + k_to) // 2
-                pending += [(r_to, k_to, 0, spectrum, velocities_to),
+                pending += [(r_to, k_to, 0, data_to, velocities_to),
                             (lattice[k_mid], k_mid, 0, None, None)]
                 continue
             if not accepted:
@@ -327,16 +341,14 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
                         f"after {MAX_REFINEMENTS} bisections"
                     ) from None
                 refined += 1
-                pending += [(r_to, k_to, depth + 1, spectrum, velocities_to),
+                pending += [(r_to, k_to, depth + 1, data_to, velocities_to),
                             (0.5 * (r_from + r_to), None, depth + 1, None,
                              None)]
                 continue
             min_seen = min(min_seen, float(overlaps.min()))
-            unwrapped = _unwrap_step(unwrapped, raw_next[perm])
-            vectors = vec_next[:, perm]
-            velocities = None if velocities_to is None else velocities_to[perm]
-            # free the unpermuted basis before the next diagonalization
-            del raw_next, vec_next, spectrum, velocities_to
+            column_of = step[column_of]
+            unwrapped = _unwrap_step(unwrapped, data_to.phases[column_of])
+            data, velocities = data_to, velocities_to
             r_from = r_to
             if k_to is not None:
                 k_from = k_to

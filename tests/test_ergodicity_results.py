@@ -46,7 +46,7 @@ def test_each_diagnostic_returns_its_own_type(chaotic_32):
 
 def test_conjugation_route_matches_the_direct_trace(chaotic_32):
     op, _, obs = chaotic_32
-    A, U = obs.matrix, op.U
+    A, U = obs.matrix, op.dense()
     B = A.copy()
     direct = []
     for t in range(5):

@@ -5,11 +5,6 @@ import pathlib
 
 import qmap
 
-# the complex route on a bare matrix: the reference that the property
-# tests of the eigensolver compare against, kept on purpose without a
-# production caller
-REFERENCE_ONLY = {"decompose_unitary"}
-
 
 def _loaded_names() -> set:
     """Names that src/qmap reads outside __init__.py, as plain names or as
@@ -31,7 +26,4 @@ def _loaded_names() -> set:
 def test_every_export_has_a_caller_in_the_library():
     exported = [name for names in qmap._EXPORTS.values() for name in names]
     used = _loaded_names()
-    assert [name for name in exported
-            if name not in used and name not in REFERENCE_ONLY] == []
-    # the exception must stay an export without a caller, or go
-    assert REFERENCE_ONLY <= set(exported) - used
+    assert [name for name in exported if name not in used] == []

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import qmap.model
 from qmap import (
+    VARIANTS,
     ConfigurationError,
     MapFamily,
     PlanckScale,
@@ -66,7 +68,7 @@ def test_matmul_equals_numpy_products(m, k, n, complex_a, complex_b, adjoint,
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_matmul_propagates_nan(layout):
-    U = np.array(build_floquet(MapFamily("chaotic"), PlanckScale(16)).U,
+    U = np.array(build_floquet(MapFamily("chaotic"), PlanckScale(16)).dense(),
                  order=layout)
     U[3, 5] = np.nan
     gram = matmul(U, U, adjoint_a=True)
@@ -111,7 +113,7 @@ def test_two_level_free_propagator_matrix(monkeypatch):
     op = build_floquet(fam, PlanckScale(2))
     expected = 0.5 * np.array([[1.0 - 1.0j, 1.0 + 1.0j],
                                [1.0 + 1.0j, 1.0 - 1.0j]])
-    assert np.allclose(op.U, expected, atol=1e-12)
+    assert np.allclose(op.dense(), expected, atol=1e-12)
 
 
 def test_two_level_sawtooth_kick_phases():
@@ -143,20 +145,67 @@ def test_free_propagator_phases_carry_folded_grid_roundoff(N):
 
 @pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
 def test_stored_factors_rebuild_the_unitary(variant):
-    op = build_floquet(MapFamily(variant, r=1.5), PlanckScale(32))
-    rebuilt = (_circulant_from_momentum_diagonal(op.drift_phases)
-               * op.kick_phases[None, :])
-    assert np.array_equal(rebuilt, op.U)
-    for field in (op.U, op.kick_phases, op.drift_phases):
+    # the dense U by the modular index gather of the first column, entry
+    # (j, k) = ifft(D_T)[j - k mod N] times D_V[k]: the strided circulant
+    # copies the same entries bit for bit
+    N = 32
+    op = build_floquet(MapFamily(variant, r=1.5), PlanckScale(N))
+    first_column = np.fft.ifft(op.drift_phases)
+    gathered = first_column[(np.arange(N)[:, None] - np.arange(N)) % N]
+    assert np.array_equal(op.dense(), gathered * op.kick_phases[None, :])
+    assert op.dense().flags.c_contiguous
+    for field in (op.kick_phases, op.drift_phases):
         with pytest.raises(ValueError, match="read-only"):
             field[0] = 0.0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 33])
+def test_circulant_copies_the_modular_gather(N):
+    diag = np.exp(1j * np.random.default_rng(N).uniform(0.0, 6.0, N))
+    first_column = np.fft.ifft(diag)
+    gathered = first_column[(np.arange(N)[:, None] - np.arange(N)) % N]
+    assert np.array_equal(_circulant_from_momentum_diagonal(diag), gathered)
 
 
 def test_construction_certificate():
     op = build_floquet(MapFamily("chaotic", r=1.7), PlanckScale(64))
     assert op.construction_certificate < 1e-12
+    # it measures the factors: U is unitary exactly when both lie on the
+    # unit circle
+    assert op.construction_certificate == np.max(np.abs(np.abs(
+        np.concatenate([op.kick_phases, op.drift_phases])) - 1.0))
+    assert _unitarity_defect(op.dense()) < 1e-12
     assert op.N == 64
     assert op.family.variant == "chaotic"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(2, 64),
+       r=st.floats(0.0, 3.0), columns=st.integers(1, 9),
+       layout=st.sampled_from(["C", "F"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_product_matches_the_dense_unitary(variant, half_N, r,
+                                                    columns, layout, seed):
+    op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
+    V = _operand(np.random.default_rng(seed), (op.N, columns), True, layout)
+    V /= np.linalg.norm(V, axis=0)
+    assert np.max(np.abs(op.apply(V) - matmul(op.dense(), V))) < 1e-14
+    # real columns too: the real route's bases are real
+    assert np.max(np.abs(op.apply(V.real) - matmul(op.dense(), V.real))) \
+        < 1e-14
+
+
+def test_build_floquet_allocates_no_square_array():
+    N = 512
+    family, scale = MapFamily("regular", r=0.7), PlanckScale(N)
+    build_floquet(family, scale)
+    tracemalloc.start()
+    try:
+        build_floquet(family, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a few length-N vectors; one complex N x N array is 4 MB here
+    assert peak < 64 * 16 * N
 
 
 @pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
@@ -170,8 +219,8 @@ def test_changing_r_composes_a_diagonal_kick():
     N, r, dr = 16, 0.7, 0.3
     scale = PlanckScale(N)
     fam = MapFamily("chaotic")
-    U_r = build_floquet(MapFamily("chaotic", r=r), scale).U
-    U_rdr = build_floquet(MapFamily("chaotic", r=r + dr), scale).U
+    U_r = build_floquet(MapFamily("chaotic", r=r), scale).dense()
+    U_rdr = build_floquet(MapFamily("chaotic", r=r + dr), scale).dense()
     q = np.arange(N) / N
     extra = np.exp(-2j * np.pi * N * dr * scale.h ** 2 * np.cos(2 * np.pi * q))
     assert np.allclose(U_rdr, U_r * extra[None, :], atol=1e-13)
@@ -182,7 +231,7 @@ def test_free_hamiltonian_commutes_with_momentum_observable(monkeypatch):
     monkeypatch.setattr(qmap.model, "SAWTOOTH_HEIGHT", 0.0)
     fam = MapFamily("slow_ergodic")
     scale = PlanckScale(16)
-    U = build_floquet(fam, scale).U
+    U = build_floquet(fam, scale).dense()
     B = quantize_observable("cos2pi_p", scale).matrix
     assert np.max(np.abs(U @ B - B @ U)) < 1e-12
 

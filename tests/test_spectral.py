@@ -8,16 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import schur
 
+import complex_route
 import qmap.spectral as spectral_mod
+from complex_route import decompose_unitary
 from conftest import random_unitary
 from qmap import (
     VARIANTS,
     DomainError,
+    FloquetOperator,
     MapFamily,
     NumericalError,
     PlanckScale,
     build_floquet,
-    decompose_unitary,
     diagonalize,
     mean_spacing,
 )
@@ -42,17 +44,27 @@ def orthonormality_defect(vectors):
     return np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1])))
 
 
-def record_calls(monkeypatch, name):
-    """Replace spectral.<name> by a pass-through that logs its arguments."""
+def record_calls(monkeypatch, name, module=spectral_mod):
+    """Replace module.<name> by a pass-through that logs its arguments."""
     calls = []
-    real = getattr(spectral_mod, name)
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral_mod, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def with_factors(op, kick_phases=None, drift_phases=None):
+    """op with one or both diagonal factors replaced."""
+    return FloquetOperator(
+        N=op.N, family=op.family, scale=op.scale,
+        construction_certificate=op.construction_certificate,
+        kick_phases=op.kick_phases if kick_phases is None else kick_phases,
+        drift_phases=op.drift_phases if drift_phases is None
+        else drift_phases)
 
 
 def test_mean_spacing():
@@ -110,15 +122,16 @@ def test_trace_identity():
     op = build_floquet(MapFamily("chaotic", r=1.3), PlanckScale(64))
     data = diagonalize(op)
     assert np.sum(np.exp(-1j * data.phases)) == pytest.approx(
-        np.trace(op.U), abs=1e-8)
+        np.trace(op.dense()), abs=1e-8)
 
 
 def test_spectrum_invariant_under_fourier_conjugation():
+    # the real route on U against the complex reference on F U F*
     N = 32
     op = build_floquet(MapFamily("chaotic", r=0.9), PlanckScale(N))
     F = np.fft.fft(np.eye(N)) / np.sqrt(N)
-    conjugated = F @ op.U @ F.conj().T
-    a, _, _ = decompose_unitary(op.U)
+    conjugated = F @ op.dense() @ F.conj().T
+    a = diagonalize(op).phases
     b, _, _ = decompose_unitary(conjugated)
     wrapped = np.mod(np.sort(a) - np.sort(b) + np.pi, 2.0 * np.pi) - np.pi
     assert np.max(np.abs(wrapped)) < 1e-9
@@ -146,8 +159,8 @@ def test_eigenvalue_at_the_first_pole_takes_a_second_pass(monkeypatch):
     phases[7] = np.mod(CAYLEY_SHIFT - np.pi, 2.0 * np.pi)
     Q = random_unitary(rng, 48)
     U = (Q * np.exp(-1j * phases)) @ Q.conj().T
-    passes = record_calls(monkeypatch, "_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "schur")
+    passes = record_calls(monkeypatch, "cayley_basis", complex_route)
+    fallbacks = record_calls(monkeypatch, "schur", complex_route)
     found, vectors, residual = decompose_unitary(U)
     assert len(passes) == 2 and passes[0][1] == CAYLEY_SHIFT
     assert not fallbacks
@@ -169,7 +182,7 @@ def test_failed_cayley_passes_fall_back_to_schur(monkeypatch):
     assert len(passes) == 2 and len(fallbacks) == 1
     assert data.max_residual < 1e-11
     assert orthonormality_defect(data.vectors) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
 
 
 def skewed_eigh(monkeypatch, name):
@@ -194,7 +207,7 @@ def test_non_orthonormal_passes_fall_back_to_schur(monkeypatch):
     data = diagonalize(op)
     assert len(passes) == 2 and len(fallbacks) == 1
     assert orthonormality_defect(data.vectors) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
 
 
 def test_no_orthonormal_pass_raises(monkeypatch):
@@ -202,8 +215,6 @@ def test_no_orthonormal_pass_raises(monkeypatch):
     skewed_eigh(monkeypatch, "schur")
     with pytest.raises(NumericalError, match="orthonormality"):
         diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(16)))
-    with pytest.raises(NumericalError, match="orthonormality"):
-        decompose_unitary(build_floquet(MapFamily("chaotic"), PlanckScale(16)).U)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -224,18 +235,24 @@ def test_half_drift_gives_a_symmetric_similar_form(variant, half_N, r):
     assert np.max(np.abs(U_s - U_s.T)) < 1e-13
     # U C^(1/2) = C^(1/2) U_s: the two are similar
     C_half = _circulant_from_momentum_diagonal(half)
-    assert np.max(np.abs(op.U @ C_half - C_half @ U_s)) < 1e-12
+    assert np.max(np.abs(op.dense() @ C_half - C_half @ U_s)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [64, 256])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_floquet_operators_take_the_real_route(monkeypatch, variant, N):
-    complex_passes = record_calls(monkeypatch, "_cayley_basis")
     real_passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    fallbacks = record_calls(monkeypatch, "schur")
     data = diagonalize(build_floquet(MapFamily(variant, r=0.7), PlanckScale(N)))
-    assert not complex_passes
+    assert not fallbacks
     assert real_passes and real_passes[0][1] == CAYLEY_SHIFT
     assert data.max_residual < 1e-11
+    # the real basis is kept, in the order of the lifted one
+    half = half_free_propagator(data.family, data.scale)
+    lifted = np.fft.ifft(half[:, None] * np.fft.fft(data.real_vectors, axis=0),
+                         axis=0)
+    assert data.real_vectors.dtype == float
+    assert np.max(np.abs(lifted - data.vectors)) < 1e-13
 
 
 def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
@@ -275,7 +292,7 @@ def test_failed_factor_moves_the_pole_to_the_opposite_side(monkeypatch):
     data = diagonalize(op)
     assert [alpha for _, alpha in passes] == [CAYLEY_SHIFT, CAYLEY_SHIFT + np.pi]
     assert not fallbacks
-    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
 
 
 @pytest.mark.parametrize("N", [256, 512])
@@ -301,14 +318,16 @@ def test_cayley_route_matches_schur(variant, half_N, r):
     data = diagonalize(op)
     assert data.max_residual < 1e-11
     assert orthonormality_defect(data.vectors) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(op.U)) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
 
 
 def test_nan_entry_fails_the_unitarity_check():
-    U = np.eye(4, dtype=complex)
-    U[1, 2] = np.nan
-    with pytest.raises(DomainError):
-        decompose_unitary(U)
+    op = build_floquet(MapFamily("chaotic"), PlanckScale(4))
+    for factor in ("kick_phases", "drift_phases"):
+        phases = getattr(op, factor).copy()
+        phases[1] = np.nan
+        with pytest.raises(NumericalError, match="unit circle"):
+            diagonalize(with_factors(op, **{factor: phases}))
 
 
 def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
@@ -318,13 +337,80 @@ def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
 
     monkeypatch.setattr(spectral_mod, "eigh", nan_basis)
     monkeypatch.setattr(spectral_mod, "schur", nan_basis)
-    with pytest.raises(NumericalError):
-        decompose_unitary(np.eye(4))
+    with pytest.raises(NumericalError, match="eigenpair residual"):
+        diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(4)))
 
 
 def test_non_unitary_input_rejected():
-    with pytest.raises(DomainError):
-        decompose_unitary(np.eye(4) + 1e-6)
-    with pytest.raises(DomainError):
-        decompose_unitary(np.ones((3, 4)))
+    # U is unitary exactly when both factors lie on the unit circle
+    op = build_floquet(MapFamily("regular", r=0.5), PlanckScale(16))
+    for factor in ("kick_phases", "drift_phases"):
+        stretched = getattr(op, factor) * (1.0 + 1e-6)
+        with pytest.raises(NumericalError, match="unit circle"):
+            diagonalize(with_factors(op, **{factor: stretched}))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_drift_phases_out_of_step_with_the_half_drift_fail(variant):
+    # the real route diagonalizes C^(1/2) D_V C^(1/2), similar to U only
+    # when D_T is the square of the half drift; a drift phase turned on the
+    # unit circle breaks that, and diagonalize must refuse the operator
+    op = build_floquet(MapFamily(variant, r=0.3), PlanckScale(32))
+    drift = op.drift_phases.copy()
+    drift[5] *= np.exp(1e-6j)
+    with pytest.raises(NumericalError, match="half drift"):
+        diagonalize(with_factors(op, drift_phases=drift))
+
+
+def test_residuals_read_the_operators_own_factors(monkeypatch):
+    # an error in the half drift that builds U_s and lifts R must fail the
+    # residual, which applies U through drift_phases: every real pass fails
+    # and the Schur fallback of the dense U is taken
+    op = build_floquet(MapFamily("chaotic", r=0.3), PlanckScale(32))
+    real_half = spectral_mod.half_free_propagator
+    calls = []
+
+    def off_by_a_phase(family, scale):
+        calls.append(scale.N)
+        half = real_half(family, scale)
+        # the first call feeds the factor check, the rest the passes
+        if len(calls) > 1:
+            half[3] *= np.exp(1e-6j)
+        return half
+
+    monkeypatch.setattr(spectral_mod, "half_free_propagator", off_by_a_phase)
+    fallbacks = record_calls(monkeypatch, "schur")
+    data = diagonalize(op)
+    assert len(calls) == 3 and len(fallbacks) == 1
+    assert data.real_vectors is None
+    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
+
+
+def test_a_different_kick_is_a_different_unitary():
+    # a kick phase turned on the unit circle leaves the factors consistent:
+    # U_s reads the same kick, so the real route certifies that operator
+    op = build_floquet(MapFamily("chaotic", r=0.3), PlanckScale(32))
+    kick = op.kick_phases.copy()
+    kick[5] *= np.exp(0.1j)
+    other = with_factors(op, kick_phases=kick)
+    data = diagonalize(other)
+    assert data.real_vectors is not None
+    assert circular_mismatch(data.phases, schur_phases(other.dense())) < 1e-12
+    assert circular_mismatch(data.phases, diagonalize(op).phases) > 1e-4
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(2, 48),
+       r=st.floats(0.0, 3.0))
+def test_real_route_matches_the_complex_reference(variant, half_N, r):
+    op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
+    data = diagonalize(op)
+    phases, vectors, residual = decompose_unitary(op.dense())
+    assert residual < 1e-11
+    assert circular_mismatch(data.phases, phases) < 1e-12
+    # the same eigenvectors up to a phase where the levels are apart
+    gaps = spectral_mod.cyclic_gaps(phases)
+    apart = np.minimum(gaps, np.roll(gaps, 1)) > 1e-3
+    overlaps = np.abs(np.sum(data.vectors.conj() * vectors, axis=0)) ** 2
+    assert np.all(np.abs(overlaps[apart] - 1.0) < 1e-9)
 

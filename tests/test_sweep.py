@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import least_squares, linear_sum_assignment
 
+import qmap.spectral as spectral_mod
 import qmap.sweep as sweep_mod
 from conftest import LADDER, SHIFT_WINDOW, random_unitary
 from qmap.sweep import MODEL_NAMES
@@ -126,6 +127,45 @@ def test_fine_step_at_full_size_tracks_identically(chaotic_512):
     perm, overlaps = track_levels(data0, data1)
     assert np.array_equal(perm, np.arange(512))
     assert overlaps.min() > 0.9
+
+
+@pytest.mark.parametrize("variant", ["chaotic", "regular"])
+def test_real_overlaps_equal_the_complex_ones(monkeypatch, variant):
+    # V = C^(1/2) R with one half drift at every r of a position-site
+    # variant, so the overlaps come from the real bases alone
+    products = []
+    real_matmul = sweep_mod.matmul
+    monkeypatch.setattr(sweep_mod, "matmul", lambda a, b, **kw: (
+        products.append((a.dtype, b.dtype)) or real_matmul(a, b, **kw)))
+    scale = PlanckScale(128)
+    a = diagonalize(build_floquet(MapFamily(variant, r=0.4), scale))
+    b = diagonalize(build_floquet(MapFamily(variant, r=0.9), scale))
+    O = sweep_mod._overlaps(a, b)
+    assert products == [(np.float64, np.float64)]
+    assert np.max(np.abs(O - np.abs(a.vectors.conj().T @ b.vectors) ** 2)) \
+        < 1e-13
+
+
+def test_slow_ergodic_and_schur_steps_take_the_complex_overlap(monkeypatch):
+    products = []
+    real_matmul = sweep_mod.matmul
+    monkeypatch.setattr(sweep_mod, "matmul", lambda a, b, **kw: (
+        products.append((a.dtype, b.dtype)) or real_matmul(a, b, **kw)))
+    scale = PlanckScale(32)
+    # slow_ergodic carries r in the half drift, so C^(1/2) differs by r
+    slow = [diagonalize(build_floquet(MapFamily("slow_ergodic", r=r), scale))
+            for r in (0.4, 0.45)]
+    assert all(data.real_vectors is not None for data in slow)
+    track_levels(*slow)
+    # a step onto a Schur basis has no real basis on that side
+    chaotic = diagonalize(build_floquet(MapFamily("chaotic", r=0.4), scale))
+    monkeypatch.setattr(spectral_mod, "eigh", lambda X, **kw: (
+        np.zeros(X.shape[0]), np.eye(X.shape[0]) * 2.0))
+    by_schur = diagonalize(build_floquet(MapFamily("chaotic", r=0.45), scale))
+    assert by_schur.real_vectors is None
+    perm, overlaps = track_levels(chaotic, by_schur)
+    assert products == [(np.complex128, np.complex128)] * 2
+    assert np.array_equal(perm, np.arange(32)) and overlaps.min() > 0.9
 
 
 def test_single_point_grid_is_the_sorted_spectrum(chaotic_32):
@@ -491,14 +531,14 @@ def test_velocities_are_the_derivative_of_the_tracked_phases(variant):
     fam = MapFamily(variant)
     scale = PlanckScale(64)
     r, eps = 0.3, 1e-3
-    raw, vectors = sweep_mod._spectrum_at(fam, scale, r)
+    data = sweep_mod._spectrum_at(fam, scale, r)
     ends = []
     for r_end in (r - eps, r + eps):
-        raw_end, vectors_end = sweep_mod._spectrum_at(fam, scale, r_end)
-        perm, _ = track_levels(vectors, vectors_end)
-        ends.append(raw_end[perm])
+        data_end = sweep_mod._spectrum_at(fam, scale, r_end)
+        perm, _ = track_levels(data, data_end)
+        ends.append(data_end.phases[perm])
     slope = ((ends[1] - ends[0]) / (2.0 * eps)) / mean_spacing(64)
-    velocities = level_velocities(fam, vectors)
+    velocities = level_velocities(fam, data.vectors)
     assert np.max(np.abs(velocities)) > 0.2
     assert np.max(np.abs(slope - velocities)) < 1e-6
 
