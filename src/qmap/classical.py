@@ -119,9 +119,17 @@ def lyapunov_exponent(family: MapFamily, seeds: list[PhaseSpacePoint],
     dp = np.full_like(q, 1.0 / math.sqrt(2.0))
     log_growth = np.zeros_like(q)
     scratch = np.empty_like(q)
+    # holds 2 pi q, then its sine, V''(q) and V''(q) dq in turn
+    wave = np.empty_like(q)
+    cos_2pi_q = np.empty_like(q)
 
     for step in range(1, steps + 1):
-        dp -= potential_curvature(family, q) * dq
+        # 2 pi q once a step: its sine gives V'', its cosine the kick's V'
+        np.multiply(q, 2.0 * np.pi, out=wave)
+        np.cos(wave, out=cos_2pi_q)
+        curvature = potential_curvature(family, q, np.sin(wave, out=wave),
+                                        out=wave)
+        dp -= np.multiply(curvature, dq, out=curvature)
         dq += dp
         # |V''| <= 1 + K, so the one-step tangent matrix has norm below 3.3
         # and, with unit determinant, its inverse too: over 16 steps the
@@ -134,7 +142,7 @@ def lyapunov_exponent(family: MapFamily, seeds: list[PhaseSpacePoint],
             log_growth += np.log(norm)
             dq /= norm
             dp /= norm
-        _step_arrays(family, q, p, scratch)
+        _step_arrays(family, q, p, scratch, cos_2pi_q)
 
     lams = log_growth / steps
     return LyapunovReport(

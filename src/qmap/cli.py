@@ -8,6 +8,13 @@ flags winning.  A subcommand has a flag (_FLAGS) for each field it reads
 success, 1 numerical or environment failure (tracking loss, degenerate
 fits, unwritable outputs), 2 bad usage or configuration.
 
+`qmap ergodicity` takes the classical C(t) from the classical.csv in its
+output directory when `qmap classical` wrote it there with the same
+variant, observable, samples, t_max and seed (and this qmap version);
+running `classical` first into the same --out thus saves `ergodicity` its
+Monte Carlo run.  Any other classical.csv is ignored and C(t) is computed
+afresh; both ways give the same bits, so every artifact is the same.
+
 QMAP_THREADS caps the BLAS thread pools (0 means automatic); it is
 applied to the standard environment knobs before numpy is first imported,
 which is why `import qmap` loads no numerical module and the numerical
@@ -109,7 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
                                          "is given")
     sub = parser.add_subparsers(dest="command")
     for command, names in READS.items():
-        p = sub.add_parser(command, help=_RUNNERS[command].__doc__)
+        # a runner's first docstring line is its command's help
+        p = sub.add_parser(command,
+                           help=_RUNNERS[command].__doc__.partition("\n")[0])
         # SUPPRESS keeps an absent subparser flag from clobbering the
         # top-level --config value
         p.add_argument("--config", default=argparse.SUPPRESS,
@@ -250,14 +259,24 @@ def _default_T_grid(N: int):
 
 
 def run_ergodicity(spec) -> dict:
-    """diagonal-element statistics, F(T) curves and correlator comparison"""
+    """diagonal-element statistics, F(T) curves and correlator comparison
+
+    C(t) is read from the classical.csv in the output directory when
+    `qmap classical` wrote it for the same variant, observable, samples,
+    t_max and seed (qmap.outputs.read_classical_curve); else the Monte
+    Carlo correlator runs here.  Both give the same bits.  The quantum
+    correlator is computed by both routes: the eigenbasis one is written,
+    the conjugation one is compared with C(t), and their largest gap is
+    printed.
+    """
     import numpy as np
 
     from .classical import classical_correlator
     from .ergodicity import (diagonal_elements_report,
-                             quantum_classical_compare,
+                             quantum_classical_compare, quantum_correlator,
                              quantum_correlator_eigenbasis, quantum_F_curve)
     from .model import MapFamily, PlanckScale
+    from .outputs import CLASSICAL_CSV, read_classical_curve
     from .quantize import build_floquet, quantize_observable
     from .spectral import diagonalize
 
@@ -275,16 +294,26 @@ def run_ergodicity(spec) -> dict:
                                       np.asarray(T_grid, dtype=float)))
 
     # the correlators compare at the largest N of the ladder, the last one
-    classical = classical_correlator(family, spec.observable, spec.t_max,
-                                     spec.samples, spec.seed)
+    classical = read_classical_curve(spec)
+    if classical is None:
+        classical = classical_correlator(family, spec.observable, spec.t_max,
+                                         spec.samples, spec.seed)
+    else:
+        print(f"classical C(t) read from "
+              f"{os.path.join(spec.out_dir, CLASSICAL_CSV)} (same variant, "
+              f"observable, samples, t_max and seed)")
     f_quantum = quantum_correlator_eigenbasis(data, obs, spec.t_max)
-    deviation = quantum_classical_compare(op, obs, classical, spec.t_max)
+    f_conjugated = quantum_correlator(op, obs, spec.t_max)
+    deviation = quantum_classical_compare(f_conjugated, classical)
+    route_gap = float(np.max(np.abs(f_conjugated - f_quantum)))
 
     for rep in reports:
         print(f"N={rep.N}: variance {rep.variance:.6g}, "
               f"F_infinity {rep.F_infinity:.6g}")
     print(f"quantum vs classical correlator (N={data.N}, t <= {spec.t_max}): "
           f"max |diff| = {deviation:.6g}")
+    print(f"conjugation vs eigenbasis route (N={data.N}, t <= {spec.t_max}): "
+          f"max |f_conj - f_eig| = {route_gap:.3g}")
     return {
         "reports": reports,
         "curves": curves,

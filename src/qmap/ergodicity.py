@@ -212,13 +212,13 @@ def quantum_correlator_eigenbasis(data: SpectralData, obs: ObservableMatrix,
         / data.N
 
 
-def quantum_classical_compare(op: FloquetOperator, obs: ObservableMatrix,
-                              classical: CorrelatorCurve,
-                              t_range: int) -> float:
-    """Max |f(t) - C_cl(t)| over 0 <= t <= t_range against a sampled curve."""
+def quantum_classical_compare(f: np.ndarray,
+                              classical: CorrelatorCurve) -> float:
+    """Max |f(t) - C_cl(t)| over the lags t = 0 .. len(f) - 1 of a quantum
+    correlator f, from either route, against a sampled curve."""
+    t_range = len(f) - 1
     if t_range > classical.t_max:
         raise DomainError(
             f"ergodicity: t_range {t_range} exceeds classical curve t_max "
             f"{classical.t_max}")
-    f = quantum_correlator(op, obs, t_range)
     return float(np.max(np.abs(f - classical.C[:t_range + 1])))

@@ -5,6 +5,10 @@ floats at 17 significant digits, so identical runs produce byte-identical
 artifacts.  CSV files open with `# key=value` comment lines echoing the
 run parameters; f_curve.csv stacks one block per N, separated by double
 blank lines for gnuplot's index convention.
+
+One artifact is also read: `qmap ergodicity` takes C(t) from a
+classical.csv that `qmap classical` wrote for the same correlator inputs
+(read_classical_curve).
 """
 
 from __future__ import annotations
@@ -15,7 +19,15 @@ import os
 import numpy as np
 
 from ._version import __version__
+from .classical import CorrelatorCurve, microcanonical_average
 from .config import RunSpec
+
+CLASSICAL_CSV = "classical.csv"
+CLASSICAL_COLUMNS = ("t", "C", "stderr")
+# the inputs of classical_correlator as header keys; not family.r, since
+# the classical map is the h -> 0 limit and never reads r
+CORRELATOR_INPUTS = ("family.variant", "observable", "samples", "t_max",
+                     "seed")
 
 
 def format_value(v) -> str:
@@ -28,21 +40,27 @@ def format_value(v) -> str:
     return str(v)
 
 
-def runspec_header(spec: RunSpec) -> list:
-    lines = [f"# qmap {__version__}"]
+def _header_fields(spec: RunSpec) -> dict:
+    """Header key (family fields as `family.variant`) -> value text."""
     flat = []
     for key, value in spec.as_dict().items():
         if isinstance(value, dict):
             flat.extend((f"{key}.{sub}", v) for sub, v in value.items())
         else:
             flat.append((key, value))
-    for key, value in sorted(flat):
+    fields = {}
+    for key, value in flat:
         if isinstance(value, (list, tuple)):
-            value = ",".join(format_value(v) for v in value)
+            fields[key] = ",".join(format_value(v) for v in value)
         else:
-            value = format_value(value) if value is not None else "none"
-        lines.append(f"# {key}={value}")
-    return lines
+            fields[key] = format_value(value) if value is not None else "none"
+    return fields
+
+
+def runspec_header(spec: RunSpec) -> list:
+    fields = _header_fields(spec)
+    return [f"# qmap {__version__}"] + [f"# {key}={fields[key]}"
+                                        for key in sorted(fields)]
 
 
 def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
@@ -62,6 +80,51 @@ def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
                 fh.write(f"# {label}\n")
             for row in rows:
                 fh.write(",".join(format_value(v) for v in row) + "\n")
+
+
+def read_classical_curve(spec: RunSpec):
+    """C(t) from the classical.csv in spec.out_dir if `qmap classical`
+    wrote it for exactly this spec's correlator inputs; else None.
+
+    The file is used only if its first line names this qmap version, its
+    header says command=classical and echoes every CORRELATOR_INPUTS value
+    of spec, its column line is t,C,stderr, and its rows are t = 0..t_max
+    exactly as write_csv prints them.  The values are read back from their
+    %.17g text, which gives the same float64, so the curve equals the one
+    classical_correlator would return.  A missing, unreadable or
+    mismatching file gives None, never an error.
+    """
+    try:
+        with open(os.path.join(spec.out_dir, CLASSICAL_CSV),
+                  encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError):
+        return None
+    fields = _header_fields(spec)
+    wanted = {"# command=classical",
+              *(f"# {key}={fields[key]}" for key in CORRELATOR_INPUTS)}
+    at = 1
+    while at < len(lines) and lines[at].startswith("# "):
+        at += 1
+    # the last line is the empty text after the final newline
+    rows = lines[at + 1:-1]
+    if lines[0] != f"# qmap {__version__}" or not wanted <= set(lines[1:at]) \
+            or lines[at:at + 1] != [",".join(CLASSICAL_COLUMNS)] \
+            or lines[-1] != "" or len(rows) != spec.t_max + 1:
+        return None
+    try:
+        C, stderr = np.array([row.split(",")[1:] for row in rows],
+                             dtype=float).T
+    except ValueError:
+        return None
+    times = np.arange(spec.t_max + 1)
+    if rows != [",".join(format_value(v) for v in row)
+                for row in zip(times, C, stderr)]:
+        return None
+    return CorrelatorCurve(times=times, C=C,
+                           a0=microcanonical_average(spec.observable),
+                           sample_count=spec.samples, rng_seed=spec.seed,
+                           stderr=stderr)
 
 
 def _model_entry(fit) -> dict:
@@ -186,7 +249,7 @@ def write_outputs(results: dict, spec: RunSpec) -> list:
     cmd = spec.command
     if cmd == "classical":
         curve = results["curve"]
-        write_csv(target("classical.csv"), spec, ("t", "C", "stderr"),
+        write_csv(target(CLASSICAL_CSV), spec, CLASSICAL_COLUMNS,
                   [(None, zip(curve.times, curve.C, curve.stderr))])
     elif cmd == "spectrum":
         phases = results["data"].phases

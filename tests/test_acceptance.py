@@ -20,6 +20,7 @@ from qmap import (
     quantize_observable,
     quantum_F_curve,
     quantum_classical_compare,
+    quantum_correlator,
 )
 from qmap.cli import run_command
 from qmap.quantize import _unitarity_defect
@@ -209,8 +210,8 @@ def test_time_average_inequality_chain(chaotic_512, cos_q_512):
 def test_quantum_classical_correspondence(chaotic_512, cos_q_512,
                                           chaotic_classical):
     op, _ = chaotic_512
-    deviation = quantum_classical_compare(op, cos_q_512, chaotic_classical,
-                                          t_range=5)
+    deviation = quantum_classical_compare(quantum_correlator(op, cos_q_512, 5),
+                                          chaotic_classical)
     ok = deviation < 0.05
     record_result(
         "quantum-classical correspondence (N=512, t <= 5)", ok,

@@ -343,7 +343,7 @@ def test_lyapunov_overflow_still_detected(monkeypatch):
     # a curvature far outside |V''| <= 1 + K overflows the tangent vector
     # between renormalizations; the check at the next one must catch it
     monkeypatch.setattr(qmap.classical, "potential_curvature",
-                        lambda family, q: np.full_like(q, 1e200))
+                        lambda family, q, *_, **__: np.full_like(q, 1e200))
     seeds = [PhaseSpacePoint(0.1 * k, 0.2 * k) for k in range(1, 6)]
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="over/underflow"):

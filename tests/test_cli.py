@@ -4,12 +4,14 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import qmap
+import qmap.classical
 from qmap.cli import _THREAD_VARS, run_command
 from qmap.sweep import LM_MAX_ITERATIONS, MODEL_NAMES
 
@@ -457,3 +459,164 @@ def test_results_agree_across_thread_counts(tmp_path):
         a, b = float(a), float(b)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
     assert worst <= 1e-12
+
+
+# `qmap ergodicity` after `qmap classical` into the same --out reads C(t)
+# back instead of running the Monte Carlo correlator again
+ERGODICITY = ["ergodicity", "--N", "16,32", "--t-max", "5",
+              "--samples", "20000"]
+CLASSICAL = ["classical", "--t-max", "5", "--samples", "20000",
+             "--lyapunov-steps", "10000", "--lyapunov-seeds", "5"]
+REUSED = "classical C(t) read from "
+
+
+def ergodicity_artifacts(out):
+    """Lines of every ergodicity artifact, without the `# out_dir=` line."""
+    return {name: [ln for ln in read_lines(out / name)
+                   if not ln.startswith("# out_dir=")]
+            for name in ("ergodicity.csv", "f_curve.csv", "correlator.csv")}
+
+
+@pytest.fixture(scope="module")
+def fresh_ergodicity(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fresh")
+    assert run_command([*ERGODICITY, "--out", str(out)]) == 0
+    return ergodicity_artifacts(out)
+
+
+@pytest.fixture(scope="module")
+def classical_csv(tmp_path_factory):
+    """The classical.csv text of CLASSICAL, whose inputs ERGODICITY shares."""
+    out = tmp_path_factory.mktemp("classical")
+    assert run_command([*CLASSICAL, "--out", str(out)]) == 0
+    return (out / "classical.csv").read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def correlator_calls(monkeypatch):
+    """Arguments of every classical_correlator call the commands make."""
+    calls = []
+    correlator = qmap.classical.classical_correlator
+
+    def counted(*args):
+        calls.append(args)
+        return correlator(*args)
+
+    monkeypatch.setattr(qmap.classical, "classical_correlator", counted)
+    return calls
+
+
+def _forbid_the_correlator(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("classical_correlator ran although "
+                             "classical.csv matched")
+
+    monkeypatch.setattr(qmap.classical, "classical_correlator", forbidden)
+
+
+def test_ergodicity_reuses_a_matching_classical_run(tmp_path, monkeypatch,
+                                                     capsys, fresh_ergodicity):
+    out = tmp_path / "run"
+    assert run_command([*CLASSICAL, "--out", str(out)]) == 0
+    classical_lines = read_lines(out / "classical.csv")
+    _forbid_the_correlator(monkeypatch)
+    capsys.readouterr()
+    assert run_command([*ERGODICITY, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+
+    assert ergodicity_artifacts(out) == fresh_ergodicity
+    assert read_lines(out / "classical.csv") == classical_lines
+    # correlator.csv carries the very C(t) of classical.csv
+    _, rows = data_rows(classical_lines)
+    _, correlator_rows = data_rows(read_lines(out / "correlator.csv"))
+    assert [r.split(",")[1] for r in correlator_rows] \
+        == [r.split(",")[1] for r in rows]
+
+    assert [ln for ln in stdout if ln.startswith(REUSED)] \
+        == [f"{REUSED}{out / 'classical.csv'} (same variant, observable, "
+            "samples, t_max and seed)"]
+    # the benchmark reads these two summaries; the new lines match neither
+    assert len([ln for ln in stdout if re.search(r"max \|diff\| = ", ln)]) == 1
+    assert not [ln for ln in stdout if re.search(r"^lyapunov exponent:", ln)]
+    routes = [ln for ln in stdout if "max |f_conj - f_eig| = " in ln]
+    assert len(routes) == 1
+    assert float(routes[0].rpartition(" = ")[2]) < 1e-12
+
+
+def test_reuse_holds_across_thread_counts(tmp_path, monkeypatch, capsys,
+                                          fresh_ergodicity):
+    # one worker writes classical.csv, the default count would compute the
+    # same bits, so reading the file back changes nothing
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "qmap.cli", *CLASSICAL,
+                    "--out", str(out)], env=child_env(QMAP_THREADS="1"),
+                   capture_output=True, text=True, check=True)
+    monkeypatch.delenv("QMAP_THREADS", raising=False)
+    _forbid_the_correlator(monkeypatch)
+    capsys.readouterr()
+    assert run_command([*ERGODICITY, "--out", str(out)]) == 0
+    assert REUSED in capsys.readouterr().out
+    assert ergodicity_artifacts(out) == fresh_ergodicity
+
+
+def test_family_r_does_not_block_the_reuse(tmp_path, monkeypatch, capsys,
+                                           classical_csv):
+    # the classical map is the h -> 0 limit and never reads r
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "classical.csv").write_text(classical_csv, encoding="utf-8")
+    _forbid_the_correlator(monkeypatch)
+    capsys.readouterr()
+    assert run_command([*ERGODICITY, "--r", "1.5", "--out", str(out)]) == 0
+    assert REUSED in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("change", [
+    ("--seed", "7"), ("--samples", "20008"), ("--t-max", "6"),
+    ("--observable", "cos2pi_p"), ("--variant", "regular")])
+def test_other_correlator_inputs_compute_afresh(tmp_path, capsys, change,
+                                                fresh_ergodicity,
+                                                correlator_calls):
+    out = tmp_path / "run"
+    assert run_command([*CLASSICAL, *change, "--out", str(out)]) == 0
+    written = read_lines(out / "classical.csv")
+    capsys.readouterr()
+    assert run_command([*ERGODICITY, "--out", str(out)]) == 0
+    assert REUSED not in capsys.readouterr().out
+    assert len(correlator_calls) == 2
+    assert ergodicity_artifacts(out) == fresh_ergodicity
+    assert read_lines(out / "classical.csv") == written
+
+
+def _drop_last_row(text):
+    return text[:text.rstrip("\n").rfind("\n") + 1]
+
+
+CORRUPTIONS = {
+    "version": lambda text: text.replace(f"# qmap {qmap.__version__}\n",
+                                         "# qmap 0.0.0\n", 1),
+    "command": lambda text: text.replace("# command=classical\n",
+                                         "# command=ergodicity\n", 1),
+    "columns": lambda text: text.replace("\nt,C,stderr\n",
+                                         "\nt,C,sigma\n", 1),
+    "truncated": _drop_last_row,
+    "lags": lambda text: text.replace("\n3,", "\n4,", 1),
+    "non-numeric": lambda text: re.sub(r"\n3,[^,\n]+,", "\n3,abc,", text),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_a_file_qmap_did_not_write_is_ignored(tmp_path, capsys, corruption,
+                                              classical_csv, fresh_ergodicity,
+                                              correlator_calls):
+    text = CORRUPTIONS[corruption](classical_csv)
+    assert text != classical_csv
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "classical.csv").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_command([*ERGODICITY, "--out", str(out)]) == 0
+    assert REUSED not in capsys.readouterr().out
+    assert len(correlator_calls) == 1
+    assert ergodicity_artifacts(out) == fresh_ergodicity
+    assert (out / "classical.csv").read_text(encoding="utf-8") == text

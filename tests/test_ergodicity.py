@@ -169,7 +169,8 @@ def test_identity_correlator_is_flat(small_chaotic):
 
 def test_quantum_classical_zero_lag(small_chaotic, chaotic_classical):
     op, _, obs = small_chaotic
-    dev = quantum_classical_compare(op, obs, chaotic_classical, t_range=0)
+    dev = quantum_classical_compare(quantum_correlator(op, obs, 0),
+                                    chaotic_classical)
     # both sides equal 1/2 up to Monte Carlo error
     assert dev < 3.0 * chaotic_classical.stderr[0] + 1e-4
 
@@ -178,7 +179,8 @@ def test_compare_range_must_fit_classical_curve(small_chaotic,
                                                 chaotic_classical):
     op, _, obs = small_chaotic
     with pytest.raises(DomainError):
-        quantum_classical_compare(op, obs, chaotic_classical, t_range=26)
+        quantum_classical_compare(quantum_correlator(op, obs, 26),
+                                  chaotic_classical)
 
 
 def test_dimension_mismatch_rejected(small_chaotic):

@@ -1,10 +1,14 @@
-"""The CSV writer: header, column line, exact values and block layout."""
+"""The CSV writer: header, column line, exact values and block layout;
+the reader of classical.csv."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmap import make_runspec
-from qmap.outputs import runspec_header, write_csv
+from qmap import (OBSERVABLES, VARIANTS, MapFamily, classical_correlator,
+                  make_runspec)
+from qmap.outputs import (read_classical_curve, runspec_header, write_csv,
+                          write_outputs)
 
 SPEC = make_runspec({"command": "spectrum"})
 
@@ -85,3 +89,24 @@ def test_labelled_blocks_match_gnuplot_layout(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.endswith("T,F\n# N=64\n0.5,1\n\n\n# N=128\n0.5,0.25\n")
 
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**63 - 1), t_max=st.integers(1, 40),
+       variant=st.sampled_from(VARIANTS), observable=st.sampled_from(OBSERVABLES))
+def test_classical_curve_reads_back_exactly(tmp_path_factory, seed, t_max,
+                                            variant, observable):
+    # what `qmap classical` writes, `qmap ergodicity` reads back to the bit
+    inputs = {"family": {"variant": variant}, "observable": observable,
+              "samples": 10_000, "t_max": t_max, "seed": seed,
+              "out_dir": str(tmp_path_factory.mktemp("classical"))}
+    curve = classical_correlator(MapFamily(variant), observable, t_max,
+                                 10_000, seed)
+    write_outputs({"curve": curve},
+                  make_runspec({"command": "classical", **inputs}))
+    back = read_classical_curve(make_runspec({"command": "ergodicity",
+                                              **inputs}))
+    for name in ("times", "C", "stderr"):
+        assert np.array_equal(getattr(back, name), getattr(curve, name))
+    assert (back.a0, back.sample_count, back.rng_seed) \
+        == (curve.a0, curve.sample_count, curve.rng_seed)
