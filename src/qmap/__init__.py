@@ -8,7 +8,7 @@ trace autocorrelations.
 
 The exports below are loaded on first access (PEP 562), so importing the
 package does not import numpy: the command line can still cap the BLAS
-thread pools (QMAP_THREADS) before numpy loads them.
+thread pool (QMAP_THREADS) before numpy loads it.
 """
 
 import importlib
@@ -52,7 +52,14 @@ def __getattr__(name):
 
 
 def _load_all() -> None:
-    """Import every module behind the exports (numpy and scipy with them)."""
+    """Import every module behind the exports, numpy with them.
+
+    The top-level scipy package is imported too, for its version (the
+    environment record of bench/traced.py reads it); it loads no BLAS.
+    scipy.linalg and scipy.optimize, with scipy's own OpenBLAS, load only
+    in the rare Schur and assignment fallbacks.
+    """
+    import scipy
     for module in _EXPORTS:
         importlib.import_module(f".{module}", __name__)
 

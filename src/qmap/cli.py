@@ -15,12 +15,13 @@ running `classical` first into the same --out thus saves `ergodicity` its
 Monte Carlo run.  Any other classical.csv is ignored and C(t) is computed
 afresh; both ways give the same bits, so every artifact is the same.
 
-QMAP_THREADS caps the BLAS thread pools (0 means automatic); it is
+QMAP_THREADS caps the BLAS thread pool (0 means automatic); it is
 applied to the standard environment knobs before numpy is first imported,
 which is why `import qmap` loads no numerical module and the numerical
 modules are imported inside functions here.  Every dense product and
-every LAPACK call runs on one pool, scipy's OpenBLAS (see
-qmap.quantize.matmul), and QMAP_THREADS in effect caps that pool.  It
+every LAPACK call runs on one pool, numpy's OpenBLAS (see qmap.quantize
+and qmap.spectral), and QMAP_THREADS caps that pool; scipy's LAPACK runs
+only in the rare Schur and assignment fallbacks.  It
 also caps the worker threads of the Monte Carlo correlator
 (qmap.classical.classical_correlator), whose result is bit-identical at
 every count.
@@ -338,9 +339,9 @@ def run_command(argv) -> int:
     try:
         _apply_thread_env()
         # with the thread cap in place, load the whole library before any
-        # command runs: every command then starts with numpy and scipy
-        # loaded, which the environment record of bench/traced.py reads at
-        # the first layer call
+        # command runs: every command then starts with numpy and the
+        # top-level scipy package loaded, which the environment record of
+        # bench/traced.py reads at the first layer call
         _load_all()
         try:
             args = build_parser().parse_args(argv)

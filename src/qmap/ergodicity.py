@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zdotc
 
 from .classical import CorrelatorCurve, microcanonical_average
 from .errors import DomainError, NumericalError
-from .quantize import FloquetOperator, ObservableMatrix, matmul
+from .quantize import FloquetOperator, ObservableMatrix
 from .spectral import SpectralData, wrap_phase
 
 DIAGONAL_IMAG_TOL = 1e-8
@@ -78,8 +77,7 @@ def _check_t_range(t_range: int) -> None:
 
 def _eigenbasis_matrix(data: SpectralData, obs: ObservableMatrix) -> np.ndarray:
     _check_dimension(obs, data.N, "spectrum")
-    return matmul(data.vectors, matmul(obs.matrix, data.vectors),
-                  adjoint_a=True)
+    return data.vectors.conj().T @ (obs.matrix @ data.vectors)
 
 
 def diagonal_elements_report(data: SpectralData,
@@ -169,7 +167,6 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
     _check_dimension(obs, op.N, "operator")
     A = obs.matrix
     # tr(A B) = sum_ij conj((A*)_ji) B_ji, one dot product over the entries
-    # (zdotc, on the BLAS that runs every other product; see quantize)
     A_adjoint = np.ascontiguousarray(A.conj().T)
     kick = op.kick_phases[:, None] * op.kick_phases.conj()[None, :]
     drift = op.drift_phases[:, None]
@@ -186,7 +183,7 @@ def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
             np.fft.ifft(B, axis=1, out=B)
             B *= drift_adjoint
             np.fft.fft(B, axis=1, out=B)
-        f_t = zdotc(A_adjoint.ravel(), B.ravel()) / op.N
+        f_t = np.vdot(A_adjoint, B) / op.N
         if abs(f_t.imag) >= QUANTUM_REAL_TOL:
             raise NumericalError(
                 f"ergodicity: f({t}) has imaginary part {f_t.imag:.3e}; "
@@ -207,7 +204,7 @@ def quantum_correlator_eigenbasis(data: SpectralData, obs: ObservableMatrix,
     P = np.abs(_eigenbasis_matrix(data, obs)) ** 2
     angles = data.phases[:, None] * np.arange(t_range + 1)[None, :]
     waves = np.concatenate((np.cos(angles), np.sin(angles)), axis=1)
-    terms = matmul(P, waves) * waves
+    terms = (P @ waves) * waves
     return (terms[:, :t_range + 1] + terms[:, t_range + 1:]).sum(axis=0) \
         / data.N
 

@@ -26,9 +26,9 @@ The quantization parameter enters only through the r h^2 cos term in V
 (position-site variants) or T (slow_ergodic), hence changing r multiplies
 U on the right by a diagonal phase for position-site variants.
 
-Every dense product in the package goes through matmul, on scipy's BLAS:
-LAPACK already runs there, and numpy's `@` would wake numpy's own BLAS
-thread pool, whose threads then contend with scipy's for the same cores.
+Every dense product in the package is numpy's `@` (or `vdot`), on
+numpy's OpenBLAS, the pool that also runs the spectral module's LAPACK
+calls, so one BLAS thread pool does all the work and QMAP_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
 
 from .errors import DomainError, NumericalError
 from .model import (MapFamily, PlanckScale, kinetic, potential,
@@ -88,32 +87,9 @@ def _circulant_from_momentum_diagonal(diag: np.ndarray) -> np.ndarray:
     return windows[::-1].copy()
 
 
-def _blas_operand(x: np.ndarray, adjoint: bool):
-    """(array, trans flag) for gemm whose op(array) is x, or x* when adjoint.
-
-    A row-major array goes in as its column-major transposed view, so
-    f2py copies nothing (x* still takes one conjugated copy).
-    """
-    if x.flags.c_contiguous and not x.flags.f_contiguous:
-        return (x.conj().T, 0) if adjoint else (x.T, 1)
-    return x, 2 if adjoint else 0
-
-
-def matmul(a: np.ndarray, b: np.ndarray, adjoint_a: bool = False) -> np.ndarray:
-    """a @ b, or a* @ b when adjoint_a, for 2-d arrays, by BLAS gemm.
-
-    The routine (dgemm, zgemm, ...) follows the operands' dtypes.  The
-    result is column-major.
-    """
-    gemm = get_blas_funcs("gemm", (a, b))
-    a, trans_a = _blas_operand(a, adjoint_a)
-    b, trans_b = _blas_operand(b, False)
-    return gemm(1.0, a, b, trans_a=trans_a, trans_b=trans_b)
-
-
 def _unitarity_defect(U: np.ndarray) -> float:
     """max |U*U - 1| over all entries; NaN when U holds a NaN."""
-    gram = matmul(U, U, adjoint_a=True)
+    gram = U.conj().T @ U
     np.fill_diagonal(gram, gram.diagonal() - 1.0)
     return float(np.max(np.abs(gram)))
 

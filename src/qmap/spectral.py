@@ -11,9 +11,9 @@ H = i (1 + W)^-1 (1 - W) has the eigenvectors of U_s and the eigenvalues
 tan((alpha - phi) / 2).  W is unitary and symmetric, so A and B are real
 symmetric, commute and satisfy A^2 + B^2 = 1, and H is the real symmetric
 X = (1 + A)^-1 B.  1 + A is positive semidefinite and singular only at the
-pole phi = alpha - pi, so one real Cholesky factorization and solve
-(dpotrf, dpotrs) form X, a failed factor signals the pole, and LAPACK's
-divide-and-conquer dsyevd (eigh driver "evd", orthonormal to about 2e-15)
+pole phi = alpha - pi, so one real LU solve (numpy.linalg.solve, dgesv)
+forms X, an exactly singular 1 + A signals the pole, and LAPACK's
+divide-and-conquer dsyevd (numpy.linalg.eigh, orthonormal to about 2e-15)
 gives real eigenvectors R, orthonormal to roundoff even inside the
 near-degenerate clusters that dense r sweeps sit on.  C^(1/2) R are the
 eigenvectors of U.  Each phase is read from the Rayleigh quotient v* U v
@@ -30,16 +30,17 @@ the real route rests on.  Near the pole the real X squares the
 conditioning of the complex H: a phase within about 1e-8 of it leaves X
 finite and small, and only the residual certificate catches that pass.
 
-The factorizations, eigh and the certificates' products (quantize.matmul)
-all run on scipy's OpenBLAS, one thread pool that QMAP_THREADS caps; the
-FFTs are numpy's, on the calling thread.
+The solve, eigh and the certificates' products (`@`) all run on numpy's
+OpenBLAS, one thread pool that QMAP_THREADS caps; the FFTs are numpy's, on
+the calling thread.  scipy's LAPACK runs only in the Schur fallback, which
+imports scipy.linalg when it is first taken.
 
 The passes form one chain.  The shifts depend on U alone, so reruns are
 byte-identical.  The first pass uses the fixed CAYLEY_SHIFT.  When an
 eigenvalue of X exceeds CAYLEY_MAX_EIGENVALUE in magnitude (a phase sits
 close to the pole) or a certificate fails, a second pass puts the pole in
 the middle of the widest gap between the first pass's phases; when the
-first pass met the pole itself (a failed factor, no phases), the second
+first pass met the pole itself (a singular 1 + A, no phases), the second
 puts it on the opposite side of the circle.  If the second pass fails too,
 the complex Schur decomposition of the dense U (exactly unitary for a
 normal matrix) is the fallback.  A pass is accepted only if its largest
@@ -53,8 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, schur
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError, eigh, solve
 
 from .errors import DomainError, NumericalError
 from .model import MapFamily, PlanckScale
@@ -139,32 +139,31 @@ def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
     With W = exp(i alpha) U_s = A + i B, X = (1 + A)^-1 B is real symmetric
     with real orthonormal eigenvectors R; C^(1/2) R are eigenvectors of U.
     Returns (C^(1/2) R, R, max |R^T R - 1|, largest |eigenvalue| of X), or
-    None when 1 + A is not positive definite (a phase on the pole) or X is
-    not finite.
+    None when 1 + A is exactly singular (a phase on the pole) or X is not
+    finite; a nearly singular 1 + A is left to CAYLEY_MAX_EIGENVALUE and
+    the certificates.
     """
     half = half_free_propagator(op.family, op.scale)
     W = _symmetric_form(op, half)
     W *= np.exp(1j * alpha)
-    A = np.array(W.real, order="F")
-    B = np.array(W.imag, order="F")
-    del W  # free U_s before the factorization
-    A[np.diag_indices(op.N)] += 1.0
-    factor, info = dpotrf(A, overwrite_a=True)
-    if info != 0:
+    W.real[np.diag_indices(op.N)] += 1.0  # the real part is now 1 + A
+    try:
+        X = solve(W.real, W.imag)
+    except LinAlgError:
         return None
-    X, info = dpotrs(factor, B, overwrite_b=True)
-    del factor, A
+    del W
     # the solve is symmetric only to roundoff; eigh would read one
     # triangle, spreading the error of the near-pole direction over every
     # level, so average X with its transpose instead
     X *= 0.5
     X += X.T
-    if info != 0 or not np.isfinite(X).all():
+    if not np.isfinite(X).all():
         return None
-    eigenvalues, R = eigh(X, overwrite_a=True, check_finite=False,
-                          driver="evd")
+    eigenvalues, R = eigh(X)
+    del X
     defect = _unitarity_defect(R)
-    vectors = _half_drift_columns(half, R.astype(complex))
+    # eigh returns R row-major; the lift's FFTs run down contiguous columns
+    vectors = _half_drift_columns(half, R.astype(complex, order="F"))
     return vectors, R, defect, float(np.max(np.abs(eigenvalues)))
 
 
@@ -207,6 +206,17 @@ def _certified(result) -> bool:
     return result[4] < ORTHONORMALITY_TOL and result[3].max() < RESIDUAL_TOL
 
 
+def _schur(U: np.ndarray):
+    """Complex Schur form (T, Z) of a dense U, the fallback's basis Z.
+
+    The package's one import of scipy.linalg, and so of scipy's own
+    OpenBLAS, which only this fallback (and sweep's rare assignment
+    fallback, through scipy.optimize) loads.
+    """
+    from scipy.linalg import schur
+    return schur(U, output="complex")
+
+
 def _eigenbasis(op: FloquetOperator):
     """(phases, vectors, R or None, residuals, orthonormality defect) of U.
 
@@ -227,7 +237,7 @@ def _eigenbasis(op: FloquetOperator):
             return result
         shift, largest_allowed = _widest_gap_shift(result[0]), np.inf
         del basis, result  # free this pass's basis before the next
-    _, Z = schur(op.dense(), output="complex")
+    _, Z = _schur(op.dense())
     return _certify(op, Z, None, _unitarity_defect(Z))
 
 

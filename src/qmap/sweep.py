@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale, quantization_profile
-from .quantize import build_floquet, matmul
+from .quantize import build_floquet
 from .spectral import cyclic_gaps, diagonalize, mean_spacing, wrap_phase
 
 TRACK_FAIL_BELOW = 0.25
@@ -75,8 +75,8 @@ def _overlaps(prev, next) -> np.ndarray:
     if all(R is not None for R in real) and (
             prev.family.perturbation_site == "position"
             == next.family.perturbation_site):
-        return matmul(real[0], real[1], adjoint_a=True) ** 2
-    return np.abs(matmul(prev_vectors, next_vectors, adjoint_a=True)) ** 2
+        return (real[0].T @ real[1]) ** 2
+    return np.abs(prev_vectors.conj().T @ next_vectors) ** 2
 
 
 def track_levels(prev, next, assign: bool = True):
@@ -186,7 +186,7 @@ def level_velocities(family: MapFamily, vectors: np.ndarray) -> np.ndarray:
     if family.perturbation_site == "momentum":
         vectors = np.fft.fft(vectors, axis=0) / np.sqrt(N)
     profile = quantization_profile(np.arange(N) / N)
-    return matmul(profile[None, :], np.abs(vectors) ** 2)[0]
+    return profile @ np.abs(vectors) ** 2
 
 
 def _gaps_stay_open(phases_a, velocities_a, phases_b, velocities_b,
@@ -460,7 +460,7 @@ def _fit_power_law(log_h: np.ndarray, log_y: np.ndarray) -> ModelFit:
         raise FitError("scaling: power-law design matrix is singular")
     params = {"prefactor": float(np.exp(coef[0])), "exponent": float(coef[1])}
     return _scored("power_law", params, log_y,
-                   matmul(design, coef[:, None])[:, 0], 2)
+                   design @ coef, 2)
 
 
 def _fit_constant(log_y: np.ndarray) -> ModelFit:

@@ -9,14 +9,13 @@ the opposite side of the circle, then Schur), and the certificates, taken
 against the dense U.
 """
 
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import eigh, schur
 from scipy.linalg.lapack import zgetrf, zgetrs
 
-from qmap.quantize import _unitarity_defect, matmul
+from qmap.quantize import _unitarity_defect
 from qmap.spectral import (CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT, _certified,
                            _certify, _widest_gap_shift,
                            _worst_certified_residual)
@@ -57,7 +56,7 @@ def decompose_unitary(U):
     """(phases, vectors, max_residual) of a unitary matrix, phases sorted
     ascending in [0, 2 pi), certified as diagonalize certifies its own."""
     U = np.asarray(U, dtype=complex)
-    dense = SimpleNamespace(apply=partial(matmul, U))
+    dense = SimpleNamespace(apply=U.__matmul__)
     shift, largest_allowed = CAYLEY_SHIFT, CAYLEY_MAX_EIGENVALUE
     result = None
     for _ in range(2):

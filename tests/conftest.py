@@ -5,11 +5,14 @@ heavy is session-scoped and computed at most once; the acceptance gate and
 the unit tests draw from the same objects.
 """
 
+import ast
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import qmap
 from qmap import (
     MapFamily,
     PhaseSpacePoint,
@@ -97,6 +100,38 @@ def fit_window(ladder: dict, r0: float = SHIFT_WINDOW[0],
                         .mean_sq_spacing_units for traj in ladder.values()])
     models, winner = fit_shift_scaling(list(ladder), mean_sq)
     return WindowFit(tuple(ladder), mean_sq, models, winner)
+
+
+def _imports_below(node, package, function=None):
+    """(enclosing function, line) of every import of package below node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _imports_below(child, package, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""] + [f"{child.module}.{alias.name}"
+                                             for alias in child.names]
+        else:
+            names = []
+        if any(name == package or name.startswith(f"{package}.")
+               for name in names):
+            found.append((function, child.lineno))
+        found += _imports_below(child, package, function)
+    return found
+
+
+def package_imports(package: str) -> list:
+    """(file, enclosing function, line) of every import of package, or of
+    one of its submodules, in the qmap sources."""
+    found = []
+    for path in sorted(pathlib.Path(qmap.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, function, line)
+                  for function, line in _imports_below(tree, package)]
+    return found
 
 
 def random_unitary(rng, N: int) -> np.ndarray:

@@ -1,9 +1,7 @@
 """End-to-end command line runs against a temporary output directory."""
 
-import ast
 import json
 import os
-import pathlib
 import re
 import subprocess
 import sys
@@ -12,6 +10,7 @@ import pytest
 
 import qmap
 import qmap.classical
+from conftest import package_imports
 from qmap.cli import _THREAD_VARS, run_command
 from qmap.sweep import LM_MAX_ITERATIONS, MODEL_NAMES
 
@@ -364,53 +363,77 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
     # scipy.optimize is imported only where the rare assignment fallback
     # calls it, not when the library loads; the scaling fits and the coarse
-    # sweep steps of `scaling` never reach that fallback
+    # sweep steps of `scaling` never reach that fallback.  scipy.linalg
+    # loads only with it or with the rare Schur fallback.
     probe = ("import sys, qmap\n"
              "qmap._load_all()\n"
              "print('scipy.linalg' in sys.modules, "
              "'scipy.optimize' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "True False"
+    assert done.stdout.splitlines()[-1] == "False False"
     for variant in ("chaotic", "regular"):
         out = tmp_path / variant
         probe = ("import sys, qmap.cli\n"
                  "code = qmap.cli.run_command(['scaling', '--variant', "
                  f"'{variant}', '--N', '16,32,64,128', '--out', r'{out}'])\n"
-                 "print(code, 'scipy.optimize' in sys.modules)")
+                 "print(code, 'scipy.optimize' in sys.modules, "
+                 "'scipy.linalg' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "0 False", variant
+        assert done.stdout.splitlines()[-1] == "0 False False", variant
         assert (out / "fit.json").exists()
 
 
-def _scipy_optimize_imports(node, function=None):
-    """(enclosing function, line) of every scipy.optimize import below node."""
-    found = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            found += _scipy_optimize_imports(child, child.name)
-            continue
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""] + [f"{child.module}.{alias.name}"
-                                             for alias in child.names]
-        else:
-            names = []
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
-               for name in names):
-            found.append((function, child.lineno))
-        found += _scipy_optimize_imports(child, function)
-    return found
+def test_commands_leave_scipy_linalg_unloaded(tmp_path):
+    # every product and LAPACK call runs on numpy's OpenBLAS, so no command
+    # loads scipy.linalg, or scipy's own OpenBLAS, unless a fallback does
+    commands = [
+        ["classical", "--samples", "10000", "--t-max", "5",
+         "--lyapunov-steps", "10000"],
+        ["spectrum", "--N", "64"],
+        ["sweep", "--variant", "regular", "--N", "64", "--r1", "1"],
+        ["ergodicity", "--N", "16,32", "--t-max", "5", "--samples", "10000"],
+    ]
+    probe = ("import sys, qmap.cli\n"
+             f"for argv in {commands!r}:\n"
+             "    code = qmap.cli.run_command([*argv, '--out', "
+             f"r'{tmp_path}'])\n"
+             "    print('loaded:', argv[0], code, "
+             "'scipy.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    flags = [ln for ln in done.stdout.splitlines()
+             if ln.startswith("loaded:")]
+    assert flags == [f"loaded: {argv[0]} 0 False" for argv in commands]
+
+
+def test_qmap_threads_caps_the_pool_that_does_the_work():
+    # numpy's OpenBLAS runs every product and LAPACK call; read its thread
+    # count as bench/traced.py does, from the library mapped in the process
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS library in")
+    probe = ("import ctypes, qmap.cli\n"
+             "qmap.cli.run_command(['--help'])\n"
+             "with open('/proc/self/maps') as fh:\n"
+             "    paths = sorted({line.split()[-1] for line in fh\n"
+             "                    if 'openblas' in line.lower()})\n"
+             "counts = []\n"
+             "for path in paths:\n"
+             "    getter = getattr(ctypes.CDLL(path), "
+             "'scipy_openblas_get_num_threads64_', None)\n"
+             "    if getter is not None:\n"
+             "        getter.argtypes, getter.restype = [], ctypes.c_int\n"
+             "        counts.append(getter())\n"
+             "print(len(paths), counts)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=child_env(QMAP_THREADS="1"),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "1 [1]"
 
 
 def test_only_the_assignment_fallback_imports_scipy_optimize():
-    found = []
-    for path in sorted(pathlib.Path(qmap.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [(path.name, function, line)
-                  for function, line in _scipy_optimize_imports(tree)]
+    found = package_imports("scipy.optimize")
     assert [entry[:2] for entry in found] == [("sweep.py", "track_levels")], \
         found
 

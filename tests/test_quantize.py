@@ -1,7 +1,5 @@
 """Floquet operator construction and observable quantization."""
 
-import ast
-import pathlib
 import tracemalloc
 
 import numpy as np
@@ -10,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmap.model
+from conftest import package_imports
 from qmap import (
     VARIANTS,
     ConfigurationError,
@@ -20,20 +19,7 @@ from qmap import (
     kick_propagator,
     quantize_observable,
 )
-from qmap.quantize import (_circulant_from_momentum_diagonal,
-                           _unitarity_defect, matmul)
-
-# numpy functions and methods that run a dense product on numpy's own BLAS
-_NUMPY_PRODUCTS = ("dot", "vdot", "matmul", "inner", "tensordot")
-# numpy.linalg routines that run LAPACK there; lstsq (the few-row scaling
-# fits) and norm stay allowed
-_NUMPY_LAPACK = ("cholesky", "solve", "inv", "eig", "eigh", "eigvalsh", "qr",
-                 "svd")
-
-
-def _is_numpy(node) -> bool:
-    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
-
+from qmap.quantize import _circulant_from_momentum_diagonal, _unitarity_defect
 
 def _operand(rng, shape, is_complex, layout):
     """Random array of the shape: row-major, column-major or a strided view."""
@@ -46,64 +32,21 @@ def _operand(rng, shape, is_complex, layout):
     return np.asarray(x[:, :cols], order=layout)
 
 
-@settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 40), k=st.integers(1, 40), n=st.integers(1, 40),
-       complex_a=st.booleans(), complex_b=st.booleans(), adjoint=st.booleans(),
-       layout_a=st.sampled_from(["C", "F", "strided"]),
-       layout_b=st.sampled_from(["C", "F", "strided"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_matmul_equals_numpy_products(m, k, n, complex_a, complex_b, adjoint,
-                                      layout_a, layout_b, seed):
-    rng = np.random.default_rng(seed)
-    a = _operand(rng, (k, m) if adjoint else (m, k), complex_a, layout_a)
-    b = _operand(rng, (k, n), complex_b, layout_b)
-    op_a = a.conj().T if adjoint else a
-    expected = op_a @ b
-    got = matmul(a, b, adjoint_a=adjoint)
-    assert got.shape == expected.shape and got.dtype == expected.dtype
-    # relative to the sum of |terms| of each entry, the scale of its roundoff
-    scale = np.abs(op_a) @ np.abs(b)
-    assert np.all(np.abs(got - expected) <= 1e-13 * scale)
-
-
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_matmul_propagates_nan(layout):
+    # the Gram product U*U of the unitarity defect is numpy's matmul (@)
     U = np.array(build_floquet(MapFamily("chaotic"), PlanckScale(16)).dense(),
                  order=layout)
     U[3, 5] = np.nan
-    gram = matmul(U, U, adjoint_a=True)
-    assert np.isnan(gram[5]).all() and np.isnan(gram[:, 5]).all()
     assert np.isnan(_unitarity_defect(U))
 
 
-def test_every_dense_product_goes_through_matmul():
-    # numpy's @, dot and linalg run on numpy's BLAS pool, beside the scipy
-    # pool that LAPACK uses; on a few cores the two pools contend
-    offenders = []
-    for path in sorted(pathlib.Path(qmap.model.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (isinstance(node, (ast.BinOp, ast.AugAssign))
-                    and isinstance(node.op, ast.MatMult)):
-                offenders.append(f"{path.name}:{node.lineno} @")
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in _NUMPY_PRODUCTS
-                  and (node.func.attr == "dot"
-                       or _is_numpy(node.func.value))):
-                offenders.append(
-                    f"{path.name}:{node.lineno} .{node.func.attr}()")
-            elif (isinstance(node, ast.Attribute)
-                  and node.attr in _NUMPY_LAPACK
-                  and isinstance(node.value, ast.Attribute)
-                  and node.value.attr == "linalg"
-                  and _is_numpy(node.value.value)):
-                offenders.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
-            elif (isinstance(node, ast.ImportFrom)
-                  and node.module == "numpy.linalg"):
-                offenders.extend(f"{path.name}:{node.lineno} linalg.{alias.name}"
-                                 for alias in node.names
-                                 if alias.name in _NUMPY_LAPACK)
-    assert not offenders, offenders
+def test_only_the_schur_fallback_imports_scipy_linalg():
+    # every product and LAPACK call runs on numpy's OpenBLAS; scipy.linalg,
+    # .blas and .lapack with it, would load scipy's own OpenBLAS beside it
+    found = package_imports("scipy.linalg")
+    assert [entry[:2] for entry in found] == [("spectral.py", "_schur")], \
+        found
 
 
 def test_two_level_free_propagator_matrix(monkeypatch):
@@ -188,10 +131,9 @@ def test_factored_product_matches_the_dense_unitary(variant, half_N, r,
     op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
     V = _operand(np.random.default_rng(seed), (op.N, columns), True, layout)
     V /= np.linalg.norm(V, axis=0)
-    assert np.max(np.abs(op.apply(V) - matmul(op.dense(), V))) < 1e-14
+    assert np.max(np.abs(op.apply(V) - op.dense() @ V)) < 1e-14
     # real columns too: the real route's bases are real
-    assert np.max(np.abs(op.apply(V.real) - matmul(op.dense(), V.real))) \
-        < 1e-14
+    assert np.max(np.abs(op.apply(V.real) - op.dense() @ V.real)) < 1e-14
 
 
 def test_build_floquet_allocates_no_square_array():

@@ -177,7 +177,7 @@ def test_failed_cayley_passes_fall_back_to_schur(monkeypatch):
 
     monkeypatch.setattr(spectral_mod, "eigh", bad_eigh)
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "schur")
+    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(op)
     assert len(passes) == 2 and len(fallbacks) == 1
     assert data.max_residual < 1e-11
@@ -203,7 +203,7 @@ def test_non_orthonormal_passes_fall_back_to_schur(monkeypatch):
     op = build_floquet(MapFamily("regular", r=0.4), PlanckScale(64))
     skewed_eigh(monkeypatch, "eigh")
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "schur")
+    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(op)
     assert len(passes) == 2 and len(fallbacks) == 1
     assert orthonormality_defect(data.vectors) < 1e-12
@@ -212,7 +212,7 @@ def test_non_orthonormal_passes_fall_back_to_schur(monkeypatch):
 
 def test_no_orthonormal_pass_raises(monkeypatch):
     skewed_eigh(monkeypatch, "eigh")
-    skewed_eigh(monkeypatch, "schur")
+    skewed_eigh(monkeypatch, "_schur")
     with pytest.raises(NumericalError, match="orthonormality"):
         diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(16)))
 
@@ -242,7 +242,7 @@ def test_half_drift_gives_a_symmetric_similar_form(variant, half_N, r):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_floquet_operators_take_the_real_route(monkeypatch, variant, N):
     real_passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "schur")
+    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(build_floquet(MapFamily(variant, r=0.7), PlanckScale(N)))
     assert not fallbacks
     assert real_passes and real_passes[0][1] == CAYLEY_SHIFT
@@ -262,7 +262,7 @@ def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
     shift = float(reference.phases[11] + np.pi)
     monkeypatch.setattr(spectral_mod, "CAYLEY_SHIFT", shift)
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "schur")
+    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(op)
     # the first pass meets the pole (1 + A is singular to roundoff there);
     # the second, with the pole moved, certifies
@@ -274,20 +274,20 @@ def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
 
 
 def test_failed_factor_moves_the_pole_to_the_opposite_side(monkeypatch):
-    # a failed Cholesky factor of 1 + A leaves no phases to find a gap in
-    real = spectral_mod.dpotrf
+    # an exactly singular 1 + A fails the solve and leaves no phases to
+    # find a gap in
+    real = spectral_mod.solve
     failures = []
 
-    def failing_once(a, **kwargs):
-        c, info = real(a, **kwargs)
+    def failing_once(a, b):
         if not failures:
-            failures.append(info)
-            info = 1
-        return c, info
+            failures.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
 
-    monkeypatch.setattr(spectral_mod, "dpotrf", failing_once)
+    monkeypatch.setattr(spectral_mod, "solve", failing_once)
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "schur")
+    fallbacks = record_calls(monkeypatch, "_schur")
     op = build_floquet(MapFamily("slow_ergodic", r=0.4), PlanckScale(64))
     data = diagonalize(op)
     assert [alpha for _, alpha in passes] == [CAYLEY_SHIFT, CAYLEY_SHIFT + np.pi]
@@ -336,7 +336,7 @@ def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
         return np.zeros(N), np.full((N, N), np.nan, dtype=complex)
 
     monkeypatch.setattr(spectral_mod, "eigh", nan_basis)
-    monkeypatch.setattr(spectral_mod, "schur", nan_basis)
+    monkeypatch.setattr(spectral_mod, "_schur", nan_basis)
     with pytest.raises(NumericalError, match="eigenpair residual"):
         diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(4)))
 
@@ -379,7 +379,7 @@ def test_residuals_read_the_operators_own_factors(monkeypatch):
         return half
 
     monkeypatch.setattr(spectral_mod, "half_free_propagator", off_by_a_phase)
-    fallbacks = record_calls(monkeypatch, "schur")
+    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(op)
     assert len(calls) == 3 and len(fallbacks) == 1
     assert data.real_vectors is None

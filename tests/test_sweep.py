@@ -1,5 +1,7 @@
 """Level tracking across r, shift statistics, and scaling-law fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -129,18 +131,30 @@ def test_fine_step_at_full_size_tracks_identically(chaotic_512):
     assert overlaps.min() > 0.9
 
 
+def recording(data, products):
+    """data with its bases viewed as arrays whose @ logs the dtypes of
+    (left, right) in products."""
+
+    class Recording(np.ndarray):
+        def __matmul__(self, other):
+            products.append((self.dtype, other.dtype))
+            return np.asarray(self) @ np.asarray(other)
+
+    real = data.real_vectors
+    return dataclasses.replace(
+        data, vectors=data.vectors.view(Recording),
+        real_vectors=None if real is None else real.view(Recording))
+
+
 @pytest.mark.parametrize("variant", ["chaotic", "regular"])
-def test_real_overlaps_equal_the_complex_ones(monkeypatch, variant):
+def test_real_overlaps_equal_the_complex_ones(variant):
     # V = C^(1/2) R with one half drift at every r of a position-site
     # variant, so the overlaps come from the real bases alone
     products = []
-    real_matmul = sweep_mod.matmul
-    monkeypatch.setattr(sweep_mod, "matmul", lambda a, b, **kw: (
-        products.append((a.dtype, b.dtype)) or real_matmul(a, b, **kw)))
     scale = PlanckScale(128)
     a = diagonalize(build_floquet(MapFamily(variant, r=0.4), scale))
     b = diagonalize(build_floquet(MapFamily(variant, r=0.9), scale))
-    O = sweep_mod._overlaps(a, b)
+    O = sweep_mod._overlaps(recording(a, products), recording(b, products))
     assert products == [(np.float64, np.float64)]
     assert np.max(np.abs(O - np.abs(a.vectors.conj().T @ b.vectors) ** 2)) \
         < 1e-13
@@ -148,22 +162,20 @@ def test_real_overlaps_equal_the_complex_ones(monkeypatch, variant):
 
 def test_slow_ergodic_and_schur_steps_take_the_complex_overlap(monkeypatch):
     products = []
-    real_matmul = sweep_mod.matmul
-    monkeypatch.setattr(sweep_mod, "matmul", lambda a, b, **kw: (
-        products.append((a.dtype, b.dtype)) or real_matmul(a, b, **kw)))
     scale = PlanckScale(32)
     # slow_ergodic carries r in the half drift, so C^(1/2) differs by r
     slow = [diagonalize(build_floquet(MapFamily("slow_ergodic", r=r), scale))
             for r in (0.4, 0.45)]
     assert all(data.real_vectors is not None for data in slow)
-    track_levels(*slow)
+    track_levels(*(recording(data, products) for data in slow))
     # a step onto a Schur basis has no real basis on that side
     chaotic = diagonalize(build_floquet(MapFamily("chaotic", r=0.4), scale))
     monkeypatch.setattr(spectral_mod, "eigh", lambda X, **kw: (
         np.zeros(X.shape[0]), np.eye(X.shape[0]) * 2.0))
     by_schur = diagonalize(build_floquet(MapFamily("chaotic", r=0.45), scale))
     assert by_schur.real_vectors is None
-    perm, overlaps = track_levels(chaotic, by_schur)
+    perm, overlaps = track_levels(recording(chaotic, products),
+                                  recording(by_schur, products))
     assert products == [(np.complex128, np.complex128)] * 2
     assert np.array_equal(perm, np.arange(32)) and overlaps.min() > 0.9
 
