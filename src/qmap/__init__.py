@@ -56,8 +56,9 @@ def _load_all() -> None:
 
     The top-level scipy package is imported too, for its version (the
     environment record of bench/traced.py reads it); it loads no BLAS.
-    scipy.linalg and scipy.optimize, with scipy's own OpenBLAS, load only
-    in the rare Schur and assignment fallbacks.
+    scipy.linalg and scipy's own OpenBLAS load only in the rare Schur and
+    assignment fallbacks; only Schur runs scipy's LAPACK (importing
+    scipy.optimize loads scipy.linalg).
     """
     import scipy
     for module in _EXPORTS:

@@ -20,11 +20,11 @@ applied to the standard environment knobs before numpy is first imported,
 which is why `import qmap` loads no numerical module and the numerical
 modules are imported inside functions here.  Every dense product and
 every LAPACK call runs on one pool, numpy's OpenBLAS (see qmap.quantize
-and qmap.spectral), and QMAP_THREADS caps that pool; scipy's LAPACK runs
-only in the rare Schur and assignment fallbacks.  It
-also caps the worker threads of the Monte Carlo correlator
-(qmap.classical.classical_correlator), whose result is bit-identical at
-every count.
+and qmap.spectral), which QMAP_THREADS caps; only the rare Schur fallback
+runs scipy's LAPACK.  The rare assignment fallback runs none, though
+importing scipy.optimize loads scipy.linalg.  QMAP_THREADS also caps the
+Monte Carlo correlator's worker threads (qmap.classical), whose result is
+bit-identical at every count.
 """
 
 from __future__ import annotations

@@ -128,17 +128,12 @@ def read_classical_curve(spec: RunSpec):
 
 
 def _model_entry(fit) -> dict:
-    entry = {
+    return {
         "params": {k: float(v) for k, v in fit.params.items()},
         "rss_log": float(fit.rss_log),
         "aic": float(fit.aic),
         "predicted": [float(p) for p in fit.predicted],
     }
-    if fit.iterations is not None:
-        # how the iterative fit ended: deterministic, so reruns stay equal
-        entry["iterations"] = int(fit.iterations)
-        entry["converged"] = bool(fit.converged)
-    return entry
 
 
 def write_fit_json(path: str, spec: RunSpec, study) -> None:

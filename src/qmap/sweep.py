@@ -52,12 +52,8 @@ MODEL_NAMES = ("power_law", "constant", "log_model")
 # a scaling fit is in first-order response while every N's mean_sq is at
 # least this share of its one-diagonalization estimate
 FIRST_ORDER_FLOOR = 0.9
-# the log model is degenerate where |alpha + beta log N| falls below this
-DEGENERATE_BASE = 1e-12
-LM_MAX_ITERATIONS = 100
-# a log-model step whose cost change is within this share of its rounding
-# meets the stop rule
-LM_ROUNDOFF = 8.0 * np.finfo(float).eps
+# intervals of the log model's scan of its branch
+LOG_MODEL_SCAN = 1024
 
 
 def _overlaps(prev, next) -> np.ndarray:
@@ -417,20 +413,13 @@ def shift_statistics(traj: LevelTrajectories, r0: float | None = None,
 
 @dataclass(frozen=True, eq=False)
 class ModelFit:
-    """One candidate model of mean-square shift versus h, scored in log space.
-
-    iterations and converged describe an iterative fit: the trials it made
-    and whether its stop rule ended it (False: the iteration cap did).
-    Closed-form fits leave both None.
-    """
+    """One candidate model of mean_sq versus h, scored in log space."""
 
     name: str
     params: dict
     rss_log: float
     aic: float
     predicted: np.ndarray
-    iterations: int | None = None
-    converged: bool | None = None
 
     def __post_init__(self):
         self.predicted.setflags(write=False)
@@ -445,12 +434,11 @@ def _aicc(n: int, rss: float, k: int) -> float:
 
 
 def _scored(name: str, params: dict, log_y: np.ndarray,
-            pred_log: np.ndarray, k: int, **solver) -> ModelFit:
+            pred_log: np.ndarray, k: int) -> ModelFit:
     """A k-parameter fit with its log-space residual and AICc."""
     rss = float(np.sum((log_y - pred_log) ** 2))
     return ModelFit(name=name, params=params, rss_log=rss,
-                    aic=_aicc(log_y.size, rss, k), predicted=np.exp(pred_log),
-                    **solver)
+                    aic=_aicc(log_y.size, rss, k), predicted=np.exp(pred_log))
 
 
 def _fit_power_law(log_h: np.ndarray, log_y: np.ndarray) -> ModelFit:
@@ -469,80 +457,57 @@ def _fit_constant(log_y: np.ndarray) -> ModelFit:
                    np.full(log_y.size, level), 1)
 
 
-def _fit_log_model(log_N: np.ndarray, y: np.ndarray,
-                   log_y: np.ndarray) -> ModelFit:
-    """Fit y = 1 / (alpha + beta log N)^2 by Levenberg-Marquardt in log space.
+def _log_model_profile(s, x: np.ndarray, log_y: np.ndarray):
+    """q = log y + 2 log(1 + s x), d = q - mean(q), and g'/2 and g''/2 of
+    g = sum d^2, for a scalar s or an array of them (a row each)."""
+    sx = np.multiply.outer(s, x)
+    q = log_y + 2.0 * np.log1p(sx)
+    d = q - q.mean(axis=-1, keepdims=True)
+    u = 2.0 * x / (1.0 + sx)  # d q / d s
+    curvature = np.sum((u - u.mean(axis=-1, keepdims=True)) ** 2
+                       - 0.5 * d * u ** 2, axis=-1)
+    return q, d, np.sum(d * u, axis=-1), curvature
 
-    A prefactor would be redundant (it rescales alpha and beta).  The start
-    is the linear fit of z = 1/sqrt(y) = alpha + beta log N; from there the
-    residuals log y + 2 log|base|, base = alpha + beta log N, are minimized
-    with the analytic Jacobian, row i (2 / base_i) [1, log N_i], and
-    Marquardt's damping scaled by the Jacobian's column norms (SIAM J.
-    Appl. Math. 11, 431 (1963)).  A trial step that raises the cost, passes
-    a base through 0 or leaves one below DEGENERATE_BASE is rejected and
-    the damping grows tenfold; an accepted step shrinks it tenfold.
 
-    A step's cost change is summed from the residual changes
-    -2 log1p(d base / base), free of the cancellation in a difference of
-    costs.  The loop stops once a step changes the cost by no more than
-    the roundoff of that sum, or after LM_MAX_ITERATIONS steps, and the
-    fit records which.  The cap binds only where the best fit puts a pole
-    of the model inside the ladder (a base that changes sign): residuals
-    of order one there slow Gauss-Newton's linear convergence.
+def _fit_log_model(log_N: np.ndarray, log_y: np.ndarray) -> ModelFit:
+    """Fit y = 1 / (alpha + beta log N)^2 in log space on its physical branch.
+
+    With x = log N - mean(log N), alpha + beta log N = a (1 + s x), a > 0.
+    For each s the best log a is -mean(q) / 2, which leaves the residuals d
+    and cost g(s) of _log_model_profile (variable projection: Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).  s ranges over the open
+    interval where every 1 + s x > 0, so the pole N0 = exp(-alpha / beta)
+    lies outside the ladder; s = 0 is the constant limit, and g grows
+    without bound at both ends.  The least g of a fixed scan and its two
+    neighbours bracket the minimum; Newton's method on g', bisecting where
+    a step leaves the bracket, runs until its step would change no base.
     """
-    design = np.column_stack([np.ones_like(log_N), log_N])
-    params, _, rank, _ = np.linalg.lstsq(design, 1.0 / np.sqrt(y), rcond=None)
-    if rank < 2:
+    mean_log_N = float(np.mean(log_N))
+    x = log_N - mean_log_N
+    if not x.max() > x.min():
         raise FitError("scaling: log-model design matrix is singular")
-
-    def base_of(p):
-        base = p[0] + p[1] * log_N
-        return base if np.all(np.abs(base) >= DEGENERATE_BASE) else None
-
-    def residuals_at(p, base):
-        """Residuals, and the size of each one's rounding in units of eps:
-        that of log y, of the log, and of forming base from p."""
-        residual = log_y + 2.0 * np.log(np.abs(base))
-        formed = (np.abs(p[0]) + np.abs(p[1] * log_N)) / np.abs(base)
-        return residual, np.abs(log_y) + np.abs(residual) + 2.0 * formed
-
-    base = base_of(params)
-    if base is None:
-        raise FitError("scaling: log model degenerate (alpha + beta log N ~ 0)")
-    residual, rounding = residuals_at(params, base)
-    damping = 1e-3
-    converged = False
-    for iterations in range(1, LM_MAX_ITERATIONS + 1):
-        jacobian = (2.0 / base)[:, None] * design
-        scale = np.sqrt(damping * np.sum(jacobian ** 2, axis=0))
-        step = np.linalg.lstsq(np.vstack([jacobian, np.diag(scale)]),
-                               np.concatenate([-residual, [0.0, 0.0]]),
-                               rcond=None)[0]
-        trial = params + step
-        moved = trial - params  # the step as rounded into trial
-        # relative move of each base; below -1 the step passes through 0
-        ratio = (moved[0] + moved[1] * log_N) / base
-        trial_base = base_of(trial)
-        if trial_base is not None and np.all(ratio > -1.0):
-            # residual minus trial residual, and the cost's fall from it
-            change = -2.0 * np.log1p(ratio)
-            fall = float(np.sum(change * (2.0 * residual - change)))
-            roundoff = LM_ROUNDOFF * float(
-                np.sum(np.abs(change) * (rounding + np.abs(change))))
-            if fall > roundoff:
-                params, base = trial, trial_base
-                residual, rounding = residuals_at(params, base)
-                damping *= 0.1
-                continue
-            if fall >= -roundoff:
-                converged = True
+    points = np.linspace(-1.0 / x.max(), -1.0 / x.min(), LOG_MODEL_SCAN + 1)
+    d = _log_model_profile(points[1:-1], x, log_y)[1]
+    k = int(np.argmin(np.sum(d ** 2, axis=1)))
+    lo, s, hi = points[k:k + 3]
+    while True:
+        q, d, slope, curvature = _log_model_profile(s, x, log_y)
+        if slope < 0.0:
+            lo = s
+        else:
+            hi = s
+        step = s - slope / curvature if curvature > 0.0 else np.nan
+        if np.array_equal(1.0 + step * x, 1.0 + s * x):
+            break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
                 break
-        damping *= 10.0
+        s = step
 
-    return _scored("log_model",
-                   {"alpha": float(params[0]), "beta": float(params[1])},
-                   log_y, -2.0 * np.log(np.abs(base)), 2,
-                   iterations=iterations, converged=converged)
+    a = np.exp(-0.5 * np.mean(q))
+    params = {"alpha": float(a * (1.0 - s * mean_log_N)), "beta": float(a * s)}
+    return _scored("log_model", params, log_y, log_y - d, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -607,17 +572,16 @@ def fit_shift_scaling(N_values, mean_sq) -> tuple:
         raise DomainError("scaling: N_values and mean_sq lengths differ")
     if N_values.size < 3:
         raise DomainError("scaling: need at least 3 ladder points to fit")
-    if np.any(y <= 0.0):
-        raise FitError("scaling: mean-square shifts must be positive to fit")
+    if not np.all((y > 0.0) & (y < np.inf)):  # a NaN fails too
+        raise FitError("scaling: mean-square shifts must be positive and "
+                       "finite to fit")
 
-    log_h = -np.log(N_values)
     log_N = np.log(N_values)
     log_y = np.log(y)
-
     models = {
-        "power_law": _fit_power_law(log_h, log_y),
+        "power_law": _fit_power_law(-log_N, log_y),
         "constant": _fit_constant(log_y),
-        "log_model": _fit_log_model(log_N, y, log_y),
+        "log_model": _fit_log_model(log_N, log_y),
     }
     winner = min(models.values(), key=lambda f: (f.aic, f.name)).name
     return models, winner
