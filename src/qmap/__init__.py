@@ -29,7 +29,7 @@ _EXPORTS = {
                "TrackingError"),
     "model": ("VARIANTS", "MapFamily", "PhaseSpacePoint", "PlanckScale",
               "require_even_dimension"),
-    "quantize": ("FloquetOperator", "ObservableMatrix", "build_floquet",
+    "quantize": ("FloquetOperator", "Observable", "build_floquet",
                  "free_propagator", "kick_propagator", "quantize_observable"),
     "spectral": ("SpectralData", "diagonalize", "mean_spacing"),
     "sweep": ("LevelTrajectories", "ModelFit", "ScalingFit", "ShiftStatistics",

@@ -12,6 +12,10 @@ eigenbasis of a Floquet operator:
 
 Each returns its own complete result: ErgodicityReport and FCurveReport.
 
+A is the real diagonal a in its own basis, where the eigenvectors are W:
+d = a^T |W|^2 in O(N^2), and M = W* (a W) by one complex product, which
+F(T) and the eigenbasis correlator each form.
+
 F(T) is assembled as (diag_sum + offdiag_sum(T)) / N with one shared
 diag_sum and same-shaped weight arrays for every T, so the inequalities
 F(inf) <= F(T2) <= F(T1) for T1 <= T2 hold exactly in floating point, not
@@ -27,11 +31,9 @@ import numpy as np
 
 from .classical import CorrelatorCurve, microcanonical_average
 from .errors import DomainError, NumericalError
-from .quantize import FloquetOperator, ObservableMatrix
+from .quantize import FloquetOperator, Observable
 from .spectral import SpectralData, wrap_phase
 
-DIAGONAL_IMAG_TOL = 1e-8
-QUANTUM_REAL_TOL = 1e-9
 _IDENTITY_TOL = 1e-9
 
 
@@ -64,7 +66,7 @@ class FCurveReport:
     F_infinity: float
 
 
-def _check_dimension(obs: ObservableMatrix, N: int, against: str) -> None:
+def _check_dimension(obs: Observable, N: int, against: str) -> None:
     if obs.N != N:
         raise DomainError(
             f"ergodicity: observable dimension {obs.N} != {against} dimension {N}")
@@ -75,27 +77,24 @@ def _check_t_range(t_range: int) -> None:
         raise DomainError(f"ergodicity: t_range must be >= 0, got {t_range}")
 
 
-def _eigenbasis_matrix(data: SpectralData, obs: ObservableMatrix) -> np.ndarray:
+def _eigenvectors_at_site(data: SpectralData, obs: Observable) -> np.ndarray:
     _check_dimension(obs, data.N, "spectrum")
-    return data.vectors.conj().T @ (obs.matrix @ data.vectors)
+    return obs.at_site(data.vectors)
+
+
+def _eigenbasis_matrix(obs: Observable, W: np.ndarray) -> np.ndarray:
+    """M = V* A V = W* (a W), W the eigenvectors at the observable's site."""
+    return W.conj().T @ (obs.diagonal[:, None] * W)
 
 
 def diagonal_elements_report(data: SpectralData,
-                             obs: ObservableMatrix) -> ErgodicityReport:
+                             obs: Observable) -> ErgodicityReport:
     """Diagonal elements <n|A|n>, their mean and mean-square deviation from a0.
 
-    a0 is the microcanonical average of the observable's classical symbol.
-    Diagonals of a Hermitian matrix are real; the imaginary parts are
-    checked against 1e-8 and then discarded.
+    a0 is the microcanonical average of the observable's classical symbol;
+    the diagonals are a^T |W|^2, real by construction, and M is not formed.
     """
-    M = _eigenbasis_matrix(data, obs)
-    diag = np.diagonal(M)
-    worst_imag = float(np.max(np.abs(diag.imag)))
-    if worst_imag >= DIAGONAL_IMAG_TOL:
-        raise NumericalError(
-            f"ergodicity: diagonal element imaginary part {worst_imag:.3e} "
-            f"breaks Hermiticity (threshold {DIAGONAL_IMAG_TOL:.0e})")
-    d = diag.real.copy()
+    d = obs.diagonal_elements(_eigenvectors_at_site(data, obs))
     a0 = microcanonical_average(obs.classical_label)
 
     mean = float(np.mean(d))
@@ -120,7 +119,7 @@ def diagonal_elements_report(data: SpectralData,
     )
 
 
-def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
+def quantum_F_curve(data: SpectralData, obs: Observable,
                     T_grid) -> FCurveReport:
     """Evaluate F(T) on an ascending grid; F_infinity is the diagonal term."""
     T_grid = np.asarray(T_grid, dtype=float)
@@ -131,9 +130,10 @@ def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
     if np.any(np.diff(T_grid) <= 0.0):
         raise DomainError("ergodicity: T grid must be strictly ascending")
 
-    M = _eigenbasis_matrix(data, obs)
-    P = np.abs(M) ** 2
-    diag_sum = float(np.sum(np.diagonal(P)))
+    W = _eigenvectors_at_site(data, obs)
+    P = np.abs(_eigenbasis_matrix(obs, W)) ** 2
+    # the <n|A|n> reader's, so F_infinity equals the report's bit for bit
+    diag_sum = float(np.sum(obs.diagonal_elements(W) ** 2))
     np.fill_diagonal(P, 0.0)
     delta = wrap_phase(data.phases[:, None] - data.phases[None, :])
 
@@ -151,48 +151,32 @@ def quantum_F_curve(data: SpectralData, obs: ObservableMatrix,
     )
 
 
-def quantum_correlator(op: FloquetOperator, obs: ObservableMatrix,
+def quantum_correlator(op: FloquetOperator, obs: Observable,
                        t_range: int) -> np.ndarray:
     """Trace autocorrelation f(t) = tr(A U^t A U^-t) / N for t = 0 .. t_range.
 
-    Works by conjugating A one period at a time, never diagonalizing, so it
-    cross-checks the eigenbasis route instead of sharing its failure modes.
-    Each period applies the stored factors of U = F^-1 D_T F D_V: the kick
-    phases on both sides of B, then the circulant F^-1 D_T F by FFTs along
-    axis 0 and its adjoint along axis 1, O(N^2 log N) instead of two dense
-    products.  f(t) must come out real to 1e-9; a larger imaginary part
-    means U lost unitarity or A lost Hermiticity.
+    Evolves the observable's basis vectors E (the identity at the position
+    site, F^-1 at the momentum site) by one FloquetOperator.apply per
+    period, never diagonalizing, so it cross-checks the eigenbasis route
+    instead of sharing its failure modes.  For A = diag(a) in its own
+    basis, tr(A B A B*) = sum_jk a_j a_k |B_jk|^2 with B = E^-1 U^t E, the
+    columns U^t E at_site, so f(t) = a^T |B|^2 a / N, real by construction.
     """
     _check_t_range(t_range)
     _check_dimension(obs, op.N, "operator")
-    A = obs.matrix
-    # tr(A B) = sum_ij conj((A*)_ji) B_ji, one dot product over the entries
-    A_adjoint = np.ascontiguousarray(A.conj().T)
-    kick = op.kick_phases[:, None] * op.kick_phases.conj()[None, :]
-    drift = op.drift_phases[:, None]
-    drift_adjoint = op.drift_phases.conj()[None, :]
-    B = A.copy()
+    basis = np.eye(op.N, dtype=complex)
+    if obs.site == "momentum":
+        basis = np.fft.ifft(basis, axis=0) * np.sqrt(op.N)
     values = np.empty(t_range + 1)
     for t in range(t_range + 1):
         if t > 0:
-            # B <- C D_V B D_V* C*, every array update in place
-            B *= kick
-            np.fft.fft(B, axis=0, out=B)
-            B *= drift
-            np.fft.ifft(B, axis=0, out=B)
-            np.fft.ifft(B, axis=1, out=B)
-            B *= drift_adjoint
-            np.fft.fft(B, axis=1, out=B)
-        f_t = np.vdot(A_adjoint, B) / op.N
-        if abs(f_t.imag) >= QUANTUM_REAL_TOL:
-            raise NumericalError(
-                f"ergodicity: f({t}) has imaginary part {f_t.imag:.3e}; "
-                "Hermiticity/unitarity failure")
-        values[t] = f_t.real
+            basis = op.apply(basis)
+        values[t] = (obs.diagonal_elements(obs.at_site(basis)) @ obs.diagonal
+                     / op.N)
     return values
 
 
-def quantum_correlator_eigenbasis(data: SpectralData, obs: ObservableMatrix,
+def quantum_correlator_eigenbasis(data: SpectralData, obs: Observable,
                                   t_range: int) -> np.ndarray:
     """Same trace autocorrelation from eigenphases and P = |M_nm|^2.
 
@@ -201,7 +185,7 @@ def quantum_correlator_eigenbasis(data: SpectralData, obs: ObservableMatrix,
     P [C S] serves every lag.
     """
     _check_t_range(t_range)
-    P = np.abs(_eigenbasis_matrix(data, obs)) ** 2
+    P = np.abs(_eigenbasis_matrix(obs, _eigenvectors_at_site(data, obs))) ** 2
     angles = data.phases[:, None] * np.arange(t_range + 1)[None, :]
     waves = np.concatenate((np.cos(angles), np.sin(angles)), axis=1)
     terms = (P @ waves) * waves

@@ -26,9 +26,13 @@ The quantization parameter enters only through the r h^2 cos term in V
 (position-site variants) or T (slow_ergodic), hence changing r multiplies
 U on the right by a diagonal phase for position-site variants.
 
-Every dense product in the package is numpy's `@` (or `vdot`), on
-numpy's OpenBLAS, the pool that also runs the spectral module's LAPACK
-calls, so one BLAS thread pool does all the work and QMAP_THREADS caps it.
+An observable is its real diagonal a in its site, the one basis where it
+is diagonal (momentum for cos(2 pi p) = F^-1 diag(a) F, else position):
+never a dense matrix, and Hermitian by construction.
+
+Every dense product in the package is numpy's `@`, on numpy's OpenBLAS,
+the pool that also runs the spectral module's LAPACK calls, so one BLAS
+thread pool does all the work and QMAP_THREADS caps it.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .model import (MapFamily, PlanckScale, kinetic, potential,
-                    require_even_dimension)
+                    quantization_profile, require_even_dimension)
 
 UNITARITY_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
+_SITES = {"cos2pi_q": "position", "cos2pi_p": "momentum",
+          "identity": "position"}
 
 
 def kick_propagator(family: MapFamily, scale: PlanckScale) -> np.ndarray:
@@ -130,16 +135,28 @@ class FloquetOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class ObservableMatrix:
-    """Hermitian matrix of a classical observable, stored in the position basis."""
+class Observable:
+    """A quantized observable: the real diagonal a of A in the basis named
+    by site, "position" or "momentum" (there A = F^-1 diag(a) F)."""
 
     N: int
-    basis: str
     classical_label: str
-    matrix: np.ndarray
+    site: str
+    diagonal: np.ndarray
 
     def __post_init__(self):
-        self.matrix.setflags(write=False)
+        self.diagonal.setflags(write=False)
+
+    def at_site(self, V: np.ndarray) -> np.ndarray:
+        """Position-basis columns V in the observable's basis: V itself, or
+        F V = fft(V, axis=0) / sqrt(N) as a new array at the momentum site."""
+        if self.site == "momentum":
+            return np.fft.fft(V, axis=0) / np.sqrt(self.N)
+        return V
+
+    def diagonal_elements(self, W: np.ndarray) -> np.ndarray:
+        """<n|A|n> = a^T |W|^2 of columns W already at_site: O(N^2), real."""
+        return self.diagonal @ np.abs(W) ** 2
 
 
 def build_floquet(family: MapFamily, scale: PlanckScale) -> FloquetOperator:
@@ -158,28 +175,12 @@ def build_floquet(family: MapFamily, scale: PlanckScale) -> FloquetOperator:
                            kick_phases=dv, drift_phases=dt)
 
 
-def quantize_observable(label: str, scale: PlanckScale) -> ObservableMatrix:
-    """Matrix of cos(2 pi q), cos(2 pi p) or the identity on the N-point grid."""
-    N = scale.N
-    grid = np.arange(N) / N
-    # Matrices are always expressed in the position basis; cos(2 pi p) is
-    # Fourier-conjugated back, which leaves a real tridiagonal circulant.
-    if label == "cos2pi_q":
-        matrix = np.diag(np.cos(2.0 * np.pi * grid)).astype(complex)
-    elif label == "cos2pi_p":
-        matrix = _circulant_from_momentum_diagonal(
-            np.cos(2.0 * np.pi * grid).astype(complex))
-    elif label == "identity":
-        matrix = np.eye(N, dtype=complex)
-    else:
+def quantize_observable(label: str, scale: PlanckScale) -> Observable:
+    """cos(2 pi q), cos(2 pi p) or the identity as its diagonal at its site."""
+    site = _SITES.get(label)
+    if site is None:
         raise DomainError(f"quantize: unknown observable label {label!r}")
-
-    herm = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if not herm < HERMITICITY_TOL:
-        raise NumericalError(
-            f"quantize: Hermiticity certificate {herm:.3e} at or above "
-            f"{HERMITICITY_TOL:.0e} for {label}"
-        )
-    matrix = 0.5 * (matrix + matrix.conj().T)
-    return ObservableMatrix(N=N, basis="position", classical_label=label,
-                            matrix=matrix)
+    N = scale.N
+    diagonal = (np.ones(N) if label == "identity"
+                else quantization_profile(np.arange(N) / N))
+    return Observable(N=N, classical_label=label, site=site, diagonal=diagonal)

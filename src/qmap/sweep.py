@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
-from .model import MapFamily, PlanckScale, quantization_profile
-from .quantize import build_floquet
+from .model import MapFamily, PlanckScale
+from .quantize import build_floquet, quantize_observable
 from .spectral import cyclic_gaps, diagonalize, mean_spacing, wrap_phase
 
 TRACK_FAIL_BELOW = 0.25
@@ -173,16 +173,12 @@ def level_velocities(family: MapFamily, vectors: np.ndarray) -> np.ndarray:
 
     r enters U only through the phase exp(-i r (2 pi / N) cos 2 pi x) at
     the family's perturbation site, so level n moves at <n|cos 2 pi x|n>
-    mean spacings per unit r: sum_j |V_jn|^2 cos(2 pi q_j) at the position
-    site, the same sum over the unitary Fourier transform of each column
-    at the momentum site.  O(N^2) from vectors already held (O(N^2 log N)
-    for the momentum site).
+    mean spacings per unit r: the <n|A|n> reader of that site's observable
+    (Observable.diagonal_elements), O(N^2) from vectors already held.
     """
-    N = vectors.shape[0]
-    if family.perturbation_site == "momentum":
-        vectors = np.fft.fft(vectors, axis=0) / np.sqrt(N)
-    profile = quantization_profile(np.arange(N) / N)
-    return profile @ np.abs(vectors) ** 2
+    label = "cos2pi_p" if family.perturbation_site == "momentum" else "cos2pi_q"
+    obs = quantize_observable(label, PlanckScale(vectors.shape[0]))
+    return obs.diagonal_elements(obs.at_site(vectors))
 
 
 def _gaps_stay_open(phases_a, velocities_a, phases_b, velocities_b,
@@ -545,10 +541,6 @@ class ScalingFit:
         return self.models["power_law"].params["exponent"]
 
     @property
-    def residual_sum(self) -> float:
-        return self.models[self.model].rss_log
-
-    @property
     def first_order_ratios(self) -> np.ndarray:
         """mean_sq over its first-order estimate, per N."""
         return self.mean_sq / np.array(self.first_order_estimates)
@@ -572,6 +564,8 @@ def fit_shift_scaling(N_values, mean_sq) -> tuple:
         raise DomainError("scaling: N_values and mean_sq lengths differ")
     if N_values.size < 3:
         raise DomainError("scaling: need at least 3 ladder points to fit")
+    if not np.all((N_values > 0.0) & (N_values < np.inf)):  # a NaN fails too
+        raise DomainError("scaling: every N must be positive and finite")
     if not np.all((y > 0.0) & (y < np.inf)):  # a NaN fails too
         raise FitError("scaling: mean-square shifts must be positive and "
                        "finite to fit")

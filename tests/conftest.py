@@ -26,6 +26,7 @@ from qmap import (
     shift_statistics,
     sweep_quantization,
 )
+from qmap.quantize import _circulant_from_momentum_diagonal
 
 LADDER = (64, 128, 256, 512)
 
@@ -139,6 +140,15 @@ def random_unitary(rng, N: int) -> np.ndarray:
     Z = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     Q, R = np.linalg.qr(Z)
     return Q * (R.diagonal() / np.abs(R.diagonal()))[None, :]
+
+
+def dense_observable(obs) -> np.ndarray:
+    """The observable as a dense complex position-basis matrix, the
+    reference its structured readers are checked against: diag(a) at the
+    position site, the circulant F^-1 diag(a) F at the momentum site."""
+    if obs.site == "momentum":
+        return _circulant_from_momentum_diagonal(obs.diagonal.astype(complex))
+    return np.diag(obs.diagonal).astype(complex)
 
 
 def _ladder_sweeps(variant: str) -> dict:

@@ -483,6 +483,41 @@ def test_results_agree_across_thread_counts(tmp_path):
 # back instead of running the Monte Carlo correlator again
 ERGODICITY = ["ergodicity", "--N", "16,32", "--t-max", "5",
               "--samples", "20000"]
+
+
+def _worst_field_gap(lines_a, lines_b):
+    """Largest relative gap |a - b| / max(|a|, |b|) over the numeric fields
+    of two artifacts; every other field must match exactly."""
+    assert len(lines_a) == len(lines_b)
+    worst = 0.0
+    for line_a, line_b in zip(lines_a, lines_b):
+        fields_a, fields_b = line_a.split(","), line_b.split(",")
+        assert len(fields_a) == len(fields_b)
+        for x, y in zip(fields_a, fields_b):
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                assert x == y
+                continue
+            if x != y:
+                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def test_ergodicity_agrees_across_thread_counts(tmp_path):
+    # the Monte Carlo C(t) is bit-identical at every thread count; the
+    # quantum side runs BLAS products and LAPACK, so it agrees to roundoff
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "qmap.cli", *ERGODICITY,
+                        "--out", str(out)],
+                       env=child_env(QMAP_THREADS=threads),
+                       capture_output=True, text=True, check=True)
+        runs.append(ergodicity_artifacts(out))
+    for name, lines in runs[0].items():
+        assert len(lines) > 5, name
+        assert _worst_field_gap(lines, runs[1][name]) <= 1e-12, name
 CLASSICAL = ["classical", "--t-max", "5", "--samples", "20000",
              "--lyapunov-steps", "10000", "--lyapunov-seeds", "5"]
 REUSED = "classical C(t) read from "

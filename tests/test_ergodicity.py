@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
+from conftest import dense_observable, random_unitary
 from qmap import (
     DomainError,
     MapFamily,
-    NumericalError,
-    ObservableMatrix,
     PlanckScale,
     SpectralData,
     build_floquet,
@@ -24,6 +22,7 @@ from qmap import (
     quantum_correlator_eigenbasis,
 )
 from qmap.classical import OBSERVABLES
+from qmap.ergodicity import _eigenbasis_matrix, _eigenvectors_at_site
 from qmap.model import VARIANTS
 from qmap.spectral import cyclic_gaps
 
@@ -55,8 +54,8 @@ def test_diagonal_mean_is_trace_over_n(small_chaotic):
 def test_diagonals_match_direct_contraction(small_chaotic):
     _, data, obs = small_chaotic
     rep = diagonal_elements_report(data, obs)
-    oracle = np.einsum("in,ij,jn->n", data.vectors.conj(), obs.matrix,
-                       data.vectors).real
+    oracle = np.einsum("in,ij,jn->n", data.vectors.conj(),
+                       dense_observable(obs), data.vectors).real
     assert np.allclose(rep.diagonals, oracle, atol=1e-12)
 
 
@@ -97,11 +96,32 @@ def test_f_curve_chain_is_exact_on_random_spectra(half_N, seed, label, T_grid):
     assert np.all(np.diff(F) <= 0.0)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(N=st.integers(2, 128), seed=st.integers(0, 2**32 - 1),
+       label=st.sampled_from(["cos2pi_q", "cos2pi_p", "identity"]))
+def test_structured_readers_match_the_dense_observable(N, seed, label):
+    rng = np.random.default_rng(seed)
+    scale = PlanckScale(N)
+    data = SpectralData(N=N, family=MapFamily("chaotic"), scale=scale,
+                        phases=np.sort(rng.uniform(0.0, 2.0 * np.pi, N)),
+                        vectors=random_unitary(rng, N), max_residual=0.0)
+    obs = quantize_observable(label, scale)
+    V = data.vectors
+    M = _eigenbasis_matrix(obs, _eigenvectors_at_site(data, obs))
+    assert np.max(np.abs(M - V.conj().T @ dense_observable(obs) @ V)) < 1e-13
+    # <n|A|n> by its O(N^2) reader is the diagonal of M
+    d = diagonal_elements_report(data, obs).diagonals
+    assert np.max(np.abs(d - M.diagonal())) < 1e-13
+
+
 def test_f_curve_plateau_matches_diagonal_report(small_chaotic):
-    _, data, obs = small_chaotic
-    a = quantum_F_curve(data, obs, [1.0, 10.0]).F_infinity
-    b = diagonal_elements_report(data, obs).F_infinity
-    assert a == pytest.approx(b, abs=1e-12)
+    # both read the diagonal elements from the one <n|A|n> reader
+    _, data, _ = small_chaotic
+    for label in OBSERVABLES:
+        obs = quantize_observable(label, PlanckScale(64))
+        a = quantum_F_curve(data, obs, [1.0, 10.0]).F_infinity
+        b = diagonal_elements_report(data, obs).F_infinity
+        assert a == b
 
 
 def test_f_curve_grid_validation(small_chaotic):
@@ -150,7 +170,7 @@ def test_phase_vector_correlator_matches_the_cosine_sum(variant, label):
     scale = PlanckScale(128)
     data = diagonalize(build_floquet(MapFamily(variant, r=0.8), scale))
     obs = quantize_observable(label, scale)
-    M = data.vectors.conj().T @ obs.matrix @ data.vectors
+    M = data.vectors.conj().T @ dense_observable(obs) @ data.vectors
     P = np.abs(M) ** 2
     delta = np.mod(data.phases[:, None] - data.phases[None, :] + np.pi,
                    2.0 * np.pi) - np.pi
@@ -192,7 +212,7 @@ def test_dimension_mismatch_rejected(small_chaotic):
 
 def _dense_correlator(op, obs, t_range):
     """f(t) by two dense products per period, the reference for the FFT route."""
-    A, U = obs.matrix, op.dense()
+    A, U = dense_observable(obs), op.dense()
     B = A.copy()
     values = []
     for t in range(t_range + 1):
@@ -221,9 +241,3 @@ def test_quantum_correlator_checks(small_chaotic):
         quantum_correlator(op, quantize_observable("cos2pi_q", PlanckScale(32)), 3)
     with pytest.raises(DomainError):
         quantum_correlator(op, obs, -1)
-    # a non-Hermitian "observable" with tr(A^2)/N = (1 + i)/2 at t = 0
-    skew = np.diag(np.r_[np.ones(32), np.full(32, np.exp(0.25j * np.pi))])
-    bad = ObservableMatrix(N=64, basis="position", classical_label="cos2pi_q",
-                           matrix=skew)
-    with pytest.raises(NumericalError, match="imaginary part"):
-        quantum_correlator(op, bad, 0)

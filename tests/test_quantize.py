@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmap.model
-from conftest import package_imports
+from conftest import dense_observable, package_imports
 from qmap import (
     VARIANTS,
     ConfigurationError,
@@ -174,38 +174,56 @@ def test_free_hamiltonian_commutes_with_momentum_observable(monkeypatch):
     fam = MapFamily("slow_ergodic")
     scale = PlanckScale(16)
     U = build_floquet(fam, scale).dense()
-    B = quantize_observable("cos2pi_p", scale).matrix
+    B = dense_observable(quantize_observable("cos2pi_p", scale))
     assert np.max(np.abs(U @ B - B @ U)) < 1e-12
 
 
 def test_position_observable_on_the_grid():
     obs = quantize_observable("cos2pi_q", PlanckScale(4))
-    assert np.allclose(obs.matrix, np.diag([1.0, 0.0, -1.0, 0.0]), atol=1e-15)
-    assert obs.basis == "position"
+    assert np.allclose(obs.diagonal, [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+    assert obs.site == "position"
     assert obs.classical_label == "cos2pi_q"
+    assert quantize_observable("cos2pi_p", PlanckScale(4)).site == "momentum"
+    with pytest.raises(ValueError, match="read-only"):
+        obs.diagonal[0] = 0.0
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8, 17])
 def test_cosine_observables_are_traceless(N):
     scale = PlanckScale(N)
     for label in ("cos2pi_q", "cos2pi_p"):
-        tr = np.trace(quantize_observable(label, scale).matrix)
+        tr = np.trace(dense_observable(quantize_observable(label, scale)))
         assert abs(tr) < 1e-13 * N
 
 
 def test_momentum_observable_spectrum_matches_position():
     scale = PlanckScale(16)
-    A = quantize_observable("cos2pi_q", scale).matrix
-    B = quantize_observable("cos2pi_p", scale).matrix
+    A = dense_observable(quantize_observable("cos2pi_q", scale))
+    B = dense_observable(quantize_observable("cos2pi_p", scale))
     assert np.allclose(np.linalg.eigvalsh(A), np.linalg.eigvalsh(B), atol=1e-12)
 
 
 def test_observables_are_exactly_hermitian():
+    # a real diagonal in an orthonormal basis: Hermitian by construction
     for label in ("cos2pi_q", "cos2pi_p", "identity"):
-        M = quantize_observable(label, PlanckScale(12)).matrix
-        assert np.array_equal(M, M.conj().T)
+        obs = quantize_observable(label, PlanckScale(12))
+        assert obs.diagonal.dtype == np.float64
+        assert obs.diagonal.shape == (12,)
 
 
 def test_identity_observable():
     obs = quantize_observable("identity", PlanckScale(6))
-    assert np.array_equal(obs.matrix, np.eye(6))
+    assert np.array_equal(dense_observable(obs), np.eye(6))
+
+
+@pytest.mark.parametrize("label", ["cos2pi_q", "cos2pi_p", "identity"])
+def test_quantize_observable_allocates_no_square_array(label):
+    scale = PlanckScale(4096)
+    tracemalloc.start()
+    try:
+        quantize_observable(label, scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex N x N matrix would be 256 MB here
+    assert peak < 1 << 20

@@ -22,10 +22,12 @@ from qmap import (
     StepTooLargeError,
     TrackingError,
     build_floquet,
+    diagonal_elements_report,
     diagonalize,
     fit_shift_scaling,
     level_velocities,
     mean_spacing,
+    quantize_observable,
     scaling_study,
     shift_statistics,
     sweep_quantization,
@@ -529,6 +531,14 @@ def test_fit_preconditions():
         fit_shift_scaling([64, 128, 256], [0.1, 0.2])
 
 
+@pytest.mark.parametrize("bad", [0, -64, np.nan])
+def test_fit_rejects_a_non_positive_or_non_finite_dimension(bad, capfd):
+    with pytest.raises(DomainError, match="positive and finite"):
+        fit_shift_scaling([bad, 64, 128, 256], [1e-3, 5e-4, 2e-4, 1e-4])
+    # rejected before any fit runs: LAPACK printed nothing
+    assert capfd.readouterr().err == ""
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
 def test_fit_rejects_a_non_finite_or_non_positive_shift(bad):
     with pytest.raises(FitError, match="positive and finite"):
@@ -546,7 +556,6 @@ def test_scaling_study_on_a_small_ladder():
     assert np.allclose(study.h_values, 1.0 / np.array(ladder))
     assert study.exponent == study.models["power_law"].params["exponent"]
     assert study.model in MODEL_NAMES
-    assert study.residual_sum == study.models[study.model].rss_log
     expected = [shift_statistics(trajs[N], r0=0.0, r1=1.0)
                 .mean_sq_spacing_units for N in ladder]
     assert np.allclose(study.mean_sq, expected, atol=1e-15)
@@ -599,6 +608,21 @@ def test_velocities_are_the_derivative_of_the_tracked_phases(variant):
     velocities = level_velocities(fam, data.vectors)
     assert np.max(np.abs(velocities)) > 0.2
     assert np.max(np.abs(slope - velocities)) < 1e-6
+
+
+@pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
+def test_velocities_are_the_diagonal_elements_at_the_perturbation_site(
+        variant):
+    # one <n|A|n> formula: the velocities are, bit for bit, the diagonal
+    # elements of cos 2 pi x at the site where r enters
+    fam = MapFamily(variant, r=0.4)
+    scale = PlanckScale(48)
+    data = diagonalize(build_floquet(fam, scale))
+    label = {"position": "cos2pi_q",
+             "momentum": "cos2pi_p"}[fam.perturbation_site]
+    report = diagonal_elements_report(data, quantize_observable(label, scale))
+    assert np.array_equal(level_velocities(fam, data.vectors),
+                          report.diagonals)
 
 
 def _window_mean_sq(ladder, r1):
