@@ -1,12 +1,19 @@
-"""The one reader of QMAP_THREADS.
+"""The one reader of QMAP_THREADS, and the run-time size of numpy's BLAS pool.
 
-The command line reads it to cap the BLAS thread pools before numpy is
-first imported, so this module imports no numpy; the Monte Carlo
+The command line reads QMAP_THREADS to cap the BLAS thread pools before
+numpy is first imported, so this module imports no numpy; the Monte Carlo
 correlator reads it for its worker count.
+
+blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
+while it runs, through the scipy_openblas entry points that numpy's
+extension module links against (the wheels' scipy-openblas64 build).
+They import numpy when called.  Where numpy's BLAS lacks those entry
+points, the getter returns None and the setter does nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 from .errors import ConfigurationError
@@ -28,3 +35,38 @@ def requested_threads() -> int:
         raise ConfigurationError(
             f"QMAP_THREADS must be a non-negative integer, got {raw!r}")
     return n
+
+
+@functools.cache
+def _openblas_pool():
+    """numpy's OpenBLAS (getter, setter) of the pool size, or None.
+
+    Loading numpy's extension module by path resolves the symbols through
+    its dependencies, whichever file the BLAS library is.
+    """
+    import ctypes
+
+    import numpy
+
+    lib = ctypes.CDLL(numpy._core._multiarray_umath.__file__)
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if getter is None or setter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return getter, setter
+
+
+def blas_threads() -> int | None:
+    """Threads of numpy's OpenBLAS pool now; None where it cannot be read."""
+    pool = _openblas_pool()
+    return None if pool is None else pool[0]()
+
+
+def set_blas_threads(n: int) -> None:
+    """Run numpy's OpenBLAS on n threads from its next call on; a no-op
+    where the pool cannot be resized."""
+    pool = _openblas_pool()
+    if pool is not None:
+        pool[1](n)

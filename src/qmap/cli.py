@@ -15,16 +15,23 @@ running `classical` first into the same --out thus saves `ergodicity` its
 Monte Carlo run.  Any other classical.csv is ignored and C(t) is computed
 afresh; both ways give the same bits, so every artifact is the same.
 
-QMAP_THREADS caps the BLAS thread pool (0 means automatic); it is
-applied to the standard environment knobs before numpy is first imported,
-which is why `import qmap` loads no numerical module and the numerical
-modules are imported inside functions here.  Every dense product and
-every LAPACK call runs on one pool, numpy's OpenBLAS (see qmap.quantize
-and qmap.spectral), which QMAP_THREADS caps; only the rare Schur fallback
-runs scipy's LAPACK.  The rare assignment fallback runs none, though
-importing scipy.optimize loads scipy.linalg.  QMAP_THREADS also caps the
-Monte Carlo correlator's worker threads (qmap.classical), whose result is
-bit-identical at every count.
+Every dense product and every LAPACK call runs on one pool, numpy's
+OpenBLAS (see qmap.quantize and qmap.spectral); only the rare Schur
+fallback runs scipy's LAPACK.  The rare assignment fallback runs none,
+though importing scipy.optimize loads scipy.linalg.  Two things size that
+pool.  QMAP_THREADS caps it (0 means automatic): it is applied to the
+standard environment knobs before numpy is first imported, which is why
+`import qmap` loads no numerical module and the numerical modules are
+imported inside functions here.  And a run whose largest dimension (N,
+or the largest N of N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs
+on one BLAS thread: up to that size a second thread gains nothing end to
+end and spins through the run, while above it the second thread pays
+(README, "Determinism and threads").  run_command lowers the pool when
+the spec is resolved and puts back the count it found when it returns,
+so in-process callers keep theirs; the rule never raises the count.
+Below the cut every artifact is byte-identical across QMAP_THREADS
+values.  QMAP_THREADS also caps the Monte Carlo correlator's worker
+threads (qmap.classical), whose result is bit-identical at every count.
 """
 
 from __future__ import annotations
@@ -35,8 +42,12 @@ import os
 import sys
 
 from . import _load_all
-from ._threads import requested_threads
+from ._threads import blas_threads, requested_threads, set_blas_threads
 
+# runs whose largest dimension is at most this take one BLAS thread: up to
+# N = 256 a second OpenBLAS thread speeds up no end-to-end run, and spins
+# through the whole of it
+ONE_BLAS_THREAD_MAX_N = 256
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -52,6 +63,13 @@ def _apply_thread_env() -> None:
         return
     for var in _THREAD_VARS:
         os.environ[var] = str(n)
+
+
+def _largest_dimension(spec) -> int:
+    """N for the commands that read N, else the largest N of N_list."""
+    from .config import READS
+
+    return spec.N if "N" in READS[spec.command] else max(spec.N_list)
 
 
 def _int_list(text: str):
@@ -348,10 +366,18 @@ def run_command(argv) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
         spec = _runspec_from_args(args)
-        results = _RUNNERS[spec.command](spec)
-        from .outputs import write_outputs
-        for path in write_outputs(results, spec):
-            print(f"wrote {path}")
+        found = None
+        if _largest_dimension(spec) <= ONE_BLAS_THREAD_MAX_N:
+            found = blas_threads()
+            set_blas_threads(1)
+        try:
+            results = _RUNNERS[spec.command](spec)
+            from .outputs import write_outputs
+            for path in write_outputs(results, spec):
+                print(f"wrote {path}")
+        finally:
+            if found is not None:
+                set_blas_threads(found)
     except (ConfigurationError, DomainError) as exc:
         print(f"qmap: error: {exc}", file=sys.stderr)
         return 2

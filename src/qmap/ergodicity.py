@@ -155,24 +155,24 @@ def quantum_correlator(op: FloquetOperator, obs: Observable,
                        t_range: int) -> np.ndarray:
     """Trace autocorrelation f(t) = tr(A U^t A U^-t) / N for t = 0 .. t_range.
 
-    Evolves the observable's basis vectors E (the identity at the position
-    site, F^-1 at the momentum site) by one FloquetOperator.apply per
-    period, never diagonalizing, so it cross-checks the eigenbasis route
-    instead of sharing its failure modes.  For A = diag(a) in its own
-    basis, tr(A B A B*) = sum_jk a_j a_k |B_jk|^2 with B = E^-1 U^t E, the
-    columns U^t E at_site, so f(t) = a^T |B|^2 a / N, real by construction.
+    Evolves the observable's own basis, the identity at its site, by one
+    period each lag, never diagonalizing, so it cross-checks the
+    eigenbasis route instead of sharing its failure modes: at the position
+    site by FloquetOperator.apply (U), at the momentum site by
+    apply_momentum (F U F^-1), so no transform to the site is needed.  For
+    A = diag(a) in its own basis, tr(A B A B*) = sum_jk a_j a_k |B_jk|^2
+    with B = U^t in the site's basis, so f(t) = a^T |B|^2 a / N, real by
+    construction.
     """
     _check_t_range(t_range)
     _check_dimension(obs, op.N, "operator")
+    step = op.apply_momentum if obs.site == "momentum" else op.apply
     basis = np.eye(op.N, dtype=complex)
-    if obs.site == "momentum":
-        basis = np.fft.ifft(basis, axis=0) * np.sqrt(op.N)
     values = np.empty(t_range + 1)
     for t in range(t_range + 1):
         if t > 0:
-            basis = op.apply(basis)
-        values[t] = (obs.diagonal_elements(obs.at_site(basis)) @ obs.diagonal
-                     / op.N)
+            basis = step(basis)
+        values[t] = obs.diagonal_elements(basis) @ obs.diagonal / op.N
     return values
 
 

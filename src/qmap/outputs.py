@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 
 import numpy as np
 
@@ -63,6 +64,40 @@ def runspec_header(spec: RunSpec) -> list:
                                         for key in sorted(fields)]
 
 
+def _column_format(values) -> str | None:
+    """%-format of a column whose values are all floats (%.17g) or all
+    integers (%d), which print as format_value prints them; else None."""
+    kinds = set(map(type, values))
+    if all(issubclass(k, float) for k in kinds):
+        return "%.17g"
+    if all(issubclass(k, (int, np.integer)) and not issubclass(k, bool)
+           for k in kinds):
+        return "%d"
+    return None
+
+
+def _format_rows(rows) -> str:
+    """Rows of one width as CSV lines, by one % on a repeated row template.
+
+    A column of floats or of integers is formatted by %; any other column
+    (bools, strings, mixed kinds) goes through format_value, value by
+    value.  The text equals format_value's, joined by commas.
+    """
+    rows = list(rows)
+    columns = list(zip(*rows))
+    if len(columns) * len(rows) != sum(map(len, rows)):
+        raise ValueError("write_csv: rows of one block differ in width")
+    formats = []
+    for i, column in enumerate(columns):
+        fmt = _column_format(column)
+        if fmt is None:
+            columns[i] = [format_value(v) for v in column]
+            fmt = "%s"
+        formats.append(fmt)
+    template = ",".join(formats) + "\n"
+    return (template * len(rows)) % tuple(chain.from_iterable(zip(*columns)))
+
+
 def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
     """blocks: (label, rows) pairs; a None label writes the rows bare.
 
@@ -78,8 +113,7 @@ def write_csv(path: str, spec: RunSpec, columns, blocks) -> None:
                 fh.write("\n\n")
             if label is not None:
                 fh.write(f"# {label}\n")
-            for row in rows:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write(_format_rows(rows))
 
 
 def read_classical_curve(spec: RunSpec):
@@ -118,8 +152,8 @@ def read_classical_curve(spec: RunSpec):
     except ValueError:
         return None
     times = np.arange(spec.t_max + 1)
-    if rows != [",".join(format_value(v) for v in row)
-                for row in zip(times, C, stderr)]:
+    if "".join(row + "\n" for row in rows) != _format_rows(
+            zip(times, C, stderr)):
         return None
     return CorrelatorCurve(times=times, C=C,
                            a0=microcanonical_average(spec.observable),

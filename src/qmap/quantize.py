@@ -10,7 +10,8 @@ then free flight:
 with F the unitary discrete Fourier transform; -2 pi N x = -x/hbar.  A
 FloquetOperator keeps U as these two diagonals, never as a dense matrix:
 its apply method computes U V as a row scaling and one FFT pair down the
-columns, and its dense method forms U only for the spectral module's
+columns (apply_momentum does the same for F U F^-1 on momentum-basis
+columns), and its dense method forms U only for the spectral module's
 Schur fallback and for checks.  F is unitary, so U is unitary exactly
 when both diagonals lie on the unit circle, which build_floquet certifies.
 
@@ -32,7 +33,8 @@ never a dense matrix, and Hermitian by construction.
 
 Every dense product in the package is numpy's `@`, on numpy's OpenBLAS,
 the pool that also runs the spectral module's LAPACK calls, so one BLAS
-thread pool does all the work and QMAP_THREADS caps it.
+thread pool does all the work.  QMAP_THREADS caps it, and the command
+line holds it to one thread for runs up to N = 256 (qmap.cli).
 """
 
 from __future__ import annotations
@@ -126,6 +128,16 @@ class FloquetOperator:
         np.fft.fft(out, axis=0, out=out)
         out *= self.drift_phases[:, None]
         return np.fft.ifft(out, axis=0, out=out)
+
+    def apply_momentum(self, M: np.ndarray) -> np.ndarray:
+        """F U F^-1 M as a new array, for columns M in the momentum basis:
+        D_T F D_V F^-1 M, one FFT pair down the columns with D_V between
+        (the pair's unitary scalings cancel) and D_T scaling the rows."""
+        out = np.fft.ifft(M, axis=0)
+        out *= self.kick_phases[:, None]
+        np.fft.fft(out, axis=0, out=out)
+        out *= self.drift_phases[:, None]
+        return out
 
     def dense(self) -> np.ndarray:
         """U as a dense position-basis matrix, formed anew on every call."""

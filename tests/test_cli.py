@@ -10,6 +10,7 @@ import pytest
 
 import qmap
 import qmap.classical
+import qmap.sweep
 from conftest import package_imports
 from qmap.cli import _THREAD_VARS, run_command
 from qmap.sweep import MODEL_NAMES
@@ -403,28 +404,35 @@ def test_commands_leave_scipy_linalg_unloaded(tmp_path):
     assert flags == [f"loaded: {argv[0]} 0 False" for argv in commands]
 
 
+# the pool size as bench/traced.py reads it, from each OpenBLAS library
+# mapped in the process (None for one without the getter)
+POOL_PROBE = """import ctypes
+def pool():
+    with open('/proc/self/maps') as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if 'openblas' in line.lower()})
+    counts = []
+    for path in paths:
+        getter = getattr(ctypes.CDLL(path),
+                         'scipy_openblas_get_num_threads64_', None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+        counts.append(None if getter is None else getter())
+    return counts
+"""
+
+
 def test_qmap_threads_caps_the_pool_that_does_the_work():
-    # numpy's OpenBLAS runs every product and LAPACK call; read its thread
-    # count as bench/traced.py does, from the library mapped in the process
+    # numpy's OpenBLAS runs every product and LAPACK call
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("no /proc/self/maps to find the BLAS library in")
-    probe = ("import ctypes, qmap.cli\n"
-             "qmap.cli.run_command(['--help'])\n"
-             "with open('/proc/self/maps') as fh:\n"
-             "    paths = sorted({line.split()[-1] for line in fh\n"
-             "                    if 'openblas' in line.lower()})\n"
-             "counts = []\n"
-             "for path in paths:\n"
-             "    getter = getattr(ctypes.CDLL(path), "
-             "'scipy_openblas_get_num_threads64_', None)\n"
-             "    if getter is not None:\n"
-             "        getter.argtypes, getter.restype = [], ctypes.c_int\n"
-             "        counts.append(getter())\n"
-             "print(len(paths), counts)")
+    probe = POOL_PROBE + ("import qmap.cli\n"
+                          "qmap.cli.run_command(['--help'])\n"
+                          "print(pool())")
     done = subprocess.run([sys.executable, "-c", probe],
                           env=child_env(QMAP_THREADS="1"),
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "1 [1]"
+    assert done.stdout.splitlines()[-1] == "[1]"
 
 
 def test_only_the_assignment_fallback_imports_scipy_optimize():
@@ -452,8 +460,8 @@ def test_classical_curve_is_identical_across_thread_counts(tmp_path):
 
 
 def test_results_agree_across_thread_counts(tmp_path):
-    # reruns are byte-identical at one thread count; across counts the BLAS
-    # reduction order differs, so values agree to roundoff only
+    # up to N = 256 every run takes one BLAS thread whatever QMAP_THREADS
+    # says, so the artifacts are byte-identical across thread counts
     runs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -464,19 +472,86 @@ def test_results_agree_across_thread_counts(tmp_path):
             text=True, check=True)
         crossings = [ln for ln in done.stdout.splitlines()
                      if ln.startswith("crossings:")]
-        header, rows = data_rows(read_lines(out / "spectrum.csv"))
-        runs[threads] = (crossings, header, [r.split(",") for r in rows])
+        lines = [ln for ln in read_lines(out / "spectrum.csv")
+                 if not ln.startswith("# out_dir=")]
+        runs[threads] = (crossings, lines)
 
-    (cross1, header1, rows1), (cross2, header2, rows2) = runs.values()
-    assert cross1 == cross2 and len(cross1) == 1
-    assert header1 == header2 == "r,level,eigenphase"
-    assert len(rows1) == len(rows2) == 21 * 128
-    worst = 0.0
-    for (r1, n1, a), (r2, n2, b) in zip(rows1, rows2):
-        assert (r1, n1) == (r2, n2)
-        a, b = float(a), float(b)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
-    assert worst <= 1e-12
+    (cross1, lines1), (cross2, lines2) = runs.values()
+    assert len(cross1) == 1
+    header, rows = data_rows(lines1)
+    assert header == "r,level,eigenphase" and len(rows) == 21 * 128
+    assert (cross1, lines1) == (cross2, lines2)
+
+
+def test_runs_up_to_n256_take_one_blas_thread(tmp_path):
+    # read inside the run: a sweep at N = 64 runs on one thread, a
+    # spectrum at N = 512 on the pool OpenBLAS started with, and each run
+    # leaves the pool as it found it
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS library in")
+    probe = POOL_PROBE + (
+        "import qmap, qmap.cli\n"
+        "qmap._load_all()\n"
+        "import qmap.spectral, qmap.sweep\n"
+        "seen = {}\n"
+        "def spy(module, name):\n"
+        "    inner = getattr(module, name)\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        seen.setdefault(name, pool())\n"
+        "        return inner(*args, **kwargs)\n"
+        "    setattr(module, name, wrapper)\n"
+        "spy(qmap.sweep, 'sweep_quantization')\n"
+        "spy(qmap.spectral, 'diagonalize')\n"
+        "started = pool()\n"
+        "codes = [qmap.cli.run_command([*argv, '--out', "
+        f"r'{tmp_path}'])\n"
+        "         for argv in (['sweep', '--N', '64', '--r1', '0.2'],\n"
+        "                      ['spectrum', '--N', '512'])]\n"
+        "import json\n"
+        "print(json.dumps([codes, started, seen['sweep_quantization'], "
+        "seen['diagonalize'], pool()]))")
+    done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    codes, started, sweep, spectrum, after = \
+        json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert len(started) == 1
+    assert sweep == [1]
+    assert spectrum == after == started
+
+
+def test_run_command_puts_back_the_pool_it_found(tmp_path, monkeypatch,
+                                                 capsys):
+    # in-process callers keep their pool: after a run on one thread, after
+    # a configuration error before the run, and after one raised inside it
+    from qmap._threads import blas_threads
+    from qmap.errors import ConfigurationError
+
+    found = blas_threads()
+    if found is None or found < 2:
+        pytest.skip("a pool of one thread cannot show the rule")
+    inner = qmap.sweep.sweep_quantization
+    inside = []
+
+    def spy(*args, **kwargs):
+        inside.append(blas_threads())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(qmap.sweep, "sweep_quantization", spy)
+    sweep = ["sweep", "--N", "16", "--r1", "0.2", "--out", str(tmp_path)]
+    assert run_command(sweep) == 0
+    assert inside == [1] and blas_threads() == found
+    assert run_command([*sweep, "--delta-r", "0"]) == 2
+    assert blas_threads() == found
+
+    def refuse(*args, **kwargs):
+        inside.append(blas_threads())
+        raise ConfigurationError("refused inside the run")
+
+    monkeypatch.setattr(qmap.sweep, "sweep_quantization", refuse)
+    assert run_command(sweep) == 2
+    assert inside == [1, 1] and blas_threads() == found
+    assert "refused inside the run" in capsys.readouterr().err
 
 
 # `qmap ergodicity` after `qmap classical` into the same --out reads C(t)
@@ -485,28 +560,10 @@ ERGODICITY = ["ergodicity", "--N", "16,32", "--t-max", "5",
               "--samples", "20000"]
 
 
-def _worst_field_gap(lines_a, lines_b):
-    """Largest relative gap |a - b| / max(|a|, |b|) over the numeric fields
-    of two artifacts; every other field must match exactly."""
-    assert len(lines_a) == len(lines_b)
-    worst = 0.0
-    for line_a, line_b in zip(lines_a, lines_b):
-        fields_a, fields_b = line_a.split(","), line_b.split(",")
-        assert len(fields_a) == len(fields_b)
-        for x, y in zip(fields_a, fields_b):
-            try:
-                x, y = float(x), float(y)
-            except ValueError:
-                assert x == y
-                continue
-            if x != y:
-                worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return worst
-
-
 def test_ergodicity_agrees_across_thread_counts(tmp_path):
-    # the Monte Carlo C(t) is bit-identical at every thread count; the
-    # quantum side runs BLAS products and LAPACK, so it agrees to roundoff
+    # the Monte Carlo C(t) is bit-identical at every thread count, and a
+    # ladder up to N = 256 runs its BLAS and LAPACK calls on one thread
+    # whatever QMAP_THREADS says: every artifact is byte-identical
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
@@ -517,7 +574,9 @@ def test_ergodicity_agrees_across_thread_counts(tmp_path):
         runs.append(ergodicity_artifacts(out))
     for name, lines in runs[0].items():
         assert len(lines) > 5, name
-        assert _worst_field_gap(lines, runs[1][name]) <= 1e-12, name
+    assert runs[0] == runs[1]
+
+
 CLASSICAL = ["classical", "--t-max", "5", "--samples", "20000",
              "--lyapunov-steps", "10000", "--lyapunov-seeds", "5"]
 REUSED = "classical C(t) read from "

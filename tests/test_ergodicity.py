@@ -235,6 +235,19 @@ def test_fft_conjugation_matches_dense_products(variant, label, r, N):
                        _dense_correlator(op, obs, 12), rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_momentum_site_routes_agree_to_roundoff(variant):
+    # at the momentum site the conjugation route evolves F U F^-1 and
+    # never transforms to the site; the eigenbasis route lifts its vectors
+    scale = PlanckScale(256)
+    op = build_floquet(MapFamily(variant, r=0.8), scale)
+    obs = quantize_observable("cos2pi_p", scale)
+    gap = np.max(np.abs(quantum_correlator(op, obs, 40)
+                        - quantum_correlator_eigenbasis(diagonalize(op), obs,
+                                                        40)))
+    assert gap < 1e-12
+
+
 def test_quantum_correlator_checks(small_chaotic):
     op, _, obs = small_chaotic
     with pytest.raises(DomainError):

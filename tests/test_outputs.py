@@ -2,13 +2,14 @@
 the reader of classical.csv."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmap import (OBSERVABLES, VARIANTS, MapFamily, classical_correlator,
                   make_runspec)
-from qmap.outputs import (read_classical_curve, runspec_header, write_csv,
-                          write_outputs)
+from qmap.outputs import (format_value, read_classical_curve,
+                          runspec_header, write_csv, write_outputs)
 
 SPEC = make_runspec({"command": "spectrum"})
 
@@ -73,6 +74,41 @@ def test_written_table_reads_back(tmp_path_factory, table):
         assert len(chunk_lines) == len(rows) + 1
         for line, row in zip(chunk_lines[1:], rows):
             assert_row(line, row)
+
+
+# every kind a row may hold, numpy scalars included
+any_kind = st.one_of(
+    values, st.booleans(), st.text("abc", max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+
+
+@st.composite
+def mixed_blocks(draw):
+    width = draw(st.integers(1, 4))
+    # a column of one kind, or of a kind per value
+    kinds = [draw(st.sampled_from([values, any_kind])) for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=8))
+    return width, rows
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(block=mixed_blocks())
+def test_rows_print_as_format_value_prints_them(tmp_path_factory, block):
+    # rows are formatted by column in bulk; the text is format_value's
+    width, rows = block
+    path = tmp_path_factory.mktemp("csv") / "mixed.csv"
+    write_csv(str(path), SPEC, [f"c{i}" for i in range(width)],
+              [(None, iter(rows))])
+    lines = path.read_text(encoding="utf-8").split("\n")
+    body = lines[len(runspec_header(SPEC)) + 1:-1]
+    assert body == [",".join(format_value(v) for v in row) for row in rows]
+
+
+def test_rows_of_one_block_share_a_width(tmp_path):
+    with pytest.raises(ValueError, match="differ in width"):
+        write_csv(str(tmp_path / "ragged.csv"), SPEC, ("a", "b"),
+                  [(None, [(1, 2.0), (3,)])])
 
 
 def test_single_block_matches_plain_layout(tmp_path):

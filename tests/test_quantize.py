@@ -134,6 +134,10 @@ def test_factored_product_matches_the_dense_unitary(variant, half_N, r,
     assert np.max(np.abs(op.apply(V) - op.dense() @ V)) < 1e-14
     # real columns too: the real route's bases are real
     assert np.max(np.abs(op.apply(V.real) - op.dense() @ V.real)) < 1e-14
+    # F U F^-1 on momentum-basis columns, F the unitary DFT
+    F = np.fft.fft(np.eye(op.N), axis=0) / np.sqrt(op.N)
+    assert np.max(np.abs(op.apply_momentum(V)
+                         - F @ op.dense() @ F.conj().T @ V)) < 1e-13
 
 
 def test_build_floquet_allocates_no_square_array():
