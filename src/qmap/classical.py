@@ -163,9 +163,7 @@ class CorrelatorCurve:
 
     times: np.ndarray
     C: np.ndarray
-    a0: float
     sample_count: int
-    rng_seed: int
     stderr: np.ndarray
 
     def __post_init__(self):
@@ -177,41 +175,14 @@ class CorrelatorCurve:
         return int(self.times[-1])
 
 
-def _pairwise_cuts(n: int, leaves: int) -> list[int]:
-    """Bounds [0, ..., n] of the first log2(leaves) splits of numpy's
-    float64 pairwise sum of n values; leaves is a power of two.
-
-    numpy sums a run of more than 128 values as the sums of its first h
-    and its last n - h values, h = n // 2 rounded down to a multiple of 8
-    (pairwise_sum in numpy's loops_utils.h).  The cuts are numpy's own
-    splits as long as every segment cut is longer than 128 values.
-    """
-    bounds = [0, n]
-    while len(bounds) <= leaves:
-        split = [0]
-        for lo, hi in zip(bounds, bounds[1:]):
-            h = (hi - lo) // 2
-            split += [lo + h - h % 8, hi]
-        bounds = split
-    return bounds
-
-
-def _pairwise_total(sums: list) -> float:
-    """Add the segment sums of _pairwise_cuts up their tree: the
-    np.add.reduce of the whole array, bit for bit."""
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return sums[0]
-
-
 def _correlator_workers() -> int:
-    """The run's thread count, rounded down to a power of two, at most 8."""
+    """The run's thread count, at most 8."""
     n = requested_threads()
     if n == 0:
         # sched_getaffinity is Linux only
         n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return 1 << (min(n, 8).bit_length() - 1)
+    return min(n, 8)
 
 
 def classical_correlator(family: MapFamily, observable: str, t_max: int,
@@ -224,14 +195,13 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
     as ``prod.mean()`` and ``prod.std()`` would give them.
 
     The samples are cut into contiguous segments, one per worker thread
-    (QMAP_THREADS, else the CPU affinity, rounded down to a power of two
-    and at most 8; one worker runs inline).  Per lag, each worker
-    advances its segment and sums its products, the sums are added into
-    the mean, then each worker sums its squared deviations from it.  The
-    cuts sit where numpy's pairwise summation splits the whole array, and
-    the segment sums are added up the same tree, so every sum is the one
-    np.add.reduce forms on the whole array: the result is bit-identical
-    at every worker count.
+    (QMAP_THREADS, else the CPU affinity, at most 8; one worker runs
+    inline).  Per lag, each worker advances its segment and writes its
+    products into one shared array, the calling thread sums the whole
+    array into the mean, each worker squares its deviations from the mean
+    in place, and the calling thread sums the array again.  Every sum is
+    np.add.reduce over the whole array, so the result is bit-identical at
+    every worker count.
     """
     if t_max <= 0:
         raise DomainError(f"classical: need t_max > 0, got {t_max}")
@@ -248,24 +218,21 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
     # t + 1 needs; classical_slope ignores it where V' has no cosine
     shares_cosine = observable == "cos2pi_q"
 
-    # at most 8 segments of samples >= 1e4 are each longer than 128, so
-    # every cut is one of numpy's own splits
     workers = _correlator_workers()
-    bounds = _pairwise_cuts(samples, workers)
-    segments = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    segments = [slice(samples * i // workers, samples * (i + 1) // workers)
+                for i in range(workers)]
 
-    def product_sum(s, t):
+    def write_products(s, t):
         if t > 0:
             _step_arrays(family, q[s], p[s], scratch[s],
                          values[s] if shares_cosine else None)
-        prod = np.multiply(a_start[s],
-                           _observable_values(observable, q[s], p[s], values[s]),
-                           out=scratch[s])
-        return np.add.reduce(prod)
+        np.multiply(a_start[s],
+                    _observable_values(observable, q[s], p[s], values[s]),
+                    out=scratch[s])
 
-    def squared_deviation_sum(s, mean):
+    def square_deviations(s, mean):
         deviation = np.subtract(scratch[s], mean, out=scratch[s])
-        return np.add.reduce(np.square(deviation, out=deviation))
+        np.square(deviation, out=deviation)
 
     C = np.empty(t_max + 1)
     stderr = np.empty(t_max + 1)
@@ -274,18 +241,15 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
         if workers > 1:
             run = stack.enter_context(ThreadPoolExecutor(workers)).map
         for t in range(t_max + 1):
-            mean = _pairwise_total(
-                list(run(product_sum, segments, repeat(t)))) / samples
-            sq_sum = _pairwise_total(
-                list(run(squared_deviation_sum, segments, repeat(mean))))
-            C[t] = mean
-            stderr[t] = math.sqrt(sq_sum / samples) / math.sqrt(samples)
+            list(run(write_products, segments, repeat(t)))
+            C[t] = np.add.reduce(scratch) / samples
+            list(run(square_deviations, segments, repeat(C[t])))
+            stderr[t] = math.sqrt(np.add.reduce(scratch) / samples) \
+                / math.sqrt(samples)
 
     return CorrelatorCurve(
         times=np.arange(t_max + 1),
         C=C,
-        a0=microcanonical_average(observable),
         sample_count=samples,
-        rng_seed=rng_seed,
         stderr=stderr,
     )

@@ -47,7 +47,6 @@ class ErgodicityReport:
 
     N: int
     observable: str
-    a0: float
     diagonals: np.ndarray
     mean: float
     variance: float
@@ -111,7 +110,6 @@ def diagonal_elements_report(data: SpectralData,
     return ErgodicityReport(
         N=data.N,
         observable=obs.classical_label,
-        a0=float(a0),
         diagonals=d,
         mean=mean,
         variance=variance,

@@ -70,13 +70,11 @@ class PlanckScale:
 
     N: int
     h: float = field(init=False)
-    hbar: float = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.N, int) or self.N < 2:
             raise ConfigurationError(f"model: N must be an integer >= 2, got {self.N!r}")
         object.__setattr__(self, "h", 1.0 / self.N)
-        object.__setattr__(self, "hbar", 1.0 / (2.0 * math.pi * self.N))
 
 
 def require_even_dimension(family: MapFamily, scale: PlanckScale) -> None:

@@ -20,7 +20,7 @@ from itertools import chain
 import numpy as np
 
 from ._version import __version__
-from .classical import CorrelatorCurve, microcanonical_average
+from .classical import CorrelatorCurve
 from .config import RunSpec
 
 CLASSICAL_CSV = "classical.csv"
@@ -155,9 +155,7 @@ def read_classical_curve(spec: RunSpec):
     if "".join(row + "\n" for row in rows) != _format_rows(
             zip(times, C, stderr)):
         return None
-    return CorrelatorCurve(times=times, C=C,
-                           a0=microcanonical_average(spec.observable),
-                           sample_count=spec.samples, rng_seed=spec.seed,
+    return CorrelatorCurve(times=times, C=C, sample_count=spec.samples,
                            stderr=stderr)
 
 

@@ -33,8 +33,7 @@ never a dense matrix, and Hermitian by construction.
 
 Every dense product in the package is numpy's `@`, on numpy's OpenBLAS,
 the pool that also runs the spectral module's LAPACK calls, so one BLAS
-thread pool does all the work.  QMAP_THREADS caps it, and the command
-line holds it to one thread for runs up to N = 256 (qmap.cli).
+thread pool does all the work; qmap.cli says what sizes it.
 """
 
 from __future__ import annotations

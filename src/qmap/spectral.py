@@ -31,10 +31,9 @@ conditioning of the complex H: a phase within about 1e-8 of it leaves X
 finite and small, and only the residual certificate catches that pass.
 
 The solve, eigh and the certificates' products (`@`) all run on numpy's
-OpenBLAS, one thread pool that QMAP_THREADS caps and that the command
-line holds to one thread for runs up to N = 256 (qmap.cli); the FFTs are
-numpy's, on the calling thread.  scipy's LAPACK runs only in the Schur
-fallback, which imports scipy.linalg when it is first taken.
+OpenBLAS, one thread pool that qmap.cli sizes; the FFTs are numpy's, on
+the calling thread.  scipy's LAPACK runs only in the Schur fallback,
+which imports scipy.linalg when it is first taken.
 
 The passes form one chain.  The shifts depend on U alone, so reruns are
 byte-identical.  The first pass uses the fixed CAYLEY_SHIFT.  When an

@@ -142,7 +142,6 @@ class LevelTrajectories:
     phases: np.ndarray
     min_overlap: float
     refined_steps: int
-    sorted_pairing: bool = False
     start_velocities: np.ndarray | None = None
 
     def __post_init__(self):
@@ -353,7 +352,6 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
         phases=phases,
         min_overlap=min_seen,
         refined_steps=refined,
-        sorted_pairing=sorted_pairing,
         start_velocities=start_velocities,
     )
 
@@ -369,7 +367,6 @@ class ShiftStatistics:
     subtract_mean: bool
     mean_sq_spacing_units: float
     max_abs_spacing_units: float
-    mean_shift_spacing_units: float
 
 
 def _grid_index(grid: np.ndarray, r: float, name: str) -> int:
@@ -392,9 +389,8 @@ def shift_statistics(traj: LevelTrajectories, r0: float | None = None,
     g0 = 0 if r0 is None else _grid_index(grid, r0, "r0")
     g1 = grid.size - 1 if r1 is None else _grid_index(grid, r1, "r1")
     delta = traj.displacements(g0, g1) / mean_spacing(traj.N)
-    mean_shift = float(np.mean(delta))
     if subtract_mean:
-        delta = delta - mean_shift
+        delta = delta - np.mean(delta)
     return ShiftStatistics(
         N=traj.N,
         h=traj.scale.h,
@@ -403,7 +399,6 @@ def shift_statistics(traj: LevelTrajectories, r0: float | None = None,
         subtract_mean=subtract_mean,
         mean_sq_spacing_units=float(np.mean(delta ** 2)),
         max_abs_spacing_units=float(np.max(np.abs(delta))),
-        mean_shift_spacing_units=mean_shift,
     )
 
 

@@ -442,8 +442,8 @@ def test_only_the_assignment_fallback_imports_scipy_optimize():
 
 
 def test_classical_curve_is_identical_across_thread_counts(tmp_path):
-    # the Monte Carlo correlator sums along numpy's own pairwise tree, so,
-    # unlike the BLAS results below, it is bit-identical at every count
+    # the Monte Carlo correlator sums the whole sample array on one thread,
+    # so, unlike the BLAS results below, it is bit-identical at every count
     texts = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

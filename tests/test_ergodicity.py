@@ -38,7 +38,6 @@ def test_identity_observable_has_no_fluctuations(small_chaotic):
     _, data, _ = small_chaotic
     obs = quantize_observable("identity", PlanckScale(64))
     rep = diagonal_elements_report(data, obs)
-    assert rep.a0 == 1.0
     assert np.allclose(rep.diagonals, 1.0, atol=1e-12)
     assert rep.variance < 1e-18
     assert rep.mean == pytest.approx(1.0, abs=1e-12)

@@ -1,29 +1,50 @@
-"""Every public library name has a caller inside the library."""
+"""Every public library name has a caller inside the library, and every
+result field has a reader."""
 
 import ast
 import pathlib
 
 import qmap
 
+SRC = pathlib.Path(qmap.__file__).parent
+ROOT = pathlib.Path(__file__).parent.parent
 
-def _loaded_names() -> set:
-    """Names that src/qmap reads outside __init__.py, as plain names or as
-    attributes: definitions, assignment targets, strings and comments do
+
+def _nodes(paths):
+    """Every AST node of the given files."""
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _loaded_names(paths, attributes_only=False) -> set:
+    """Names the files read, as attributes or, unless attributes_only, as
+    plain names: definitions, assignment targets, strings and comments do
     not count."""
     names = set()
-    for path in pathlib.Path(qmap.__file__).parent.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+    for node in _nodes(paths):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and not attributes_only:
+            names.add(node.id)
     return names
 
 
 def test_every_export_has_a_caller_in_the_library():
     exported = [name for names in qmap._EXPORTS.values() for name in names]
-    used = _loaded_names()
+    used = _loaded_names(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert [name for name in exported if name not in used] == []
+
+
+def test_every_result_field_has_a_reader():
+    # a field annotated in a class body is read as an attribute by the
+    # library, the benchmark or the acceptance checks, or it is not kept
+    read = _loaded_names([*SRC.glob("*.py"), *ROOT.glob("bench/*.py"),
+                          ROOT / "tests" / "test_acceptance.py"],
+                         attributes_only=True)
+    unread = [f"{node.name}.{item.target.id}"
+              for node in _nodes(SRC.glob("*.py"))
+              if isinstance(node, ast.ClassDef)
+              for item in node.body
+              if isinstance(item, ast.AnnAssign) and item.target.id not in read]
+    assert unread == []

@@ -33,7 +33,6 @@ def test_quadratic_sign_and_perturbation_site():
 def test_planck_scale_values():
     scale = PlanckScale(64)
     assert scale.h == 1.0 / 64
-    assert scale.hbar == pytest.approx(1.0 / (2.0 * math.pi * 64), rel=1e-15)
 
 
 @pytest.mark.parametrize("bad", [0, 1, -4, 2.5, "64"])
