@@ -1,8 +1,11 @@
-"""The one reader of QMAP_THREADS, and the run-time size of numpy's BLAS pool.
+"""The one reader of QMAP_THREADS, the worker threads of a run, and the
+run-time size of numpy's BLAS pool.
 
 The command line reads QMAP_THREADS to cap the BLAS thread pools before
-numpy is first imported, so this module imports no numpy; the Monte Carlo
-correlator reads it for its worker count.
+numpy is first imported, so this module imports no numpy.  worker_map
+reads it for the worker threads of the Monte Carlo correlator
+(qmap.classical) and of the conjugation-route correlator
+(qmap.ergodicity).
 
 blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
 while it runs, through the scipy_openblas entry points that numpy's
@@ -13,6 +16,7 @@ points, the getter returns None and the setter does nothing.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 
@@ -35,6 +39,28 @@ def requested_threads() -> int:
         raise ConfigurationError(
             f"QMAP_THREADS must be a non-negative integer, got {raw!r}")
     return n
+
+
+@contextlib.contextmanager
+def worker_map(tasks: int = 8):
+    """Yield (workers, map) for the run's worker threads: workers is
+    QMAP_THREADS if it is above 0, else the CPU affinity, never above 8 or
+    tasks; map is a thread pool's map, the pool shut down when the block
+    exits, or for one worker the builtin map, which runs inline."""
+    n = requested_threads()
+    if n == 0:
+        # sched_getaffinity is Linux only
+        n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(n, 8, tasks)
+    if workers == 1:
+        yield workers, map
+        return
+    # imported here, so commands that start no pool never load it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        yield workers, pool.map
 
 
 @functools.cache

@@ -19,16 +19,13 @@ average of the observable.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from ._threads import requested_threads
+from ._threads import worker_map
 from .errors import DomainError, NumericalError
 from .model import (MapFamily, PhaseSpacePoint, classical_slope,
                     potential_curvature)
@@ -37,6 +34,8 @@ OBSERVABLES = ("cos2pi_q", "cos2pi_p", "identity")
 
 #: steps between renormalizations of the Lyapunov tangent vector
 RENORMALIZE_EVERY = 16
+# orbit steps the Lyapunov loop runs ahead of its tangent vector
+_LYAPUNOV_CHUNK = 1024
 
 
 def microcanonical_average(observable: str) -> float:
@@ -107,6 +106,13 @@ def lyapunov_exponent(family: MapFamily, seeds: list[PhaseSpacePoint],
     dq~ = dq + dp~ (unit determinant).  The tangent vector is renormalized
     every RENORMALIZE_EVERY = 16 steps and after the last step; the
     exponent is the mean log growth per step, averaged over seeds.
+
+    The orbit does not depend on the tangent vector, so it runs ahead a
+    chunk of _LYAPUNOV_CHUNK steps at a time, recording each step's q in
+    one row of a buffer; one potential_curvature call then turns the
+    chunk's positions into V'' in place, and the tangent recursion walks
+    its rows.  Every element sees the operations of a step-by-step loop,
+    so lam and spread do not depend on the chunk size, bit for bit.
     """
     if steps < 10_000:
         raise DomainError(f"classical: need steps >= 1e4, got {steps}")
@@ -119,30 +125,30 @@ def lyapunov_exponent(family: MapFamily, seeds: list[PhaseSpacePoint],
     dp = np.full_like(q, 1.0 / math.sqrt(2.0))
     log_growth = np.zeros_like(q)
     scratch = np.empty_like(q)
-    # holds 2 pi q, then its sine, V''(q) and V''(q) dq in turn
-    wave = np.empty_like(q)
-    cos_2pi_q = np.empty_like(q)
+    # the positions of a chunk's steps, then their V''
+    chunk = np.empty((min(_LYAPUNOV_CHUNK, steps), q.size))
 
-    for step in range(1, steps + 1):
-        # 2 pi q once a step: its sine gives V'', its cosine the kick's V'
-        np.multiply(q, 2.0 * np.pi, out=wave)
-        np.cos(wave, out=cos_2pi_q)
-        curvature = potential_curvature(family, q, np.sin(wave, out=wave),
-                                        out=wave)
-        dp -= np.multiply(curvature, dq, out=curvature)
-        dq += dp
-        # |V''| <= 1 + K, so the one-step tangent matrix has norm below 3.3
-        # and, with unit determinant, its inverse too: over 16 steps the
-        # norm changes by less than 1e9 either way, far from over/underflow
-        if step % RENORMALIZE_EVERY == 0 or step == steps:
-            norm = np.hypot(dq, dp)
-            if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
-                raise NumericalError("classical: tangent vector over/underflow; "
-                                     "renormalization failed")
-            log_growth += np.log(norm)
-            dq /= norm
-            dp /= norm
-        _step_arrays(family, q, p, scratch, cos_2pi_q)
+    for start in range(0, steps, _LYAPUNOV_CHUNK):
+        orbit = chunk[:min(_LYAPUNOV_CHUNK, steps - start)]
+        for row in orbit:
+            row[...] = q
+            _step_arrays(family, q, p, scratch)
+        curvatures = potential_curvature(family, orbit, out=orbit)
+        for step, curvature in enumerate(curvatures, start + 1):
+            dp -= np.multiply(curvature, dq, out=curvature)
+            dq += dp
+            # |V''| <= 1 + K: the one-step tangent matrix and its inverse
+            # have norm below 3.3, so 16 steps change the norm by less than
+            # 1e9 either way, far from over/underflow
+            if step % RENORMALIZE_EVERY == 0 or step == steps:
+                norm = np.hypot(dq, dp)
+                if not np.all(np.isfinite(norm)) or np.any(norm == 0.0):
+                    raise NumericalError(
+                        "classical: tangent vector over/underflow; "
+                        "renormalization failed")
+                log_growth += np.log(norm)
+                dq /= norm
+                dp /= norm
 
     lams = log_growth / steps
     return LyapunovReport(
@@ -175,16 +181,6 @@ class CorrelatorCurve:
         return int(self.times[-1])
 
 
-def _correlator_workers() -> int:
-    """The run's thread count, at most 8."""
-    n = requested_threads()
-    if n == 0:
-        # sched_getaffinity is Linux only
-        n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return min(n, 8)
-
-
 def classical_correlator(family: MapFamily, observable: str, t_max: int,
                          samples: int, rng_seed: int) -> CorrelatorCurve:
     """Estimate C(t) for t = 0..t_max from uniform i.i.d. torus points.
@@ -195,13 +191,12 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
     as ``prod.mean()`` and ``prod.std()`` would give them.
 
     The samples are cut into contiguous segments, one per worker thread
-    (QMAP_THREADS, else the CPU affinity, at most 8; one worker runs
-    inline).  Per lag, each worker advances its segment and writes its
-    products into one shared array, the calling thread sums the whole
-    array into the mean, each worker squares its deviations from the mean
-    in place, and the calling thread sums the array again.  Every sum is
-    np.add.reduce over the whole array, so the result is bit-identical at
-    every worker count.
+    (qmap._threads.worker_map).  Per lag, each worker advances its segment
+    and writes its products into one shared array, the calling thread sums
+    the whole array into the mean, each worker squares its deviations from
+    the mean in place, and the calling thread sums the array again.  Every
+    sum is np.add.reduce over the whole array, so the result is
+    bit-identical at every worker count.
     """
     if t_max <= 0:
         raise DomainError(f"classical: need t_max > 0, got {t_max}")
@@ -218,10 +213,6 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
     # t + 1 needs; classical_slope ignores it where V' has no cosine
     shares_cosine = observable == "cos2pi_q"
 
-    workers = _correlator_workers()
-    segments = [slice(samples * i // workers, samples * (i + 1) // workers)
-                for i in range(workers)]
-
     def write_products(s, t):
         if t > 0:
             _step_arrays(family, q[s], p[s], scratch[s],
@@ -236,10 +227,9 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
 
     C = np.empty(t_max + 1)
     stderr = np.empty(t_max + 1)
-    with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
-            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+    with worker_map() as (workers, run):
+        segments = [slice(samples * i // workers, samples * (i + 1) // workers)
+                    for i in range(workers)]
         for t in range(t_max + 1):
             list(run(write_products, segments, repeat(t)))
             C[t] = np.add.reduce(scratch) / samples

@@ -30,8 +30,9 @@ end and spins through the run, while above it the second thread pays
 the spec is resolved and puts back the count it found when it returns,
 so in-process callers keep theirs; the rule never raises the count.
 Below the cut every artifact is byte-identical across QMAP_THREADS
-values.  QMAP_THREADS also caps the Monte Carlo correlator's worker
-threads (qmap.classical), whose result is bit-identical at every count.
+values.  QMAP_THREADS also caps the worker threads of the Monte Carlo
+correlator (qmap.classical) and of the conjugation-route correlator
+(qmap.ergodicity), whose results are bit-identical at every count.
 """
 
 from __future__ import annotations

@@ -83,6 +83,34 @@ def _reference_lyapunov(family, seeds, steps):
     return float(np.mean(lams)), float(np.max(lams) - np.min(lams))
 
 
+def _stepwise_lyapunov(family, seeds, steps):
+    """The tangent-map loop one step at a time, 2 pi q formed once a step
+    for V'' and the kick, renormalized every 16 steps: (lam, spread)."""
+    q = np.array([s.q for s in seeds])
+    p = np.array([s.p for s in seeds])
+    dq = np.full_like(q, 1.0 / math.sqrt(2.0))
+    dp = np.full_like(q, 1.0 / math.sqrt(2.0))
+    log_growth = np.zeros_like(q)
+    scratch = np.empty_like(q)
+    wave = np.empty_like(q)
+    cos_2pi_q = np.empty_like(q)
+    for step in range(1, steps + 1):
+        np.multiply(q, 2.0 * np.pi, out=wave)
+        np.cos(wave, out=cos_2pi_q)
+        curvature = potential_curvature(family, q, np.sin(wave, out=wave),
+                                        out=wave)
+        dp -= np.multiply(curvature, dq, out=curvature)
+        dq += dp
+        if step % qmap.classical.RENORMALIZE_EVERY == 0 or step == steps:
+            norm = np.hypot(dq, dp)
+            log_growth += np.log(norm)
+            dq /= norm
+            dp /= norm
+        qmap.classical._step_arrays(family, q, p, scratch, cos_2pi_q)
+    lams = log_growth / steps
+    return float(np.mean(lams)), float(np.max(lams) - np.min(lams))
+
+
 def _one_step(family, q, p):
     """One period of the production kernel at a single point: (q, p)."""
     q, p = np.array([q]), np.array([p])
@@ -319,6 +347,21 @@ def test_lyapunov_matches_every_step_renormalization(variant):
     # rounding error scales with lam, not with the spread itself
     assert rep.spread == pytest.approx(spread, rel=1e-12,
                                        abs=max(1e-12 * abs(lam), 1e-15))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("chunk", [40, None])
+def test_chunked_lyapunov_is_bit_identical_to_the_stepwise_loop(variant, chunk,
+                                                               monkeypatch):
+    # 40-step chunks cut renormalization intervals of 16 steps, and 10 007
+    # steps leave a partial last chunk; None keeps the default chunk
+    if chunk is not None:
+        monkeypatch.setattr(qmap.classical, "_LYAPUNOV_CHUNK", chunk)
+    rng = np.random.default_rng(22)
+    seeds = [PhaseSpacePoint(q, p) for q, p in rng.random((7, 2))]
+    fam = MapFamily(variant)
+    rep = lyapunov_exponent(fam, seeds, 10_007)
+    assert (rep.lam, rep.spread) == _stepwise_lyapunov(fam, seeds, 10_007)
 
 
 def test_lyapunov_overflow_still_detected(monkeypatch):

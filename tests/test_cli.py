@@ -577,6 +577,26 @@ def test_ergodicity_agrees_across_thread_counts(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_conjugation_route_agrees_across_thread_counts(tmp_path):
+    # at N = 160 the conjugation route evolves three column blocks, on one
+    # worker or on two; the artifacts and both correlator lines it feeds
+    # must not move a byte
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "qmap.cli", "ergodicity", "--N", "32,160",
+             "--t-max", "8", "--samples", "20000", "--out", str(out)],
+            env=child_env(QMAP_THREADS=threads), capture_output=True,
+            text=True, check=True)
+        correlators = [ln for ln in done.stdout.splitlines()
+                       if "max |" in ln]
+        runs.append((correlators, ergodicity_artifacts(out)))
+    assert len(runs[0][0]) == 2
+    assert "max |f_conj - f_eig| = " in runs[0][0][1]
+    assert runs[0] == runs[1]
+
+
 CLASSICAL = ["classical", "--t-max", "5", "--samples", "20000",
              "--lyapunov-steps", "10000", "--lyapunov-seeds", "5"]
 REUSED = "classical C(t) read from "

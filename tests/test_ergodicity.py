@@ -1,5 +1,7 @@
 """Eigenbasis statistics: diagonal elements, F(T), correlators."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_observable, random_unitary
 from qmap import (
+    ConfigurationError,
     DomainError,
     MapFamily,
     PlanckScale,
@@ -224,8 +227,9 @@ def _dense_correlator(op, obs, t_range):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("label", OBSERVABLES)
 @pytest.mark.parametrize("r", [0.0, 1.5])
-@pytest.mark.parametrize("N", [2, 16, 64])
+@pytest.mark.parametrize("N", [2, 16, 64, 96, 160])
 def test_fft_conjugation_matches_dense_products(variant, label, r, N):
+    # 96 and 160 end on a partial block of columns
     # slow_ergodic carries r in the drift phases, the others in the kick
     scale = PlanckScale(N)
     op = build_floquet(MapFamily(variant, r=r), scale)
@@ -245,6 +249,41 @@ def test_momentum_site_routes_agree_to_roundoff(variant):
                         - quantum_correlator_eigenbasis(diagonalize(op), obs,
                                                         40)))
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("N", [160, 192])
+@pytest.mark.parametrize("label", ["cos2pi_q", "cos2pi_p"])
+def test_conjugation_route_is_bit_identical_across_thread_counts(N, label,
+                                                               monkeypatch):
+    # three column blocks at N = 160 (the last partial) and at N = 192 on
+    # one, two or three workers, at the position and the momentum site
+    scale = PlanckScale(N)
+    op = build_floquet(MapFamily("chaotic", r=0.3), scale)
+    obs = quantize_observable(label, scale)
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("QMAP_THREADS", threads)
+        runs.append(quantum_correlator(op, obs, 20).view(np.uint64))
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
+
+
+def test_conjugation_route_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setenv("QMAP_THREADS", "4")
+    scale = PlanckScale(256)
+    op = build_floquet(MapFamily("chaotic"), scale)
+    before = threading.active_count()
+    quantum_correlator(op, quantize_observable("cos2pi_q", scale), 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_conjugation_route_rejects_a_bad_thread_count(value, monkeypatch,
+                                                     small_chaotic):
+    op, _, obs = small_chaotic
+    monkeypatch.setenv("QMAP_THREADS", value)
+    with pytest.raises(ConfigurationError, match="QMAP_THREADS"):
+        quantum_correlator(op, obs, 3)
 
 
 def test_quantum_correlator_checks(small_chaotic):
