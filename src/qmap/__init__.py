@@ -56,9 +56,8 @@ def _load_all() -> None:
 
     The top-level scipy package is imported too, for its version (the
     environment record of bench/traced.py reads it); it loads no BLAS.
-    scipy.linalg and scipy's own OpenBLAS load only in the rare Schur and
-    assignment fallbacks; only Schur runs scipy's LAPACK (importing
-    scipy.optimize loads scipy.linalg).
+    scipy.linalg and scipy's own OpenBLAS load only in the rare Schur
+    fallback.
     """
     import scipy
     for module in _EXPORTS:

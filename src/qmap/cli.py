@@ -17,10 +17,9 @@ afresh; both ways give the same bits, so every artifact is the same.
 
 Every dense product and every LAPACK call runs on one pool, numpy's
 OpenBLAS (see qmap.quantize and qmap.spectral); only the rare Schur
-fallback runs scipy's LAPACK.  The rare assignment fallback runs none,
-though importing scipy.optimize loads scipy.linalg.  Two things size that
-pool.  QMAP_THREADS caps it (0 means automatic): it is applied to the
-standard environment knobs before numpy is first imported, which is why
+fallback runs scipy's LAPACK.  Two things size that pool.  QMAP_THREADS
+caps it (0 means automatic): it is applied to the standard environment
+knobs before numpy is first imported, which is why
 `import qmap` loads no numerical module and the numerical modules are
 imported inside functions here.  And a run whose largest dimension (N,
 or the largest N of N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs

@@ -151,20 +151,18 @@ def classical_slope(family: MapFamily, q, cos_2pi_q=None, out=None):
     return add(wave, q, out=out)
 
 
-def potential_curvature(family: MapFamily, q, sin_2pi_q=None, out=None):
+def potential_curvature(family: MapFamily, q, out=None):
     """V''(q) elementwise, h -> 0 limit only; zero for the sawtooth.
 
-    sin_2pi_q, when given, must be sin(2 pi q) at the same q; it is then
-    reused instead of evaluated again.  With an out buffer the result is
-    written there, and out may be sin_2pi_q itself.
+    With an out buffer the result is written there, and out may be q
+    itself.
     """
     if family.variant == "slow_ergodic":
         if out is None:
             return np.zeros_like(q)
         out.fill(0.0)
         return out
-    if sin_2pi_q is None:
-        sin_2pi_q = np.sin(np.multiply(q, 2.0 * np.pi, out=out), out=out)
+    sin_2pi_q = np.sin(np.multiply(q, 2.0 * np.pi, out=out), out=out)
     wave = np.multiply(sin_2pi_q, K, out=out)
     return np.subtract(family.quadratic_sign, wave, out=out)
 

@@ -210,8 +210,7 @@ def _schur(U: np.ndarray):
     """Complex Schur form (T, Z) of a dense U, the fallback's basis Z.
 
     The package's one import of scipy.linalg, and so of scipy's own
-    OpenBLAS, which only this fallback (and sweep's rare assignment
-    fallback, through scipy.optimize) loads.
+    OpenBLAS, which only this fallback loads.
     """
     from scipy.linalg import schur
     return schur(U, output="complex")

@@ -6,11 +6,14 @@ level keeps its identity through crossings and avoided crossings.  Phases
 are unwrapped along each trajectory; displacements are then plain
 differences even when a level drifts through the 0 / 2 pi seam.
 
-Steps whose best overlaps fall below a hard floor are bisected, up to
-MAX_REFINEMENTS levels deep; refined points steady the tracking but only
-requested grid points enter the output.  Sorted-index pairing is the same
-loop with identity matching in place of tracking, kept behind a flag for
-comparison: it mislabels levels wherever they cross.
+One rule tracks every step: each level continues in the column of its
+largest overlap, and every such overlap must exceed 1/2.  A step that
+fails it is split, at its middle r when it spans one interval of the
+grid (up to MAX_REFINEMENTS levels deep), at its middle lattice point
+when it spans several (below); refined points steady the tracking but
+only requested grid points enter the output.  Sorted-index pairing is
+the same loop with identity matching in place of tracking, kept behind a
+flag for comparison: it mislabels levels wherever they cross.
 
 The grid r0 + k delta_r is a lattice the sweep may step over.  `sweep`
 requests every lattice point, so each step spans one interval.
@@ -18,20 +21,20 @@ requests every lattice point, so each step spans one interval.
 (ends_only): it tries the whole window as one step and bisects on the
 lattice wherever a step of more than one interval is not certified.  At
 worst it walks every lattice point, each diagonalized at most once.  A
-multi-interval step is accepted only when every level's largest overlap
-exceeds 1/2 (a step that would need the assignment is split without
-solving it) and a gap certificate holds: with the Hellmann-Feynman level
-velocities <n|cos 2 pi x|n> at both ends (level dynamics: Pechukas, PRL
-51, 943 (1983)), no two cyclic neighbours may meet when their gap is
+multi-interval step is accepted only when its levels are tracked and a
+gap certificate holds: with the Hellmann-Feynman level velocities
+<n|cos 2 pi x|n> at both ends (level dynamics: Pechukas, PRL 51, 943
+(1983)), no two cyclic neighbours may meet when their gap is
 extrapolated linearly from either end, and the tracked levels must keep
 their cyclic order.  A certified step diagonalizes the same r as the
 lattice walk at its end and pairs the levels the same way, so it ends on
 the same phases bit for bit.  Checked: the end phases equal the lattice
 walk's exactly for all three variants at N = 64..512 on r = 0..0.5 and
-0..3, and in 1584 cases at N = 4..128 with delta_r = 0.05..0.5.  The
-chaotic ladder then needs 2 diagonalizations per N on r = 0..0.5 (8
-against 44) and 26 against 244 on r = 0..3.  Single-interval steps keep
-the overlap bisection, and only that bisection counts in refined_steps.
+0..3, and in 1584 cases at 22 even N = 4..128, six delta_r = 0.05..0.5
+and four windows in r = 0..3; none raises TrackingError, and 22 bisect
+a single interval.  The chaotic ladder then needs 2 diagonalizations
+per N on r = 0..0.5 (8 against 44) and 26 against 244 on r = 0..3.
+Only the bisection of single intervals counts in refined_steps.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .model import MapFamily, PlanckScale
 from .quantize import build_floquet, quantize_observable
 from .spectral import cyclic_gaps, diagonalize, mean_spacing, wrap_phase
 
-TRACK_FAIL_BELOW = 0.25
 MAX_REFINEMENTS = 3
 MODEL_NAMES = ("power_law", "constant", "log_model")
 # a scaling fit is in first-order response while every N's mean_sq is at
@@ -75,52 +77,32 @@ def _overlaps(prev, next) -> np.ndarray:
     return np.abs(prev_vectors.conj().T @ next_vectors) ** 2
 
 
-def track_levels(prev, next, assign: bool = True):
+def track_levels(prev, next):
     """Match eigenvector columns across a parameter step.
 
     prev and next are SpectralData (or bare matrices of orthonormal column
     vectors) with equal N.  Returns (perm, overlaps): level n of prev
-    continues in column perm[n] of next, with squared overlap overlaps[n].
-    Each level takes the column of its largest |<v|w>|^2 when every such
-    maximum exceeds 1/2; otherwise the exact optimal assignment is used.
-    The two agree whenever the maxima exceed 1/2: a column of orthonormal
-    overlaps sums to at most 1, so it holds at most one entry above 1/2,
-    and any other pairing has a smaller entry in every row it changes.
-    Overlaps below TRACK_FAIL_BELOW even then mean the step outran the
-    eigenbasis: StepTooLargeError tells the caller to refine the grid.
-    With assign=False a maximum at or below 1/2 raises StepTooLargeError
-    at once, for callers that split the step rather than assign.
+    continues in column perm[n] of next, with squared overlap overlaps[n],
+    the largest |<v|w>|^2 of its row.  Every such maximum must exceed 1/2:
+    a column of orthonormal overlaps sums to at most 1, so it holds at
+    most one entry above 1/2, perm is then a permutation, and it is the
+    optimal assignment, since any other pairing has a smaller entry in
+    every row it changes.  A maximum at or below 1/2 means the step
+    outran the eigenbasis: StepTooLargeError tells the caller to split it.
     """
     O = _overlaps(prev, next)
-    rows = np.arange(O.shape[0])
     perm = O.argmax(axis=1)
-    overlaps = O[rows, perm]
+    overlaps = O[np.arange(O.shape[0]), perm]
     if not overlaps.min() > 0.5:
-        if not assign:
-            raise StepTooLargeError(
-                f"track_levels: overlap {float(overlaps.min()):.3f} not above "
-                f"1/2; step split instead of assigned")
-        # only single-interval sweep steps get here, rarely; importing
-        # scipy.optimize costs about a quarter of a scaling run
-        from scipy.optimize import linear_sum_assignment
-        perm = linear_sum_assignment(-O)[1]
-        overlaps = O[rows, perm]
-
-    worst = float(overlaps.min())
-    if worst < TRACK_FAIL_BELOW:
         n_bad = int(np.argmin(overlaps))
         raise StepTooLargeError(
-            f"track_levels: overlap {worst:.3f} below {TRACK_FAIL_BELOW} "
-            f"at level {n_bad}; step too large for unambiguous tracking"
-        )
+            f"track_levels: overlap {float(overlaps[n_bad]):.3f} at level "
+            f"{n_bad} not above 1/2; step too large for unambiguous tracking")
     return perm, overlaps
 
 
-def _pair_by_rank(prev, next, assign: bool = True):
-    """Sorted-index pairing: level n continues in column n, at any overlap.
-
-    assign is track_levels' and has no effect: this pairing never fails.
-    """
+def _pair_by_rank(prev, next):
+    """Sorted-index pairing: level n continues in column n, at any overlap."""
     overlaps = np.abs(np.sum(prev.vectors.conj() * next.vectors, axis=0)) ** 2
     return np.arange(prev.N), overlaps
 
@@ -305,9 +287,8 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
             if data_to is None:
                 data_to = _spectrum_at(family, scale, r_to)
             coarse = k_to is not None and k_to - k_from > 1
-            # a coarse step that needs the assignment is split instead
             try:
-                step, overlaps = match(data, data_to, assign=not coarse)
+                step, overlaps = match(data, data_to)
                 accepted = True
             except StepTooLargeError:
                 accepted = False

@@ -84,8 +84,8 @@ def _reference_lyapunov(family, seeds, steps):
 
 
 def _stepwise_lyapunov(family, seeds, steps):
-    """The tangent-map loop one step at a time, 2 pi q formed once a step
-    for V'' and the kick, renormalized every 16 steps: (lam, spread)."""
+    """The tangent-map loop one step at a time, V'' and the kick's cosine
+    each formed from q, renormalized every 16 steps: (lam, spread)."""
     q = np.array([s.q for s in seeds])
     p = np.array([s.p for s in seeds])
     dq = np.full_like(q, 1.0 / math.sqrt(2.0))
@@ -95,10 +95,8 @@ def _stepwise_lyapunov(family, seeds, steps):
     wave = np.empty_like(q)
     cos_2pi_q = np.empty_like(q)
     for step in range(1, steps + 1):
-        np.multiply(q, 2.0 * np.pi, out=wave)
-        np.cos(wave, out=cos_2pi_q)
-        curvature = potential_curvature(family, q, np.sin(wave, out=wave),
-                                        out=wave)
+        np.cos(np.multiply(q, 2.0 * np.pi, out=wave), out=cos_2pi_q)
+        curvature = potential_curvature(family, q, out=wave)
         dp -= np.multiply(curvature, dq, out=curvature)
         dq += dp
         if step % qmap.classical.RENORMALIZE_EVERY == 0 or step == steps:

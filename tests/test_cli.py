@@ -357,10 +357,10 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 
 
 def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
-    # scipy.optimize is imported only where the rare assignment fallback
-    # calls it, not when the library loads; the scaling fits and the coarse
-    # sweep steps of `scaling` never reach that fallback.  scipy.linalg
-    # loads only with it or with the rare Schur fallback.
+    # nothing in the library imports scipy.optimize; scipy.linalg loads
+    # only with the rare Schur fallback.  The regular N = 32 sweep at
+    # delta_r = 0.5 has single-interval steps whose best overlaps are
+    # 0.47-0.49, so tracking splits them.
     probe = ("import sys, qmap\n"
              "qmap._load_all()\n"
              "print('scipy.linalg' in sys.modules, "
@@ -368,17 +368,22 @@ def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "False False"
-    for variant in ("chaotic", "regular"):
-        out = tmp_path / variant
+    runs = {variant: (["scaling", "--variant", variant,
+                       "--N", "16,32,64,128"], "fit.json")
+            for variant in ("chaotic", "regular")}
+    runs["sweep"] = (["sweep", "--variant", "regular", "--N", "32",
+                      "--delta-r", "0.5"], "spectrum.csv")
+    for name, (argv, written) in runs.items():
+        out = tmp_path / name
+        argv = [*argv, "--out", str(out)]
         probe = ("import sys, qmap.cli\n"
-                 "code = qmap.cli.run_command(['scaling', '--variant', "
-                 f"'{variant}', '--N', '16,32,64,128', '--out', r'{out}'])\n"
+                 f"code = qmap.cli.run_command({argv!r})\n"
                  "print(code, 'scipy.optimize' in sys.modules, "
                  "'scipy.linalg' in sys.modules)")
         done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1] == "0 False False", variant
-        assert (out / "fit.json").exists()
+        assert done.stdout.splitlines()[-1] == "0 False False", name
+        assert (out / written).exists(), name
 
 
 def test_commands_leave_scipy_linalg_unloaded(tmp_path):
@@ -435,10 +440,8 @@ def test_qmap_threads_caps_the_pool_that_does_the_work():
     assert done.stdout.splitlines()[-1] == "[1]"
 
 
-def test_only_the_assignment_fallback_imports_scipy_optimize():
-    found = package_imports("scipy.optimize")
-    assert [entry[:2] for entry in found] == [("sweep.py", "track_levels")], \
-        found
+def test_nothing_imports_scipy_optimize():
+    assert package_imports("scipy.optimize") == []
 
 
 def test_classical_curve_is_identical_across_thread_counts(tmp_path):

@@ -48,3 +48,43 @@ def test_every_result_field_has_a_reader():
               for item in node.body
               if isinstance(item, ast.AnnAssign) and item.target.id not in read]
     assert unread == []
+
+
+def _passed_arguments(paths) -> dict:
+    """Called name -> (keywords passed, most positional arguments) over
+    every call in the files; a *args or **kwargs passes them all."""
+    passed = {}
+    for node in _nodes(paths):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        keywords, most = passed.get(name, (set(), 0))
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        passed[name] = (keywords | {kw.arg for kw in node.keywords},
+                        max(most, float("inf") if starred else len(node.args)))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call overrides is a constant, not a parameter
+    passed = _passed_arguments([*SRC.glob("*.py"), *ROOT.glob("bench/*.py")])
+    unpassed = []
+    for node in _nodes(SRC.glob("*.py")):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        keywords, most = passed.get(node.name, (set(), 0))
+        defaulted = [(i, name) for i, name in enumerate(positional)
+                     if i >= len(positional) - len(args.defaults)]
+        defaulted += [(float("inf"), a.arg) for a, default
+                      in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        unpassed += [f"{node.name}({name})" for i, name in defaulted
+                     if name not in keywords and None not in keywords
+                     and not i < most]
+    assert unpassed == []

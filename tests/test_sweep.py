@@ -72,11 +72,10 @@ def test_tracking_follows_a_column_swap(chaotic_32):
     assert np.all(overlaps >= 1.0 - 1e-12)
 
 
-def test_largest_overlap_matching_equals_the_optimal_assignment(monkeypatch):
+def test_largest_overlap_matching_equals_the_optimal_assignment():
     # near-identity steps of random orthonormal bases, columns shuffled;
-    # small steps take the largest-overlap path, large ones the assignment,
-    # which assign=False (the sweep's multi-interval steps) refuses
-    monkeypatch.setattr(sweep_mod, "TRACK_FAIL_BELOW", 0.0)
+    # where every maximum exceeds 1/2 the largest overlaps are scipy's
+    # optimal assignment, and otherwise the step is refused
     rng = np.random.default_rng(31)
     paths = set()
     for N, step in [(16, 0.05), (64, 0.2), (64, 0.5), (128, 0.3), (32, 1.5)]:
@@ -88,15 +87,13 @@ def test_largest_overlap_matching_equals_the_optimal_assignment(monkeypatch):
             O = np.abs(prev.conj().T @ nxt) ** 2
             by_maxima = bool(O.max(axis=1).min() > 0.5)
             paths.add(by_maxima)
-            perm, overlaps = track_levels(prev, nxt)
-            assert np.array_equal(perm, linear_sum_assignment(-O)[1])
-            assert np.array_equal(overlaps, O[np.arange(N), perm])
             if by_maxima:
-                assert np.array_equal(
-                    track_levels(prev, nxt, assign=False)[0], perm)
+                perm, overlaps = track_levels(prev, nxt)
+                assert np.array_equal(perm, linear_sum_assignment(-O)[1])
+                assert np.array_equal(overlaps, O[np.arange(N), perm])
             else:
                 with pytest.raises(StepTooLargeError, match="not above 1/2"):
-                    track_levels(prev, nxt, assign=False)
+                    track_levels(prev, nxt)
     assert paths == {True, False}
 
 
@@ -736,6 +733,10 @@ def test_coarse_lattice_ends_match_the_lattice_walk(variant):
         ends = sweep_quantization(fam, scale, r0=0.0, r1=3.0, delta_r=0.5,
                                   ends_only=True)
         assert np.array_equal(ends.phases, walk.phases[:, [0, -1]]), N
+        assert walk.min_overlap > 0.5 and ends.min_overlap > 0.5, N
+        if (variant, N) == ("regular", 32):
+            # best overlaps of 0.47-0.49 on single intervals: bisected
+            assert walk.refined_steps >= 1
 
 
 def test_full_grid_sweep_computes_no_velocities(monkeypatch):
