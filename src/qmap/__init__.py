@@ -54,10 +54,9 @@ def __getattr__(name):
 def _load_all() -> None:
     """Import every module behind the exports, numpy with them.
 
-    The top-level scipy package is imported too, for its version (the
-    environment record of bench/traced.py reads it); it loads no BLAS.
-    scipy.linalg and scipy's own OpenBLAS load only in the rare Schur
-    fallback.
+    The top-level scipy package is imported too, for one reason only:
+    the environment record of bench/traced.py reads its version at the
+    first layer call.  It loads no BLAS, and no qmap module uses scipy.
     """
     import scipy
     for module in _EXPORTS:

@@ -16,10 +16,9 @@ Monte Carlo run.  Any other classical.csv is ignored and C(t) is computed
 afresh; both ways give the same bits, so every artifact is the same.
 
 Every dense product and every LAPACK call runs on one pool, numpy's
-OpenBLAS (see qmap.quantize and qmap.spectral); only the rare Schur
-fallback runs scipy's LAPACK.  Two things size that pool.  QMAP_THREADS
-caps it (0 means automatic): it is applied to the standard environment
-knobs before numpy is first imported, which is why
+OpenBLAS (see qmap.quantize and qmap.spectral).  Two things size that
+pool.  QMAP_THREADS caps it (0 means automatic): it is applied to the
+standard environment knobs before numpy is first imported, which is why
 `import qmap` loads no numerical module and the numerical modules are
 imported inside functions here.  And a run whose largest dimension (N,
 or the largest N of N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs

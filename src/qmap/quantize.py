@@ -11,9 +11,8 @@ with F the unitary discrete Fourier transform; -2 pi N x = -x/hbar.  A
 FloquetOperator keeps U as these two diagonals, never as a dense matrix:
 its apply method computes U V as a row scaling and one FFT pair down the
 columns (apply_momentum does the same for F U F^-1 on momentum-basis
-columns), and its dense method forms U only for the spectral module's
-Schur fallback and for checks.  F is unitary, so U is unitary exactly
-when both diagonals lie on the unit circle, which build_floquet certifies.
+columns).  F is unitary, so U is unitary exactly when both diagonals lie
+on the unit circle, which build_floquet certifies.
 
 The half drift C^(1/2) = F^-1 D_T^(1/2) F takes D_T^(1/2) = diag exp(-i pi
 N T(p'_k)) on the folded grid p'_k = min(k, N - k)/N.  For even N it squares
@@ -137,12 +136,6 @@ class FloquetOperator:
         np.fft.fft(out, axis=0, out=out)
         out *= self.drift_phases[:, None]
         return out
-
-    def dense(self) -> np.ndarray:
-        """U as a dense position-basis matrix, formed anew on every call."""
-        U = _circulant_from_momentum_diagonal(self.drift_phases)
-        U *= self.kick_phases[None, :]
-        return U
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,35 +19,37 @@ near-degenerate clusters that dense r sweeps sit on.  C^(1/2) R are the
 eigenvectors of U.  Each phase is read from the Rayleigh quotient v* U v
 rather than from the eigenvalue of X, which loses accuracy near the pole.
 
-U is never formed as a dense matrix outside the Schur fallback.  U_s (from
-the circulant C^(1/2) scaled by D_V) and the lift C^(1/2) R each take one
-FFT pair down the columns, and the eigenpair residuals apply U through
-the operator's own factors, U V = F^-1 D_T F (D_V V) (FloquetOperator.apply),
-never through U_s, so an error in the half drift or in the lift cannot
-pass.  diagonalize first checks, in O(N), that those factors lie on the
-unit circle and that D_T is the square of the half drift, the two facts
-the real route rests on.  Near the pole the real X squares the
-conditioning of the complex H: a phase within about 1e-8 of it leaves X
-finite and small, and only the residual certificate catches that pass.
+U is never formed as a dense matrix.  U_s (from the circulant C^(1/2)
+scaled by D_V) and the lift C^(1/2) R each take one FFT pair down the
+columns, and the eigenpair residuals apply U through the operator's own
+factors, U V = F^-1 D_T F (D_V V) (FloquetOperator.apply), never through
+U_s, so an error in the half drift or in the lift cannot pass.
+diagonalize first checks, in O(N), that those factors lie on the unit
+circle and that D_T is the square of the half drift, the two facts the
+real route rests on.  Near the pole the real X squares the conditioning
+of the complex H: a phase within about 1e-8 of it leaves X finite and
+small, and only the residual certificate catches that pass.
 
 The solve, eigh and the certificates' products (`@`) all run on numpy's
 OpenBLAS, one thread pool that qmap.cli sizes; the FFTs are numpy's, on
-the calling thread.  scipy's LAPACK runs only in the Schur fallback,
-which imports scipy.linalg when it is first taken.
+the calling thread.
 
-The passes form one chain.  The shifts depend on U alone, so reruns are
-byte-identical.  The first pass uses the fixed CAYLEY_SHIFT.  When an
-eigenvalue of X exceeds CAYLEY_MAX_EIGENVALUE in magnitude (a phase sits
-close to the pole) or a certificate fails, a second pass puts the pole in
-the middle of the widest gap between the first pass's phases; when the
-first pass met the pole itself (a singular 1 + A, no phases), the second
-puts it on the opposite side of the circle.  If the second pass fails too,
-the complex Schur decomposition of the dense U (exactly unitary for a
-normal matrix) is the fallback.  A pass is accepted only if its largest
-eigenpair residual |U v - exp(-i phi) v| is below 1e-10 and its basis is
-orthonormal, max |V*V - 1| below 1e-11 (one real Gram product R^T R on
-the real route, before the lift; C^(1/2) is unitary).  When no pass holds
-both, NumericalError.
+The passes form one chain of at most two.  The shifts depend on U alone,
+so reruns are byte-identical.  The first pass uses the fixed
+CAYLEY_SHIFT.  When an eigenvalue of X exceeds CAYLEY_MAX_EIGENVALUE in
+magnitude (a phase sits close to the pole) or a certificate fails, a
+second pass puts the pole in the middle of the widest gap between the
+first pass's phases; when the first pass met the pole itself (a singular
+1 + A, no phases), the second puts it on the opposite side of the
+circle.  Every gap of N phases on the circle is at least 2 pi / N wide,
+so the widest-gap pole sits at least pi / N from every phase and bounds
+the second pass's eigenvalues by cot(pi / 2N), about 2N / pi, far below
+the cap; the second pass accepts any certified basis.  A pass is
+certified only if its largest eigenpair residual |U v - exp(-i phi) v|
+is below 1e-10 and its basis is orthonormal, max |V*V - 1| below 1e-11
+(one real Gram product R^T R, before the lift; C^(1/2) is unitary).
+When neither pass is certified, NumericalError names each pass's shift
+and certificates.
 """
 from __future__ import annotations
 
@@ -89,8 +91,7 @@ class SpectralData:
     Both are certified: max_residual, the largest eigenpair residual, is
     below 1e-10, and max |V*V - 1| below 1e-11 (the real route of
     diagonalize reaches about 2e-15 at N = 512).  real_vectors holds the
-    real basis R with vectors = C^(1/2) R, columns in the same order, when
-    the real route gave the basis, and None after the Schur fallback.
+    real basis R with vectors = C^(1/2) R, columns in the same order.
     """
 
     N: int
@@ -99,12 +100,11 @@ class SpectralData:
     phases: np.ndarray
     vectors: np.ndarray
     max_residual: float
-    real_vectors: np.ndarray | None = None
+    real_vectors: np.ndarray
 
     def __post_init__(self):
         for arr in (self.phases, self.vectors, self.real_vectors):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def mean_spacing(self) -> float:
@@ -167,14 +167,12 @@ def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
     return vectors, R, defect, float(np.max(np.abs(eigenvalues)))
 
 
-def _certify(op, vectors: np.ndarray, real, defect: float):
-    """A pass's orthonormal basis sorted by phase, with its certificates.
+def _certify(op, vectors: np.ndarray):
+    """Rayleigh-quotient phases of a basis's columns and their residuals.
 
-    The phases are the Rayleigh quotients v* U v, and residuals[n] is the
-    2-norm of U v - exp(-i phi) v for column n, with U applied by
-    op.apply one block of columns at a time.  vectors, and the real basis
-    real unless None, are permuted in place.  Returns (phases, vectors,
-    real, residuals, defect).
+    The phases are v* U v, and residuals[n] is the 2-norm of
+    U v - exp(-i phi) v for column n, with U applied by op.apply one block
+    of columns at a time.  Both are in the order of the columns.
     """
     phases = np.empty(vectors.shape[1])
     residuals = np.empty(vectors.shape[1])
@@ -186,75 +184,57 @@ def _certify(op, vectors: np.ndarray, real, defect: float):
         phases[block] = np.mod(-np.angle(quotients), 2.0 * np.pi)
         deviation -= v * np.exp(-1j * phases[block])
         residuals[block] = np.linalg.norm(deviation, axis=0)
-    order = np.argsort(phases, kind="stable")
-    vectors[:] = vectors[:, order]
-    if real is not None:
-        real[:] = real[:, order]
-    return phases[order], vectors, real, residuals[order], defect
+    return phases, residuals
 
 
 def _widest_gap_shift(phases: np.ndarray) -> float:
     """Shift that puts the Cayley pole in the middle of the widest phase gap."""
+    phases = np.sort(phases)
     gaps = cyclic_gaps(phases)
     k = int(np.argmax(gaps))
     # the pole of the shift alpha sits at phi = alpha - pi
     return float(phases[k] + 0.5 * gaps[k] + np.pi)
 
 
-def _certified(result) -> bool:
-    # written so that a NaN fails
-    return result[4] < ORTHONORMALITY_TOL and result[3].max() < RESIDUAL_TOL
-
-
-def _schur(U: np.ndarray):
-    """Complex Schur form (T, Z) of a dense U, the fallback's basis Z.
-
-    The package's one import of scipy.linalg, and so of scipy's own
-    OpenBLAS, which only this fallback loads.
-    """
-    from scipy.linalg import schur
-    return schur(U, output="complex")
-
-
 def _eigenbasis(op: FloquetOperator):
-    """(phases, vectors, R or None, residuals, orthonormality defect) of U.
+    """(phases, vectors, R, worst residual) of U, sorted by phase.
 
-    The first pass uses CAYLEY_SHIFT; the second puts the pole in the
-    widest gap of the first pass's phases, or, when the first pass met
-    the pole itself, on the opposite side of the circle; the Schur
-    decomposition of the dense U is the fallback, and leaves no R.
+    The first pass uses CAYLEY_SHIFT and must keep its eigenvalues within
+    CAYLEY_MAX_EIGENVALUE; the second puts the pole in the widest gap of
+    the first pass's phases, or, when the first pass met the pole itself,
+    on the opposite side of the circle.  The first certified pass is
+    returned; when neither is certified, NumericalError.
     """
     shift, largest_allowed = CAYLEY_SHIFT, CAYLEY_MAX_EIGENVALUE
+    rejected = []
     for _ in range(2):
         basis = _symmetric_cayley_basis(op, shift)
         if basis is None:
-            shift += np.pi
+            rejected.append(
+                f"shift {shift:.6g}: 1 + A singular or X not finite")
+            shift, largest_allowed = shift + np.pi, np.inf
             continue
-        *basis, largest = basis
-        result = _certify(op, *basis)
-        if largest <= largest_allowed and _certified(result):
-            return result
-        shift, largest_allowed = _widest_gap_shift(result[0]), np.inf
-        del basis, result  # free this pass's basis before the next
-    _, Z = _schur(op.dense())
-    return _certify(op, Z, None, _unitarity_defect(Z))
-
-
-def _worst_certified_residual(residuals: np.ndarray, defect: float) -> float:
-    """The largest residual, or NumericalError when a certificate fails."""
-    worst = float(residuals.max())
-    # written so that a NaN residual fails the certificate
-    if not worst < RESIDUAL_TOL:
-        bad = np.flatnonzero(~(residuals < RESIDUAL_TOL))
-        raise NumericalError(
-            f"spectral: eigenpair residual {worst:.3e} at or above "
-            f"{RESIDUAL_TOL:.0e} (levels {bad[:8].tolist()} of "
-            f"{residuals.size})")
-    if not defect < ORTHONORMALITY_TOL:
-        raise NumericalError(
-            f"spectral: orthonormality defect max |V*V - 1| = {defect:.3e} "
-            f"at or above {ORTHONORMALITY_TOL:.0e}")
-    return worst
+        vectors, R, defect, largest = basis
+        phases, residuals = _certify(op, vectors)
+        worst = float(residuals.max())
+        # written so that a NaN fails
+        if (largest <= largest_allowed and worst < RESIDUAL_TOL
+                and defect < ORTHONORMALITY_TOL):
+            order = np.argsort(phases, kind="stable")
+            vectors[:] = vectors[:, order]
+            R[:] = R[:, order]
+            return phases[order], vectors, R, worst
+        rejected.append(
+            f"shift {shift:.6g}: eigenpair residual {worst:.3e}, "
+            f"orthonormality defect {defect:.3e}, largest |lambda| "
+            f"{largest:.4g} (allowed {largest_allowed:.4g})")
+        shift, largest_allowed = _widest_gap_shift(phases), np.inf
+        del basis, vectors, R  # free this pass's basis before the next
+    raise NumericalError(
+        f"spectral: no certified Cayley pass ({op.family.variant}, "
+        f"N={op.N}; eigenpair residual below {RESIDUAL_TOL:.0e}, "
+        f"orthonormality defect below {ORTHONORMALITY_TOL:.0e}): "
+        + "; ".join(rejected))
 
 
 def diagonalize(op: FloquetOperator) -> SpectralData:
@@ -272,13 +252,13 @@ def diagonalize(op: FloquetOperator) -> SpectralData:
         raise NumericalError(
             f"spectral: factors of U off the unit circle or the half drift's "
             f"square by {factors:.3e} ({op.family.variant}, N={op.N})")
-    phases, vectors, real, residuals, defect = _eigenbasis(op)
+    phases, vectors, real, worst = _eigenbasis(op)
     return SpectralData(
         N=op.N,
         family=op.family,
         scale=op.scale,
         phases=phases,
         vectors=vectors,
-        max_residual=_worst_certified_residual(residuals, defect),
+        max_residual=worst,
         real_vectors=real,
     )

@@ -5,8 +5,10 @@ For W = exp(i alpha) U, H = i (1 + W)^-1 (1 - W) is Hermitian with the
 eigenvectors of U; one LU solve (zgetrf, zgetrs) forms it and zheevr
 diagonalizes it.  It shares nothing with the real route but the chain of
 passes, which it runs the same way (CAYLEY_SHIFT, then the widest gap or
-the opposite side of the circle, then Schur), and the certificates, taken
-against the dense U.
+the opposite side of the circle), and the certificates' bounds, taken
+against the dense U.  Where neither pass is certified, the reference
+falls back to the complex Schur decomposition of U, which the library
+does not have.
 """
 
 from types import SimpleNamespace
@@ -15,18 +17,18 @@ import numpy as np
 from scipy.linalg import eigh, schur
 from scipy.linalg.lapack import zgetrf, zgetrs
 
+from qmap import NumericalError
 from qmap.quantize import _unitarity_defect
-from qmap.spectral import (CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT, _certified,
-                           _certify, _widest_gap_shift,
-                           _worst_certified_residual)
+from qmap.spectral import (CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT,
+                           ORTHONORMALITY_TOL, RESIDUAL_TOL, _certify,
+                           _widest_gap_shift)
 
 
 def cayley_basis(U, alpha):
     """Eigenbasis of U from H at the shift alpha.
 
-    Returns (vectors, None, max |V*V - 1|, largest |eigenvalue| of H), in
-    the layout of the real route's passes, or None when 1 + W is exactly
-    singular or H is not finite.
+    Returns (vectors, largest |eigenvalue| of H), or None when 1 + W is
+    exactly singular or H is not finite.
     """
     N = U.shape[0]
     # column-major buffers let the LU factor, the solve and eigh each
@@ -48,30 +50,35 @@ def cayley_basis(U, alpha):
         return None
     eigenvalues, vectors = eigh(H, overwrite_a=True, check_finite=False,
                                 driver="evr")
-    return (vectors, None, _unitarity_defect(vectors),
-            float(np.max(np.abs(eigenvalues))))
+    return vectors, float(np.max(np.abs(eigenvalues)))
+
+
+def _certified(residuals, vectors) -> bool:
+    # written so that a NaN fails
+    return (residuals.max() < RESIDUAL_TOL
+            and _unitarity_defect(vectors) < ORTHONORMALITY_TOL)
 
 
 def decompose_unitary(U):
     """(phases, vectors, max_residual) of a unitary matrix, phases sorted
-    ascending in [0, 2 pi), certified as diagonalize certifies its own."""
+    ascending in [0, 2 pi), certified to diagonalize's bounds."""
     U = np.asarray(U, dtype=complex)
     dense = SimpleNamespace(apply=U.__matmul__)
     shift, largest_allowed = CAYLEY_SHIFT, CAYLEY_MAX_EIGENVALUE
-    result = None
     for _ in range(2):
         basis = cayley_basis(U, shift)
         if basis is None:
-            shift += np.pi
+            shift, largest_allowed = shift + np.pi, np.inf
             continue
-        *basis, largest = basis
-        result = _certify(dense, *basis)
-        if largest <= largest_allowed and _certified(result):
+        vectors, largest = basis
+        phases, residuals = _certify(dense, vectors)
+        if largest <= largest_allowed and _certified(residuals, vectors):
             break
-        shift, largest_allowed = _widest_gap_shift(result[0]), np.inf
-        result = None
-    if result is None:
-        _, Z = schur(U, output="complex")
-        result = _certify(dense, Z, None, _unitarity_defect(Z))
-    phases, vectors, _, residuals, defect = result
-    return phases, vectors, _worst_certified_residual(residuals, defect)
+        shift, largest_allowed = _widest_gap_shift(phases), np.inf
+    else:
+        _, vectors = schur(U, output="complex")
+        phases, residuals = _certify(dense, vectors)
+        if not _certified(residuals, vectors):
+            raise NumericalError("complex_route: no certified basis")
+    order = np.argsort(phases, kind="stable")
+    return phases[order], vectors[:, order], float(residuals.max())

@@ -142,6 +142,15 @@ def random_unitary(rng, N: int) -> np.ndarray:
     return Q * (R.diagonal() / np.abs(R.diagonal()))[None, :]
 
 
+def dense(op) -> np.ndarray:
+    """The Floquet operator U = F^-1 D_T F D_V of op as a dense
+    position-basis matrix, formed anew on every call: the reference its
+    factored readers are checked against."""
+    U = _circulant_from_momentum_diagonal(op.drift_phases)
+    U *= op.kick_phases[None, :]
+    return U
+
+
 def dense_observable(obs) -> np.ndarray:
     """The observable as a dense complex position-basis matrix, the
     reference its structured readers are checked against: diag(a) at the

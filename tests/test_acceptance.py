@@ -8,7 +8,7 @@ are replayed in an "acceptance results" section at the end of the run.
 
 import numpy as np
 
-from conftest import (LADDER, SHIFT_WINDOW, fit_window,
+from conftest import (LADDER, SHIFT_WINDOW, dense, fit_window,
                       linear_response_guard, record_result)
 from qmap import (
     MapFamily,
@@ -64,7 +64,7 @@ def test_unitarity_and_eigenresidual_certificates():
         for r in (0.0, 3.0):
             for N in (64, 512):
                 op = build_floquet(MapFamily(variant, r=r), PlanckScale(N))
-                worst_defect = max(worst_defect, _unitarity_defect(op.dense()))
+                worst_defect = max(worst_defect, _unitarity_defect(dense(op)))
                 worst_factor = max(worst_factor, op.construction_certificate)
                 data = diagonalize(op)
                 worst_residual = max(worst_residual, data.max_residual)

@@ -357,10 +357,9 @@ def test_importing_the_cli_leaves_numpy_unloaded():
 
 
 def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
-    # nothing in the library imports scipy.optimize; scipy.linalg loads
-    # only with the rare Schur fallback.  The regular N = 32 sweep at
-    # delta_r = 0.5 has single-interval steps whose best overlaps are
-    # 0.47-0.49, so tracking splits them.
+    # nothing in the library imports scipy.optimize or scipy.linalg.  The
+    # regular N = 32 sweep at delta_r = 0.5 has single-interval steps whose
+    # best overlaps are 0.47-0.49, so tracking splits them.
     probe = ("import sys, qmap\n"
              "qmap._load_all()\n"
              "print('scipy.linalg' in sys.modules, "
@@ -388,7 +387,7 @@ def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
 
 def test_commands_leave_scipy_linalg_unloaded(tmp_path):
     # every product and LAPACK call runs on numpy's OpenBLAS, so no command
-    # loads scipy.linalg, or scipy's own OpenBLAS, unless a fallback does
+    # loads scipy.linalg, or scipy's own OpenBLAS
     commands = [
         ["classical", "--samples", "10000", "--t-max", "5",
          "--lyapunov-steps", "10000"],
@@ -442,6 +441,12 @@ def test_qmap_threads_caps_the_pool_that_does_the_work():
 
 def test_nothing_imports_scipy_optimize():
     assert package_imports("scipy.optimize") == []
+
+
+def test_nothing_imports_scipy_linalg():
+    # every product and LAPACK call runs on numpy's OpenBLAS; scipy.linalg,
+    # .blas and .lapack with it, would load scipy's own OpenBLAS beside it
+    assert package_imports("scipy.linalg") == []
 
 
 def test_classical_curve_is_identical_across_thread_counts(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_observable, random_unitary
+from conftest import dense, dense_observable
 from qmap import (
     ConfigurationError,
     DomainError,
@@ -27,7 +27,20 @@ from qmap import (
 from qmap.classical import OBSERVABLES
 from qmap.ergodicity import _eigenbasis_matrix, _eigenvectors_at_site
 from qmap.model import VARIANTS
+from qmap.quantize import half_free_propagator
 from qmap.spectral import cyclic_gaps
+
+
+def random_spectral_data(rng, N):
+    """Chaotic SpectralData of random sorted phases and a random basis of
+    the real route's form, vectors = C^(1/2) R with R real orthogonal."""
+    family, scale = MapFamily("chaotic"), PlanckScale(N)
+    R, _ = np.linalg.qr(rng.normal(size=(N, N)))
+    half = half_free_propagator(family, scale)
+    vectors = np.fft.ifft(half[:, None] * np.fft.fft(R, axis=0), axis=0)
+    return SpectralData(N=N, family=family, scale=scale,
+                        phases=np.sort(rng.uniform(0.0, 2.0 * np.pi, N)),
+                        vectors=vectors, max_residual=0.0, real_vectors=R)
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +101,7 @@ def test_f_curve_chain_is_exact_on_random_spectra(half_N, seed, label, T_grid):
     N = 2 * half_N
     rng = np.random.default_rng(seed)
     scale = PlanckScale(N)
-    data = SpectralData(N=N, family=MapFamily("chaotic"), scale=scale,
-                        phases=np.sort(rng.uniform(0.0, 2.0 * np.pi, N)),
-                        vectors=random_unitary(rng, N), max_residual=0.0)
+    data = random_spectral_data(rng, N)
     rep = quantum_F_curve(data, quantize_observable(label, scale), T_grid)
     F = np.array([F for _, F in rep.F_curve])
     # F(inf) <= F(T2) <= F(T1) for T1 <= T2, compared without tolerance
@@ -104,9 +115,7 @@ def test_f_curve_chain_is_exact_on_random_spectra(half_N, seed, label, T_grid):
 def test_structured_readers_match_the_dense_observable(N, seed, label):
     rng = np.random.default_rng(seed)
     scale = PlanckScale(N)
-    data = SpectralData(N=N, family=MapFamily("chaotic"), scale=scale,
-                        phases=np.sort(rng.uniform(0.0, 2.0 * np.pi, N)),
-                        vectors=random_unitary(rng, N), max_residual=0.0)
+    data = random_spectral_data(rng, N)
     obs = quantize_observable(label, scale)
     V = data.vectors
     M = _eigenbasis_matrix(obs, _eigenvectors_at_site(data, obs))
@@ -214,7 +223,7 @@ def test_dimension_mismatch_rejected(small_chaotic):
 
 def _dense_correlator(op, obs, t_range):
     """f(t) by two dense products per period, the reference for the FFT route."""
-    A, U = dense_observable(obs), op.dense()
+    A, U = dense_observable(obs), dense(op)
     B = A.copy()
     values = []
     for t in range(t_range + 1):

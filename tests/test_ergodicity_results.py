@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import dense_observable
+from conftest import dense, dense_observable
 from qmap import (
     DomainError,
     ErgodicityReport,
@@ -47,7 +47,7 @@ def test_each_diagnostic_returns_its_own_type(chaotic_32):
 
 def test_conjugation_route_matches_the_direct_trace(chaotic_32):
     op, _, obs = chaotic_32
-    A, U = dense_observable(obs), op.dense()
+    A, U = dense_observable(obs), dense(op)
     B = A.copy()
     direct = []
     for t in range(5):

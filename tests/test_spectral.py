@@ -1,5 +1,6 @@
 """Eigendecomposition of unitaries: phases, vectors, certificates."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.linalg import schur
 import complex_route
 import qmap.spectral as spectral_mod
 from complex_route import decompose_unitary
-from conftest import random_unitary
+from conftest import dense, random_unitary
 from qmap import (
     VARIANTS,
     DomainError,
@@ -25,7 +26,8 @@ from qmap import (
 )
 from qmap.model import kinetic
 from qmap.quantize import _circulant_from_momentum_diagonal, half_free_propagator
-from qmap.spectral import CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT
+from qmap.spectral import (CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT,
+                           ORTHONORMALITY_TOL, RESIDUAL_TOL)
 
 
 def schur_phases(U):
@@ -55,6 +57,17 @@ def record_calls(monkeypatch, name, module=spectral_mod):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def raised_pass_reports(op):
+    """The NumericalError of diagonalize(op) as (shift, eigenpair residual,
+    orthonormality defect, largest |lambda|) for each rejected pass."""
+    with pytest.raises(NumericalError) as raised:
+        diagonalize(op)
+    found = re.findall(r"shift (\S+): eigenpair residual (\S+), "
+                       r"orthonormality defect (\S+), largest \|lambda\| "
+                       r"(\S+)", str(raised.value))
+    return [tuple(map(float, report)) for report in found]
 
 
 def with_factors(op, kick_phases=None, drift_phases=None):
@@ -122,7 +135,7 @@ def test_trace_identity():
     op = build_floquet(MapFamily("chaotic", r=1.3), PlanckScale(64))
     data = diagonalize(op)
     assert np.sum(np.exp(-1j * data.phases)) == pytest.approx(
-        np.trace(op.dense()), abs=1e-8)
+        np.trace(dense(op)), abs=1e-8)
 
 
 def test_spectrum_invariant_under_fourier_conjugation():
@@ -130,7 +143,7 @@ def test_spectrum_invariant_under_fourier_conjugation():
     N = 32
     op = build_floquet(MapFamily("chaotic", r=0.9), PlanckScale(N))
     F = np.fft.fft(np.eye(N)) / np.sqrt(N)
-    conjugated = F @ op.dense() @ F.conj().T
+    conjugated = F @ dense(op) @ F.conj().T
     a = diagonalize(op).phases
     b, _, _ = decompose_unitary(conjugated)
     wrapped = np.mod(np.sort(a) - np.sort(b) + np.pi, 2.0 * np.pi) - np.pi
@@ -169,7 +182,9 @@ def test_eigenvalue_at_the_first_pole_takes_a_second_pass(monkeypatch):
     assert circular_mismatch(found, np.sort(phases)) < 1e-12
 
 
-def test_failed_cayley_passes_fall_back_to_schur(monkeypatch):
+def test_failed_cayley_passes_raise(monkeypatch):
+    # an orthonormal basis of non-eigenvectors fails the residual of both
+    # passes, and the error names each
     op = build_floquet(MapFamily("chaotic", r=0.4), PlanckScale(64))
 
     def bad_eigh(H, **kwargs):
@@ -177,44 +192,52 @@ def test_failed_cayley_passes_fall_back_to_schur(monkeypatch):
 
     monkeypatch.setattr(spectral_mod, "eigh", bad_eigh)
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "_schur")
-    data = diagonalize(op)
-    assert len(passes) == 2 and len(fallbacks) == 1
-    assert data.max_residual < 1e-11
-    assert orthonormality_defect(data.vectors) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
+    reports = raised_pass_reports(op)
+    assert len(passes) == 2 and passes[0][1] == CAYLEY_SHIFT
+    assert [shift for shift, *_ in reports] == pytest.approx(
+        [alpha for _, alpha in passes], rel=1e-5)
+    for _, residual, defect, largest in reports:
+        assert residual > RESIDUAL_TOL
+        assert defect == 0.0 and largest == 0.0
 
 
-def skewed_eigh(monkeypatch, name):
-    """Make spectral.<name> stretch its first eigenvector by 1 + 1e-9:
+def skewed_eigh(monkeypatch):
+    """Make spectral.eigh stretch its first eigenvector by 1 + 1e-9:
     eigenpairs stay accurate, orthonormality fails its certificate."""
-    real = getattr(spectral_mod, name)
+    real = spectral_mod.eigh
 
     def skewed(*args, **kwargs):
-        *rest, vectors = real(*args, **kwargs)
+        eigenvalues, vectors = real(*args, **kwargs)
         vectors = vectors.copy()
         vectors[:, 0] *= 1.0 + 1e-9
-        return (*rest, vectors)
+        return eigenvalues, vectors
 
-    monkeypatch.setattr(spectral_mod, name, skewed)
+    monkeypatch.setattr(spectral_mod, "eigh", skewed)
+
+
+def assert_stretched_passes_raise(monkeypatch, family, N):
+    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    reports = raised_pass_reports(build_floquet(family, PlanckScale(N)))
+    assert len(passes) == len(reports) == 2
+    for _, residual, defect, _ in reports:
+        assert residual < RESIDUAL_TOL
+        assert defect > ORTHONORMALITY_TOL
 
 
 def test_non_orthonormal_passes_fall_back_to_schur(monkeypatch):
-    op = build_floquet(MapFamily("regular", r=0.4), PlanckScale(64))
-    skewed_eigh(monkeypatch, "eigh")
-    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "_schur")
-    data = diagonalize(op)
-    assert len(passes) == 2 and len(fallbacks) == 1
-    assert orthonormality_defect(data.vectors) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
+    # the Schur decomposition is no fallback any more: a regular operator
+    # whose two passes give a stretched basis raises, and nothing in
+    # qmap.spectral reaches for a Schur form
+    skewed_eigh(monkeypatch)
+    assert not any("schur" in name.lower() for name in dir(spectral_mod))
+    assert_stretched_passes_raise(monkeypatch, MapFamily("regular", r=0.4), 64)
 
 
 def test_no_orthonormal_pass_raises(monkeypatch):
-    skewed_eigh(monkeypatch, "eigh")
-    skewed_eigh(monkeypatch, "_schur")
-    with pytest.raises(NumericalError, match="orthonormality"):
-        diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(16)))
+    # accurate eigenpairs in a stretched basis: the orthonormality
+    # certificate alone rejects both passes
+    skewed_eigh(monkeypatch)
+    assert_stretched_passes_raise(monkeypatch, MapFamily("chaotic"), 16)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -235,16 +258,14 @@ def test_half_drift_gives_a_symmetric_similar_form(variant, half_N, r):
     assert np.max(np.abs(U_s - U_s.T)) < 1e-13
     # U C^(1/2) = C^(1/2) U_s: the two are similar
     C_half = _circulant_from_momentum_diagonal(half)
-    assert np.max(np.abs(op.dense() @ C_half - C_half @ U_s)) < 1e-12
+    assert np.max(np.abs(dense(op) @ C_half - C_half @ U_s)) < 1e-12
 
 
 @pytest.mark.parametrize("N", [64, 256])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_floquet_operators_take_the_real_route(monkeypatch, variant, N):
     real_passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(build_floquet(MapFamily(variant, r=0.7), PlanckScale(N)))
-    assert not fallbacks
     assert real_passes and real_passes[0][1] == CAYLEY_SHIFT
     assert data.max_residual < 1e-11
     # the real basis is kept, in the order of the lifted one
@@ -262,11 +283,10 @@ def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
     shift = float(reference.phases[11] + np.pi)
     monkeypatch.setattr(spectral_mod, "CAYLEY_SHIFT", shift)
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "_schur")
     data = diagonalize(op)
     # the first pass meets the pole (1 + A is singular to roundoff there);
     # the second, with the pole moved, certifies
-    assert len(passes) == 2 and not fallbacks
+    assert len(passes) == 2
     assert passes[0][1] == shift and passes[1][1] != shift
     assert data.max_residual < 1e-11
     assert orthonormality_defect(data.vectors) < 1e-12
@@ -275,7 +295,8 @@ def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
 
 def test_failed_factor_moves_the_pole_to_the_opposite_side(monkeypatch):
     # an exactly singular 1 + A fails the solve and leaves no phases to
-    # find a gap in
+    # find a gap in; the opposite-side pass, the last, accepts any
+    # certified basis, here one with every eigenvalue above the cap
     real = spectral_mod.solve
     failures = []
 
@@ -286,13 +307,38 @@ def test_failed_factor_moves_the_pole_to_the_opposite_side(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(spectral_mod, "solve", failing_once)
+    monkeypatch.setattr(spectral_mod, "CAYLEY_MAX_EIGENVALUE", 0.0)
     passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    fallbacks = record_calls(monkeypatch, "_schur")
     op = build_floquet(MapFamily("slow_ergodic", r=0.4), PlanckScale(64))
     data = diagonalize(op)
     assert [alpha for _, alpha in passes] == [CAYLEY_SHIFT, CAYLEY_SHIFT + np.pi]
-    assert not fallbacks
-    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(dense(op))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(1, 64),
+       r=st.floats(0.0, 3.0))
+def test_widest_gap_pass_stays_below_the_gap_bound(variant, half_N, r):
+    # with no first pass allowed, the widest-gap pass must certify: N
+    # phases leave a gap of at least 2 pi / N, so its pole sits at least
+    # pi / N from every phase and |lambda| = cot(delta / 2) <= cot(pi / 2N)
+    N = 2 * half_N
+    largest = []
+    real_basis = spectral_mod._symmetric_cayley_basis
+
+    def spy(op, alpha):
+        basis = real_basis(op, alpha)
+        largest.append(None if basis is None else basis[3])
+        return basis
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral_mod, "CAYLEY_MAX_EIGENVALUE", 0.0)
+        patch.setattr(spectral_mod, "_symmetric_cayley_basis", spy)
+        data = diagonalize(build_floquet(MapFamily(variant, r=r),
+                                         PlanckScale(N)))
+    assert len(largest) == 2 and largest[0] is not None
+    assert largest[1] <= 1.0 / np.tan(np.pi / (2 * N))
+    assert data.max_residual < RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("N", [256, 512])
@@ -318,7 +364,7 @@ def test_cayley_route_matches_schur(variant, half_N, r):
     data = diagonalize(op)
     assert data.max_residual < 1e-11
     assert orthonormality_defect(data.vectors) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(dense(op))) < 1e-12
 
 
 def test_nan_entry_fails_the_unitarity_check():
@@ -336,8 +382,7 @@ def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
         return np.zeros(N), np.full((N, N), np.nan, dtype=complex)
 
     monkeypatch.setattr(spectral_mod, "eigh", nan_basis)
-    monkeypatch.setattr(spectral_mod, "_schur", nan_basis)
-    with pytest.raises(NumericalError, match="eigenpair residual"):
+    with pytest.raises(NumericalError, match="eigenpair residual nan"):
         diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(4)))
 
 
@@ -364,8 +409,7 @@ def test_drift_phases_out_of_step_with_the_half_drift_fail(variant):
 
 def test_residuals_read_the_operators_own_factors(monkeypatch):
     # an error in the half drift that builds U_s and lifts R must fail the
-    # residual, which applies U through drift_phases: every real pass fails
-    # and the Schur fallback of the dense U is taken
+    # residual, which applies U through drift_phases: both passes fail
     op = build_floquet(MapFamily("chaotic", r=0.3), PlanckScale(32))
     real_half = spectral_mod.half_free_propagator
     calls = []
@@ -379,11 +423,12 @@ def test_residuals_read_the_operators_own_factors(monkeypatch):
         return half
 
     monkeypatch.setattr(spectral_mod, "half_free_propagator", off_by_a_phase)
-    fallbacks = record_calls(monkeypatch, "_schur")
-    data = diagonalize(op)
-    assert len(calls) == 3 and len(fallbacks) == 1
-    assert data.real_vectors is None
-    assert circular_mismatch(data.phases, schur_phases(op.dense())) < 1e-12
+    reports = raised_pass_reports(op)
+    assert len(calls) == 3 and len(reports) == 2
+    assert reports[0][0] == pytest.approx(CAYLEY_SHIFT)
+    for _, residual, defect, _ in reports:
+        assert residual > RESIDUAL_TOL
+        assert defect < ORTHONORMALITY_TOL
 
 
 def test_a_different_kick_is_a_different_unitary():
@@ -394,8 +439,7 @@ def test_a_different_kick_is_a_different_unitary():
     kick[5] *= np.exp(0.1j)
     other = with_factors(op, kick_phases=kick)
     data = diagonalize(other)
-    assert data.real_vectors is not None
-    assert circular_mismatch(data.phases, schur_phases(other.dense())) < 1e-12
+    assert circular_mismatch(data.phases, schur_phases(dense(other))) < 1e-12
     assert circular_mismatch(data.phases, diagonalize(op).phases) > 1e-4
 
 
@@ -405,7 +449,7 @@ def test_a_different_kick_is_a_different_unitary():
 def test_real_route_matches_the_complex_reference(variant, half_N, r):
     op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
     data = diagonalize(op)
-    phases, vectors, residual = decompose_unitary(op.dense())
+    phases, vectors, residual = decompose_unitary(dense(op))
     assert residual < 1e-11
     assert circular_mismatch(data.phases, phases) < 1e-12
     # the same eigenvectors up to a phase where the levels are apart

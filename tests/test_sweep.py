@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import least_squares, linear_sum_assignment
 
-import qmap.spectral as spectral_mod
 import qmap.sweep as sweep_mod
 from conftest import LADDER, SHIFT_WINDOW, fit_window, random_unitary
 from qmap.sweep import MODEL_NAMES
@@ -139,10 +138,9 @@ def recording(data, products):
             products.append((self.dtype, other.dtype))
             return np.asarray(self) @ np.asarray(other)
 
-    real = data.real_vectors
     return dataclasses.replace(
         data, vectors=data.vectors.view(Recording),
-        real_vectors=None if real is None else real.view(Recording))
+        real_vectors=data.real_vectors.view(Recording))
 
 
 @pytest.mark.parametrize("variant", ["chaotic", "regular"])
@@ -159,23 +157,15 @@ def test_real_overlaps_equal_the_complex_ones(variant):
         < 1e-13
 
 
-def test_slow_ergodic_and_schur_steps_take_the_complex_overlap(monkeypatch):
+def test_slow_ergodic_steps_take_the_complex_overlap():
     products = []
     scale = PlanckScale(32)
     # slow_ergodic carries r in the half drift, so C^(1/2) differs by r
     slow = [diagonalize(build_floquet(MapFamily("slow_ergodic", r=r), scale))
             for r in (0.4, 0.45)]
-    assert all(data.real_vectors is not None for data in slow)
-    track_levels(*(recording(data, products) for data in slow))
-    # a step onto a Schur basis has no real basis on that side
-    chaotic = diagonalize(build_floquet(MapFamily("chaotic", r=0.4), scale))
-    monkeypatch.setattr(spectral_mod, "eigh", lambda X, **kw: (
-        np.zeros(X.shape[0]), np.eye(X.shape[0]) * 2.0))
-    by_schur = diagonalize(build_floquet(MapFamily("chaotic", r=0.45), scale))
-    assert by_schur.real_vectors is None
-    perm, overlaps = track_levels(recording(chaotic, products),
-                                  recording(by_schur, products))
-    assert products == [(np.complex128, np.complex128)] * 2
+    perm, overlaps = track_levels(*(recording(data, products)
+                                    for data in slow))
+    assert products == [(np.complex128, np.complex128)]
     assert np.array_equal(perm, np.arange(32)) and overlaps.min() > 0.9
 
 
@@ -723,14 +713,16 @@ def test_failed_multi_interval_tracking_splits_on_the_lattice(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["chaotic", "regular", "slow_ergodic"])
 def test_coarse_lattice_ends_match_the_lattice_walk(variant):
-    # delta_r = 0.5 at small N takes steps of up to six intervals; chaotic
-    # N = 16 passes the gap rule from r = 2 to 3 across an avoided crossing
-    # (gap 0.17 spacings at r = 3) and only the cyclic-order check stops it
+    # delta_r = 0.5 at small N takes steps of up to six intervals;
+    # slow_ergodic N = 4 on r = 1..3 passes the gap rule on a step whose
+    # end phases leave the start's cyclic order, and only the order check
+    # keeps its ends on the lattice walk's phases
     fam = MapFamily(variant)
-    for N in (8, 12, 16, 20, 32):
+    for N, r0 in ((4, 1.0), (8, 0.0), (12, 0.0), (16, 0.0), (20, 0.0),
+                  (32, 0.0)):
         scale = PlanckScale(N)
-        walk = sweep_quantization(fam, scale, r0=0.0, r1=3.0, delta_r=0.5)
-        ends = sweep_quantization(fam, scale, r0=0.0, r1=3.0, delta_r=0.5,
+        walk = sweep_quantization(fam, scale, r0=r0, r1=3.0, delta_r=0.5)
+        ends = sweep_quantization(fam, scale, r0=r0, r1=3.0, delta_r=0.5,
                                   ends_only=True)
         assert np.array_equal(ends.phases, walk.phases[:, [0, -1]]), N
         assert walk.min_overlap > 0.5 and ends.min_overlap > 0.5, N
