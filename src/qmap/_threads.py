@@ -4,8 +4,9 @@ run-time size of numpy's BLAS pool.
 The command line reads QMAP_THREADS to cap the BLAS thread pools before
 numpy is first imported, so this module imports no numpy.  worker_map
 reads it for the worker threads of the Monte Carlo correlator
-(qmap.classical) and of the conjugation-route correlator
-(qmap.ergodicity).
+(qmap.classical, one task per block of samples) and of the
+conjugation-route correlator (qmap.ergodicity, one task per block of
+columns).
 
 blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
 while it runs, through the scipy_openblas entry points that numpy's

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -36,6 +35,8 @@ OBSERVABLES = ("cos2pi_q", "cos2pi_p", "identity")
 RENORMALIZE_EVERY = 16
 # orbit steps the Lyapunov loop runs ahead of its tangent vector
 _LYAPUNOV_CHUNK = 1024
+# samples per task of the Monte Carlo correlator
+_CORRELATOR_BLOCK = 32768
 
 
 def microcanonical_average(observable: str) -> float:
@@ -181,22 +182,65 @@ class CorrelatorCurve:
         return int(self.times[-1])
 
 
+def _correlator_block(family: MapFamily, observable: str, t_max: int,
+                      q: np.ndarray, p: np.ndarray):
+    """(count, sums, M2) of A(x) A(map^t x) over one block of samples,
+    t = 0..t_max.
+
+    q and p are the block's views into the sample arrays and are advanced
+    in place.  sums[t] is np.add.reduce of the block's products and M2[t]
+    the sum of their squared deviations from the block mean, formed as
+    np.mean and np.std form them.
+    """
+    a_start = _observable_values(observable, q, p, np.empty_like(q))
+    values = np.empty_like(q)
+    scratch = np.empty_like(q)
+    # the observable cos(2 pi q) at step t is the cosine the kick to step
+    # t + 1 needs; classical_slope ignores it where V' has no cosine
+    shares_cosine = observable == "cos2pi_q"
+    sums = np.empty(t_max + 1)
+    M2 = np.empty(t_max + 1)
+    for t in range(t_max + 1):
+        if t > 0:
+            _step_arrays(family, q, p, scratch,
+                         values if shares_cosine else None)
+        prod = np.multiply(a_start,
+                           _observable_values(observable, q, p, values),
+                           out=scratch)
+        sums[t] = np.add.reduce(prod)
+        deviation = np.subtract(prod, sums[t] / q.size, out=prod)
+        M2[t] = np.add.reduce(np.square(deviation, out=deviation))
+    return q.size, sums, M2
+
+
+def _merge_moments(a, b):
+    """(count, sums, M2) of two sample sets joined: the pairwise update of
+    Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983))."""
+    (na, sa, M2a), (nb, sb, M2b) = a, b
+    n = na + nb
+    delta = sb / nb - sa / na
+    return n, sa + sb, M2a + M2b + delta * delta * (na * nb / n)
+
+
 def classical_correlator(family: MapFamily, observable: str, t_max: int,
                          samples: int, rng_seed: int) -> CorrelatorCurve:
     """Estimate C(t) for t = 0..t_max from uniform i.i.d. torus points.
 
     Each sample contributes A(x) A(map^t x); the trajectory is advanced in
-    place so memory stays O(samples).  ``C[t]`` and ``stderr[t]`` are the
-    mean and the standard deviation over sqrt(samples) of the products,
-    as ``prod.mean()`` and ``prod.std()`` would give them.
+    place, so beside the two sample arrays only block-sized arrays are
+    held.  ``C[t]`` and
+    ``stderr[t]`` are the mean and the standard deviation over
+    sqrt(samples) of the products.
 
-    The samples are cut into contiguous segments, one per worker thread
-    (qmap._threads.worker_map).  Per lag, each worker advances its segment
-    and writes its products into one shared array, the calling thread sums
-    the whole array into the mean, each worker squares its deviations from
-    the mean in place, and the calling thread sums the array again.  Every
-    sum is np.add.reduce over the whole array, so the result is
-    bit-identical at every worker count.
+    The samples are cut into fixed blocks of _CORRELATOR_BLOCK, and each
+    block is one task on the worker threads (qmap._threads.worker_map):
+    it steps its samples through every lag while they stay in cache and
+    returns, per lag, the sum of its products and their M2, the sum of
+    squared deviations from the block mean.  The calling thread merges the
+    blocks' (count, sum, M2) pairwise in a fixed order (_merge_moments).
+    The blocks do not depend on the worker count, so the result is
+    bit-identical at every count; up to one block it equals
+    ``prod.mean()`` and ``prod.std()`` bit for bit.
     """
     if t_max <= 0:
         raise DomainError(f"classical: need t_max > 0, got {t_max}")
@@ -206,40 +250,25 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
     rng = np.random.default_rng(rng_seed)
     q = rng.random(samples)
     p = rng.random(samples)
-    a_start = _observable_values(observable, q, p, np.empty_like(q))
-    values = np.empty_like(q)
-    scratch = np.empty_like(q)
-    # the observable cos(2 pi q) at step t is the cosine the kick to step
-    # t + 1 needs; classical_slope ignores it where V' has no cosine
-    shares_cosine = observable == "cos2pi_q"
+    blocks = [slice(start, start + _CORRELATOR_BLOCK)
+              for start in range(0, samples, _CORRELATOR_BLOCK)]
 
-    def write_products(s, t):
-        if t > 0:
-            _step_arrays(family, q[s], p[s], scratch[s],
-                         values[s] if shares_cosine else None)
-        np.multiply(a_start[s],
-                    _observable_values(observable, q[s], p[s], values[s]),
-                    out=scratch[s])
+    def run_block(block):
+        return _correlator_block(family, observable, t_max, q[block],
+                                 p[block])
 
-    def square_deviations(s, mean):
-        deviation = np.subtract(scratch[s], mean, out=scratch[s])
-        np.square(deviation, out=deviation)
-
-    C = np.empty(t_max + 1)
-    stderr = np.empty(t_max + 1)
-    with worker_map() as (workers, run):
-        segments = [slice(samples * i // workers, samples * (i + 1) // workers)
-                    for i in range(workers)]
-        for t in range(t_max + 1):
-            list(run(write_products, segments, repeat(t)))
-            C[t] = np.add.reduce(scratch) / samples
-            list(run(square_deviations, segments, repeat(C[t])))
-            stderr[t] = math.sqrt(np.add.reduce(scratch) / samples) \
-                / math.sqrt(samples)
+    with worker_map(len(blocks)) as (_, run):
+        moments = list(run(run_block, blocks))
+    # adjacent pairs, round after round; an odd last block waits a round
+    while len(moments) > 1:
+        merged = [_merge_moments(a, b)
+                  for a, b in zip(moments[0::2], moments[1::2])]
+        moments = merged + moments[2 * len(merged):]
+    _, sums, M2 = moments[0]
 
     return CorrelatorCurve(
         times=np.arange(t_max + 1),
-        C=C,
+        C=sums / samples,
         sample_count=samples,
-        stderr=stderr,
+        stderr=np.sqrt(M2 / samples) / math.sqrt(samples),
     )

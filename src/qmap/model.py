@@ -32,6 +32,12 @@ K = 0.4
 # amplitude of the parity-breaking sin(2 pi q) term in V
 SIN_AMPLITUDE = K / (2.0 * math.pi) ** 2
 
+# the factors of classical_slope as 0-d float64 arrays: a ufunc takes one
+# without the conversion a Python float costs on every call, and the
+# product is the same to the bit
+_TWO_PI = np.array(2.0 * math.pi)
+_KICK_SLOPE_AMPLITUDE = np.array(K / (2.0 * math.pi))
+
 #: tent height of the slow-ergodic sawtooth potential, read at each call
 SAWTOOTH_HEIGHT = 0.3
 
@@ -144,8 +150,8 @@ def classical_slope(family: MapFamily, q, cos_2pi_q=None, out=None):
         side = np.sign(np.subtract(q, 0.5, out=out), out=out)
         return np.multiply(side, SAWTOOTH_HEIGHT, out=out)
     if cos_2pi_q is None:
-        cos_2pi_q = np.cos(np.multiply(q, 2.0 * np.pi, out=out), out=out)
-    wave = np.multiply(cos_2pi_q, K / (2.0 * np.pi), out=out)
+        cos_2pi_q = np.cos(np.multiply(q, _TWO_PI, out=out), out=out)
+    wave = np.multiply(cos_2pi_q, _KICK_SLOPE_AMPLITUDE, out=out)
     # quadratic_sign is +-1, so sign * q + wave is exactly wave +- q
     add = np.add if family.quadratic_sign > 0.0 else np.subtract
     return add(wave, q, out=out)

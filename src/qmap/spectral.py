@@ -203,7 +203,8 @@ def _eigenbasis(op: FloquetOperator):
     CAYLEY_MAX_EIGENVALUE; the second puts the pole in the widest gap of
     the first pass's phases, or, when the first pass met the pole itself,
     on the opposite side of the circle.  The first certified pass is
-    returned; when neither is certified, NumericalError.
+    returned; when neither is certified, or the first pass's phases are
+    not finite, NumericalError.
     """
     shift, largest_allowed = CAYLEY_SHIFT, CAYLEY_MAX_EIGENVALUE
     rejected = []
@@ -228,6 +229,9 @@ def _eigenbasis(op: FloquetOperator):
             f"shift {shift:.6g}: eigenpair residual {worst:.3e}, "
             f"orthonormality defect {defect:.3e}, largest |lambda| "
             f"{largest:.4g} (allowed {largest_allowed:.4g})")
+        if not np.isfinite(phases).all():
+            # the widest gap of NaN phases is no shift at all
+            break
         shift, largest_allowed = _widest_gap_shift(phases), np.inf
         del basis, vectors, R  # free this pass's basis before the next
     raise NumericalError(

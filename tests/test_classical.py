@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +39,9 @@ def _reference_step(family, q, p):
     return (q + p) % 1.0, p
 
 
-def _reference_correlator(family, observable, t_max, samples, rng_seed):
-    """The correlator loop as first written, with the observable's cosine
-    evaluated apart from the kick's."""
+def _reference_products(family, observable, t_max, samples, rng_seed):
+    """A(x) A(map^t x) for t = 0..t_max by the loop as first written, with
+    the observable's cosine evaluated apart from the kick's."""
     def values(q, p):
         if observable == "cos2pi_q":
             return np.cos(2.0 * np.pi * q)
@@ -52,15 +53,37 @@ def _reference_correlator(family, observable, t_max, samples, rng_seed):
     q = rng.random(samples)
     p = rng.random(samples)
     a_start = values(q, p)
-    C = np.empty(t_max + 1)
-    stderr = np.empty(t_max + 1)
     for t in range(t_max + 1):
         if t > 0:
             q, p = _reference_step(family, q, p)
-        prod = a_start * values(q, p)
-        C[t] = prod.mean()
-        stderr[t] = prod.std() / math.sqrt(samples)
-    return C, stderr
+        yield a_start * values(q, p)
+
+
+def _reference_correlator(family, observable, t_max, samples, rng_seed):
+    """(C, stderr) of the reference loop by prod.mean() and prod.std()."""
+    C, stderr = [], []
+    for prod in _reference_products(family, observable, t_max, samples,
+                                    rng_seed):
+        C.append(prod.mean())
+        stderr.append(prod.std() / math.sqrt(samples))
+    return np.array(C), np.array(stderr)
+
+
+def _exact_correlator(family, observable, t_max, samples, rng_seed):
+    """(C, stderr, bound) of the reference loop by math.fsum; bound is
+    log2(n) eps sum|prod| / n, the rounding a pairwise sum may leave in
+    the mean."""
+    C, stderr, bound = [], [], []
+    eps = np.finfo(float).eps
+    for prod in _reference_products(family, observable, t_max, samples,
+                                    rng_seed):
+        mean = math.fsum(prod) / samples
+        C.append(mean)
+        stderr.append(math.sqrt(math.fsum((prod - mean) ** 2) / samples)
+                      / math.sqrt(samples))
+        bound.append(math.log2(samples) * eps * math.fsum(np.abs(prod))
+                     / samples)
+    return np.array(C), np.array(stderr), np.array(bound)
 
 
 def _reference_lyapunov(family, seeds, steps):
@@ -269,10 +292,10 @@ def test_correlator_preconditions():
 @pytest.mark.parametrize("observable", OBSERVABLES)
 def test_correlator_is_bit_identical_to_reference_loop(variant, observable,
                                                      monkeypatch):
-    # the in-place kernel with a shared kick cosine and the floor reduction,
-    # cut into 1, 2, 3, 4 or 8 segments, must not move a single bit of C or
-    # its standard error; 3 segments and 10 007 samples put the cuts off
-    # multiples of 8
+    # the in-place kernel with a shared kick cosine and the floor reduction
+    # must not move a single bit of C or its standard error at any thread
+    # count; 10 000 and 10 007 samples are one block, whose sums are those
+    # of prod.mean() and prod.std()
     fam = MapFamily(variant)
     for samples in (10_000, 10_007):
         C, stderr = _reference_correlator(fam, observable, 20, samples, 1005)
@@ -286,9 +309,8 @@ def test_correlator_is_bit_identical_to_reference_loop(variant, observable,
 
 
 def test_correlator_is_exact_under_thread_switching(monkeypatch):
-    # more workers than cores, switching threads every microsecond: a
-    # segment touched by two workers, or the array summed before every
-    # worker finished, would move a bit
+    # more workers than cores, switching threads every microsecond; one
+    # block of samples runs as one task, so nothing may move a bit
     monkeypatch.setenv("QMAP_THREADS", "8")
     fam = MapFamily("chaotic")
     C, stderr = _reference_correlator(fam, "cos2pi_p", 10, 10_007, 77)
@@ -301,6 +323,72 @@ def test_correlator_is_exact_under_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
     assert np.array_equal(curve.C.view(np.uint64), C.view(np.uint64))
     assert np.array_equal(curve.stderr.view(np.uint64), stderr.view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [1000, 4096])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("observable", OBSERVABLES)
+def test_several_blocks_match_the_exact_sums(block, variant, observable,
+                                             monkeypatch):
+    # 10 007 samples make 11 blocks of 1000, the last of 7, or 3 of 4096,
+    # the last of 1815: an odd count carries a block up a merge round
+    monkeypatch.setattr(qmap.classical, "_CORRELATOR_BLOCK", block)
+    fam = MapFamily(variant)
+    C, stderr, bound = _exact_correlator(fam, observable, 20, 10_007, 1005)
+    curve = classical_correlator(fam, observable, t_max=20, samples=10_007,
+                                 rng_seed=1005)
+    assert np.all(np.abs(curve.C - C) <= bound)
+    assert np.all(np.abs(curve.stderr - stderr) <= 1e-15 * stderr)
+
+
+def _several_block_curves(threads, monkeypatch):
+    """C and stderr as uint64 bits at each observable, chaotic map, over
+    blocks of 1000 and 4096 of 10 007 samples."""
+    monkeypatch.setenv("QMAP_THREADS", threads)
+    bits = []
+    for block in (1000, 4096):
+        monkeypatch.setattr(qmap.classical, "_CORRELATOR_BLOCK", block)
+        for observable in OBSERVABLES:
+            curve = classical_correlator(MapFamily("chaotic"), observable,
+                                         t_max=10, samples=10_007,
+                                         rng_seed=77)
+            bits.append(np.stack([curve.C, curve.stderr]).view(np.uint64))
+    return np.stack(bits)
+
+
+def test_several_blocks_are_bit_identical_across_thread_counts(monkeypatch):
+    one = _several_block_curves("1", monkeypatch)
+    for threads in ("2", "3", "8"):
+        assert np.array_equal(_several_block_curves(threads, monkeypatch), one)
+
+
+def test_several_blocks_are_exact_under_thread_switching(monkeypatch):
+    # more workers than cores, switching threads every microsecond: a block
+    # stepped by two workers, or merged out of order, would move a bit
+    one = _several_block_curves("1", monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        eight = _several_block_curves("8", monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(eight, one)
+
+
+def test_correlator_holds_no_sample_sized_scratch(monkeypatch):
+    # the two sample arrays take 16 B per sample; each running block adds
+    # three arrays of _CORRELATOR_BLOCK floats, and five sample-sized
+    # arrays would take 40 B per sample
+    monkeypatch.setenv("QMAP_THREADS", "2")
+    samples = 400_000
+    tracemalloc.start()
+    try:
+        classical_correlator(MapFamily("chaotic"), "cos2pi_q", t_max=5,
+                             samples=samples, rng_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * samples
 
 
 def test_correlator_leaves_no_thread_behind(monkeypatch):

@@ -450,8 +450,9 @@ def test_nothing_imports_scipy_linalg():
 
 
 def test_classical_curve_is_identical_across_thread_counts(tmp_path):
-    # the Monte Carlo correlator sums the whole sample array on one thread,
-    # so, unlike the BLAS results below, it is bit-identical at every count
+    # the Monte Carlo correlator's blocks and their merge order do not
+    # depend on the thread count, so, unlike the BLAS results below, it is
+    # bit-identical at every count
     texts = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

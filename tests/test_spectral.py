@@ -377,13 +377,25 @@ def test_nan_entry_fails_the_unitarity_check():
 
 
 def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
+    calls = []
+    real_solve = spectral_mod.solve
+
+    def counted_solve(a, b):
+        calls.append("solve")
+        return real_solve(a, b)
+
     def nan_basis(A, **kwargs):
         N = A.shape[0]
+        calls.append("eigh")
         return np.zeros(N), np.full((N, N), np.nan, dtype=complex)
 
+    monkeypatch.setattr(spectral_mod, "solve", counted_solve)
     monkeypatch.setattr(spectral_mod, "eigh", nan_basis)
-    with pytest.raises(NumericalError, match="eigenpair residual nan"):
+    with pytest.raises(NumericalError, match="eigenpair residual nan") as err:
         diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(4)))
+    # NaN phases leave no widest gap to put a second pass's pole in
+    assert calls == ["solve", "eigh"]
+    assert "shift nan" not in str(err.value)
 
 
 def test_non_unitary_input_rejected():
