@@ -182,15 +182,26 @@ class CorrelatorCurve:
         return int(self.times[-1])
 
 
+def _uniform_draws(rng_seed: int, skip: int, size: int) -> np.ndarray:
+    """Draws skip .. skip + size - 1 of default_rng(rng_seed).random().
+
+    default_rng(seed) is Generator(PCG64(seed)), and each float64 draw
+    takes one 64-bit output of the bit generator, so a fresh PCG64(seed)
+    advanced by skip outputs continues the stream bit for bit from there.
+    """
+    bits = np.random.PCG64(rng_seed).advance(skip)
+    return np.random.Generator(bits).random(size)
+
+
 def _correlator_block(family: MapFamily, observable: str, t_max: int,
                       q: np.ndarray, p: np.ndarray):
     """(count, sums, M2) of A(x) A(map^t x) over one block of samples,
     t = 0..t_max.
 
-    q and p are the block's views into the sample arrays and are advanced
-    in place.  sums[t] is np.add.reduce of the block's products and M2[t]
-    the sum of their squared deviations from the block mean, formed as
-    np.mean and np.std form them.
+    q and p are the block's samples and are advanced in place.  sums[t]
+    is np.add.reduce of the block's products and M2[t] the sum of their
+    squared deviations from the block mean, formed as np.mean and np.std
+    form them.
     """
     a_start = _observable_values(observable, q, p, np.empty_like(q))
     values = np.empty_like(q)
@@ -226,18 +237,20 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
                          samples: int, rng_seed: int) -> CorrelatorCurve:
     """Estimate C(t) for t = 0..t_max from uniform i.i.d. torus points.
 
-    Each sample contributes A(x) A(map^t x); the trajectory is advanced in
-    place, so beside the two sample arrays only block-sized arrays are
-    held.  ``C[t]`` and
-    ``stderr[t]`` are the mean and the standard deviation over
-    sqrt(samples) of the products.
+    The samples are q = rng.random(samples), then p = rng.random(samples)
+    of rng = default_rng(rng_seed).  Each contributes A(x) A(map^t x).
+    ``C[t]`` and ``stderr[t]`` are the mean and the standard deviation
+    over sqrt(samples) of the products.
 
     The samples are cut into fixed blocks of _CORRELATOR_BLOCK, and each
     block is one task on the worker threads (qmap._threads.worker_map):
-    it steps its samples through every lag while they stay in cache and
-    returns, per lag, the sum of its products and their M2, the sum of
-    squared deviations from the block mean.  The calling thread merges the
-    blocks' (count, sum, M2) pairwise in a fixed order (_merge_moments).
+    it draws its own q and p from the stream (_uniform_draws), steps them
+    in place through every lag while they stay in cache and returns, per
+    lag, the sum of its products and their M2, the sum of squared
+    deviations from the block mean.  No sample-sized array is held: each
+    running task holds five block-sized arrays.  The calling thread
+    merges the blocks' (count, sum, M2) pairwise in a fixed order
+    (_merge_moments).
     The blocks do not depend on the worker count, so the result is
     bit-identical at every count; up to one block it equals
     ``prod.mean()`` and ``prod.std()`` bit for bit.
@@ -247,18 +260,16 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
     if samples < 10_000:
         raise DomainError(f"classical: need samples >= 1e4, got {samples}")
 
-    rng = np.random.default_rng(rng_seed)
-    q = rng.random(samples)
-    p = rng.random(samples)
-    blocks = [slice(start, start + _CORRELATOR_BLOCK)
-              for start in range(0, samples, _CORRELATOR_BLOCK)]
+    starts = range(0, samples, _CORRELATOR_BLOCK)
 
-    def run_block(block):
-        return _correlator_block(family, observable, t_max, q[block],
-                                 p[block])
+    def run_block(start):
+        size = min(_CORRELATOR_BLOCK, samples - start)
+        return _correlator_block(
+            family, observable, t_max, _uniform_draws(rng_seed, start, size),
+            _uniform_draws(rng_seed, samples + start, size))
 
-    with worker_map(len(blocks)) as (_, run):
-        moments = list(run(run_block, blocks))
+    with worker_map(len(starts)) as (_, run):
+        moments = list(run(run_block, starts))
     # adjacent pairs, round after round; an odd last block waits a round
     while len(moments) > 1:
         merged = [_merge_moments(a, b)

@@ -13,8 +13,10 @@ eigenbasis of a Floquet operator:
 Each returns its own complete result: ErgodicityReport and FCurveReport.
 
 A is the real diagonal a in its own basis, where the eigenvectors are W:
-d = a^T |W|^2 in O(N^2), and M = W* (a W) by one complex product, which
-F(T) and the eigenbasis correlator each form.
+d = a^T |W|^2 in O(N^2), read a column block at a time
+(spectral.eigenbasis_diagonal), and P = |M_nm|^2 with M = W* (a W),
+which F(T) and the eigenbasis correlator both take from
+_transition_weights, one column block of W at a time.
 
 F(T) is assembled as (diag_sum + offdiag_sum(T)) / N with one shared
 diag_sum and same-shaped weight arrays for every T, so the inequalities
@@ -33,7 +35,8 @@ from ._threads import worker_map
 from .classical import CorrelatorCurve, microcanonical_average
 from .errors import DomainError, NumericalError
 from .quantize import FloquetOperator, Observable
-from .spectral import SpectralData, wrap_phase
+from .spectral import (SpectralData, column_blocks, eigenbasis_diagonal,
+                       wrap_phase)
 
 _IDENTITY_TOL = 1e-9
 # columns of U^t the conjugation route evolves together: 64 complex
@@ -80,14 +83,27 @@ def _check_t_range(t_range: int) -> None:
         raise DomainError(f"ergodicity: t_range must be >= 0, got {t_range}")
 
 
-def _eigenvectors_at_site(data: SpectralData, obs: Observable) -> np.ndarray:
+def _transition_weights(data: SpectralData, obs: Observable) -> np.ndarray:
+    """P = |M_nm|^2 of M = V* A V = W* (a W), W the eigenvectors at the
+    observable's site.
+
+    W is formed whole and conjugated in place; each column block of M is
+    then one complex product conj(W)^T (a W[:, block]), so beside W only P
+    and one block are held.  The blocks give the bits of the whole
+    product on one BLAS thread at every N tried; on two they did at
+    N = 64, 128, 256 and 512, not at N = 130, where OpenBLAS splits the
+    whole product's columns otherwise.
+    """
     _check_dimension(obs, data.N, "spectrum")
-    return obs.at_site(data.vectors)
-
-
-def _eigenbasis_matrix(obs: Observable, W: np.ndarray) -> np.ndarray:
-    """M = V* A V = W* (a W), W the eigenvectors at the observable's site."""
-    return W.conj().T @ (obs.diagonal[:, None] * W)
+    W = obs.at_site(data.eigenvectors())
+    np.conjugate(W, out=W)
+    P = np.empty((data.N, data.N))
+    for block in column_blocks(data.N):
+        aW = np.conjugate(W[:, block])
+        aW *= obs.diagonal[:, None]
+        weights = np.abs(W.T @ aW, out=P[:, block])
+        np.square(weights, out=weights)
+    return P
 
 
 def diagonal_elements_report(data: SpectralData,
@@ -97,7 +113,8 @@ def diagonal_elements_report(data: SpectralData,
     a0 is the microcanonical average of the observable's classical symbol;
     the diagonals are a^T |W|^2, real by construction, and M is not formed.
     """
-    d = obs.diagonal_elements(_eigenvectors_at_site(data, obs))
+    _check_dimension(obs, data.N, "spectrum")
+    d = eigenbasis_diagonal(data, obs)
     a0 = microcanonical_average(obs.classical_label)
 
     mean = float(np.mean(d))
@@ -123,7 +140,11 @@ def diagonal_elements_report(data: SpectralData,
 
 def quantum_F_curve(data: SpectralData, obs: Observable,
                     T_grid) -> FCurveReport:
-    """Evaluate F(T) on an ascending grid; F_infinity is the diagonal term."""
+    """Evaluate F(T) on an ascending grid; F_infinity is the diagonal term.
+
+    The weights of each T are formed in one buffer, in place, by the
+    operations of exp(-0.5 (delta T)^2) in their order.
+    """
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise DomainError("ergodicity: need a non-empty 1-d grid of T values")
@@ -132,19 +153,22 @@ def quantum_F_curve(data: SpectralData, obs: Observable,
     if np.any(np.diff(T_grid) <= 0.0):
         raise DomainError("ergodicity: T grid must be strictly ascending")
 
-    W = _eigenvectors_at_site(data, obs)
-    P = np.abs(_eigenbasis_matrix(obs, W)) ** 2
-    # the <n|A|n> reader's, so F_infinity equals the report's bit for bit
-    diag_sum = float(np.sum(obs.diagonal_elements(W) ** 2))
+    P = _transition_weights(data, obs)
+    # the report's reader, so F_infinity equals the report's bit for bit
+    diag_sum = float(np.sum(eigenbasis_diagonal(data, obs) ** 2))
     np.fill_diagonal(P, 0.0)
     delta = wrap_phase(data.phases[:, None] - data.phases[None, :])
 
     N = data.N
     values = np.empty_like(T_grid)
+    w = np.empty_like(delta)
     for i, T in enumerate(T_grid):
-        w = np.exp(-0.5 * np.square(delta * T))
+        np.multiply(delta, T, out=w)
+        np.square(w, out=w)
+        np.multiply(-0.5, w, out=w)
+        np.exp(w, out=w)
         np.fill_diagonal(w, 0.0)
-        offdiag = float(np.sum(P * w))
+        offdiag = float(np.sum(np.multiply(P, w, out=w)))
         values[i] = (diag_sum + offdiag) / N
     return FCurveReport(
         N=N,
@@ -205,7 +229,7 @@ def quantum_correlator_eigenbasis(data: SpectralData, obs: Observable,
     P [C S] serves every lag.
     """
     _check_t_range(t_range)
-    P = np.abs(_eigenbasis_matrix(obs, _eigenvectors_at_site(data, obs))) ** 2
+    P = _transition_weights(data, obs)
     angles = data.phases[:, None] * np.arange(t_range + 1)[None, :]
     waves = np.concatenate((np.cos(angles), np.sin(angles)), axis=1)
     terms = (P @ waves) * waves

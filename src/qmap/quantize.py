@@ -153,9 +153,12 @@ class Observable:
 
     def at_site(self, V: np.ndarray) -> np.ndarray:
         """Position-basis columns V in the observable's basis: V itself, or
-        F V = fft(V, axis=0) / sqrt(N) as a new array at the momentum site."""
+        F V = fft(V, axis=0) / sqrt(N) as a new array at the momentum site,
+        scaled in place."""
         if self.site == "momentum":
-            return np.fft.fft(V, axis=0) / np.sqrt(self.N)
+            W = np.fft.fft(V, axis=0)
+            W /= np.sqrt(self.N)
+            return W
         return V
 
     def diagonal_elements(self, W: np.ndarray) -> np.ndarray:

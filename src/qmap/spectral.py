@@ -21,9 +21,13 @@ rather than from the eigenvalue of X, which loses accuracy near the pole.
 
 U is never formed as a dense matrix.  U_s (from the circulant C^(1/2)
 scaled by D_V) and the lift C^(1/2) R each take one FFT pair down the
-columns, and the eigenpair residuals apply U through the operator's own
-factors, U V = F^-1 D_T F (D_V V) (FloquetOperator.apply), never through
-U_s, so an error in the half drift or in the lift cannot pass.
+columns.  A spectrum keeps R alone: the certificates lift it one block of
+_COLUMN_BLOCK columns at a time, and SpectralData.eigenvectors lifts the
+columns a consumer asks for; a block's lift equals the same columns of the
+whole lift bit for bit, since each column takes its own FFTs.  The
+eigenpair residuals apply U through the operator's own factors,
+U V = F^-1 D_T F (D_V V) (FloquetOperator.apply), never through U_s, so
+an error in the half drift or in the lift cannot pass.
 diagonalize first checks, in O(N), that those factors lie on the unit
 circle and that D_T is the square of the half drift, the two facts the
 real route rests on.  Near the pole the real X squares the conditioning
@@ -60,7 +64,7 @@ from numpy.linalg import LinAlgError, eigh, solve
 
 from .errors import DomainError, NumericalError
 from .model import MapFamily, PlanckScale
-from .quantize import (UNITARITY_TOL, FloquetOperator,
+from .quantize import (UNITARITY_TOL, FloquetOperator, Observable,
                        _circulant_from_momentum_diagonal, _unitarity_defect,
                        half_free_propagator)
 
@@ -68,8 +72,9 @@ RESIDUAL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
 CAYLEY_SHIFT = 0.3
 CAYLEY_MAX_EIGENVALUE = 3000.0
-# columns per block of the certificate loop, which forms no N x N temporary
-_CERTIFY_BLOCK = 64
+# columns per block of the loops that lift the real basis (the
+# certificates, eigenbasis_diagonal), which form no N x N complex array
+_COLUMN_BLOCK = 64
 
 
 def mean_spacing(N: int) -> float:
@@ -80,35 +85,63 @@ def mean_spacing(N: int) -> float:
 
 
 def wrap_phase(x: np.ndarray) -> np.ndarray:
-    """Phase differences wrapped to [-pi, pi]."""
-    return np.mod(x + np.pi, 2.0 * np.pi) - np.pi
+    """Phase differences wrapped to [-pi, pi], as one new array."""
+    wrapped = np.add(x, np.pi)
+    np.mod(wrapped, 2.0 * np.pi, out=wrapped)
+    wrapped -= np.pi
+    return wrapped
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
-    """Sorted eigenphases with matching orthonormal eigenvector columns.
+    """Sorted eigenphases and the real basis of their eigenvectors.
 
-    Both are certified: max_residual, the largest eigenpair residual, is
-    below 1e-10, and max |V*V - 1| below 1e-11 (the real route of
-    diagonalize reaches about 2e-15 at N = 512).  real_vectors holds the
-    real basis R with vectors = C^(1/2) R, columns in the same order.
+    real_vectors holds the real orthonormal basis R, 8 N^2 bytes; the
+    eigenvectors of U are the columns of V = C^(1/2) R in the same order,
+    which eigenvectors() forms on demand.  Both are certified:
+    max_residual, the largest eigenpair residual, is below 1e-10, and
+    max |V*V - 1| below 1e-11 (the real route of diagonalize reaches about
+    2e-15 at N = 512).
     """
 
     N: int
     family: MapFamily
     scale: PlanckScale
     phases: np.ndarray
-    vectors: np.ndarray
     max_residual: float
     real_vectors: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.phases, self.vectors, self.real_vectors):
+        for arr in (self.phases, self.real_vectors):
             arr.setflags(write=False)
 
     @property
     def mean_spacing(self) -> float:
         return mean_spacing(self.N)
+
+    def eigenvectors(self, columns: slice = slice(None)) -> np.ndarray:
+        """The eigenvectors C^(1/2) R in the given columns, as a new
+        complex column-major array: the one lift of the real basis."""
+        half = half_free_propagator(self.family, self.scale)
+        return _lift(half, self.real_vectors[:, columns])
+
+
+def column_blocks(N: int) -> list:
+    """Slices of _COLUMN_BLOCK consecutive columns that cover N columns."""
+    return [slice(start, start + _COLUMN_BLOCK)
+            for start in range(0, N, _COLUMN_BLOCK)]
+
+
+def eigenbasis_diagonal(data: SpectralData, obs: Observable) -> np.ndarray:
+    """<n|A|n> of every eigenvector, lifted and read one column block at a
+    time by Observable.diagonal_elements; no N x N complex array is held.
+    Each element is one column's own dot product, so the blocks give the
+    bits of one call on the whole basis (checked for N up to 512)."""
+    d = np.empty(data.N)
+    for block in column_blocks(data.N):
+        W = obs.at_site(data.eigenvectors(block))
+        d[block] = obs.diagonal_elements(W)
+    return d
 
 
 def cyclic_gaps(phases: np.ndarray) -> np.ndarray:
@@ -121,6 +154,12 @@ def _half_drift_columns(half: np.ndarray, M: np.ndarray) -> np.ndarray:
     np.fft.fft(M, axis=0, out=M)
     M *= half[:, None]
     return np.fft.ifft(M, axis=0, out=M)
+
+
+def _lift(half: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """C^(1/2) R for real columns R, as a new complex array; the FFTs run
+    down contiguous columns (column-major), whatever the layout of R."""
+    return _half_drift_columns(half, R.astype(complex, order="F"))
 
 
 def _symmetric_form(op: FloquetOperator, half: np.ndarray) -> np.ndarray:
@@ -138,7 +177,8 @@ def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
 
     With W = exp(i alpha) U_s = A + i B, X = (1 + A)^-1 B is real symmetric
     with real orthonormal eigenvectors R; C^(1/2) R are eigenvectors of U.
-    Returns (C^(1/2) R, R, max |R^T R - 1|, largest |eigenvalue| of X), or
+    Returns (R, half, max |R^T R - 1|, largest |eigenvalue| of X), half
+    the diagonal of C^(1/2) that lifts R (_lift), or
     None when 1 + A is exactly singular (a phase on the pole) or X is not
     finite; a nearly singular 1 + A is left to CAYLEY_MAX_EIGENVALUE and
     the certificates.
@@ -161,24 +201,24 @@ def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
         return None
     eigenvalues, R = eigh(X)
     del X
-    defect = _unitarity_defect(R)
-    # eigh returns R row-major; the lift's FFTs run down contiguous columns
-    vectors = _half_drift_columns(half, R.astype(complex, order="F"))
-    return vectors, R, defect, float(np.max(np.abs(eigenvalues)))
+    return R, half, _unitarity_defect(R), float(np.max(np.abs(eigenvalues)))
 
 
-def _certify(op, vectors: np.ndarray):
+def _certify(op, basis: np.ndarray, half: np.ndarray | None = None):
     """Rayleigh-quotient phases of a basis's columns and their residuals.
 
     The phases are v* U v, and residuals[n] is the 2-norm of
     U v - exp(-i phi) v for column n, with U applied by op.apply one block
-    of columns at a time.  Both are in the order of the columns.
+    of columns at a time.  Both are in the order of the columns.  With
+    half, the diagonal of C^(1/2), the columns are C^(1/2) R of the real
+    basis R = basis, each block lifted on its own (_lift).
     """
-    phases = np.empty(vectors.shape[1])
-    residuals = np.empty(vectors.shape[1])
-    for start in range(0, phases.size, _CERTIFY_BLOCK):
-        block = slice(start, start + _CERTIFY_BLOCK)
-        v = vectors[:, block]
+    phases = np.empty(basis.shape[1])
+    residuals = np.empty(basis.shape[1])
+    for block in column_blocks(phases.size):
+        v = basis[:, block]
+        if half is not None:
+            v = _lift(half, v)
         deviation = op.apply(v)
         quotients = np.einsum("ij,ij->j", v.conj(), deviation)
         phases[block] = np.mod(-np.angle(quotients), 2.0 * np.pi)
@@ -197,7 +237,7 @@ def _widest_gap_shift(phases: np.ndarray) -> float:
 
 
 def _eigenbasis(op: FloquetOperator):
-    """(phases, vectors, R, worst residual) of U, sorted by phase.
+    """(phases, R, worst residual) of U, sorted by phase.
 
     The first pass uses CAYLEY_SHIFT and must keep its eigenvalues within
     CAYLEY_MAX_EIGENVALUE; the second puts the pole in the widest gap of
@@ -215,16 +255,15 @@ def _eigenbasis(op: FloquetOperator):
                 f"shift {shift:.6g}: 1 + A singular or X not finite")
             shift, largest_allowed = shift + np.pi, np.inf
             continue
-        vectors, R, defect, largest = basis
-        phases, residuals = _certify(op, vectors)
+        R, half, defect, largest = basis
+        phases, residuals = _certify(op, R, half)
         worst = float(residuals.max())
         # written so that a NaN fails
         if (largest <= largest_allowed and worst < RESIDUAL_TOL
                 and defect < ORTHONORMALITY_TOL):
             order = np.argsort(phases, kind="stable")
-            vectors[:] = vectors[:, order]
             R[:] = R[:, order]
-            return phases[order], vectors, R, worst
+            return phases[order], R, worst
         rejected.append(
             f"shift {shift:.6g}: eigenpair residual {worst:.3e}, "
             f"orthonormality defect {defect:.3e}, largest |lambda| "
@@ -233,7 +272,7 @@ def _eigenbasis(op: FloquetOperator):
             # the widest gap of NaN phases is no shift at all
             break
         shift, largest_allowed = _widest_gap_shift(phases), np.inf
-        del basis, vectors, R  # free this pass's basis before the next
+        del basis, R  # free this pass's basis before the next
     raise NumericalError(
         f"spectral: no certified Cayley pass ({op.family.variant}, "
         f"N={op.N}; eigenpair residual below {RESIDUAL_TOL:.0e}, "
@@ -256,13 +295,12 @@ def diagonalize(op: FloquetOperator) -> SpectralData:
         raise NumericalError(
             f"spectral: factors of U off the unit circle or the half drift's "
             f"square by {factors:.3e} ({op.family.variant}, N={op.N})")
-    phases, vectors, real, worst = _eigenbasis(op)
+    phases, real, worst = _eigenbasis(op)
     return SpectralData(
         N=op.N,
         family=op.family,
         scale=op.scale,
         phases=phases,
-        vectors=vectors,
         max_residual=worst,
         real_vectors=real,
     )

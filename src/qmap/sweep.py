@@ -47,7 +47,8 @@ import numpy as np
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale
 from .quantize import build_floquet, quantize_observable
-from .spectral import cyclic_gaps, diagonalize, mean_spacing, wrap_phase
+from .spectral import (SpectralData, column_blocks, cyclic_gaps, diagonalize,
+                       eigenbasis_diagonal, mean_spacing, wrap_phase)
 
 MAX_REFINEMENTS = 3
 MODEL_NAMES = ("power_law", "constant", "log_model")
@@ -59,22 +60,31 @@ LOG_MODEL_SCAN = 1024
 
 
 def _overlaps(prev, next) -> np.ndarray:
-    """|<v|w>|^2 between every column v of prev and w of next.
+    """|<v|w>|^2 between every column v of prev and w of next: the
+    eigenvectors of two spectra, or two bare matrices of columns.
 
-    Where both carry the real basis R and the half drift C^(1/2) does not
-    depend on r (position-site variants), V = C^(1/2) R on both sides with
-    one unitary C^(1/2), so V_a* V_b = R_a^T R_b, one real product.
+    Where the half drift C^(1/2) does not depend on r (position-site
+    variants), V = C^(1/2) R on both sides with one unitary C^(1/2), so
+    V_a* V_b = R_a^T R_b, one real product.  Elsewhere prev's eigenvectors
+    are lifted whole and conjugated in place, and next's one column block
+    at a time.
     """
-    prev_vectors = getattr(prev, "vectors", prev)
-    next_vectors = getattr(next, "vectors", next)
-    if prev_vectors.shape != next_vectors.shape:
+    shapes = [getattr(side, "real_vectors", side).shape
+              for side in (prev, next)]
+    if shapes[0] != shapes[1]:
         raise DomainError("track_levels: vector blocks must have equal shapes")
-    real = [getattr(side, "real_vectors", None) for side in (prev, next)]
-    if all(R is not None for R in real) and (
-            prev.family.perturbation_site == "position"
+    if not isinstance(prev, SpectralData):
+        return np.abs(prev.conj().T @ next) ** 2
+    if (prev.family.perturbation_site == "position"
             == next.family.perturbation_site):
-        return (real[0].T @ real[1]) ** 2
-    return np.abs(prev_vectors.conj().T @ next_vectors) ** 2
+        O = prev.real_vectors.T @ next.real_vectors
+        return np.square(O, out=O)
+    left = prev.eigenvectors()
+    np.conjugate(left, out=left)
+    O = np.empty((prev.N, prev.N))
+    for block in column_blocks(prev.N):
+        O[:, block] = np.abs(left.T @ next.eigenvectors(block)) ** 2
+    return O
 
 
 def track_levels(prev, next):
@@ -101,9 +111,15 @@ def track_levels(prev, next):
     return perm, overlaps
 
 
-def _pair_by_rank(prev, next):
-    """Sorted-index pairing: level n continues in column n, at any overlap."""
-    overlaps = np.abs(np.sum(prev.vectors.conj() * next.vectors, axis=0)) ** 2
+def _pair_by_rank(prev: SpectralData, next: SpectralData):
+    """Sorted-index pairing: level n continues in column n, at any overlap.
+
+    The overlaps |<v_n|w_n>|^2 take the eigenvectors a column block at a
+    time."""
+    overlaps = np.empty(prev.N)
+    for block in column_blocks(prev.N):
+        products = prev.eigenvectors(block).conj() * next.eigenvectors(block)
+        overlaps[block] = np.abs(np.sum(products, axis=0)) ** 2
     return np.arange(prev.N), overlaps
 
 
@@ -149,17 +165,17 @@ def _spectrum_at(family: MapFamily, scale: PlanckScale, r: float):
     return diagonalize(build_floquet(dataclasses.replace(family, r=r), scale))
 
 
-def level_velocities(family: MapFamily, vectors: np.ndarray) -> np.ndarray:
-    """Hellmann-Feynman velocities d phi_n / dr of eigenvector columns.
+def level_velocities(data: SpectralData) -> np.ndarray:
+    """Hellmann-Feynman velocities d phi_n / dr of a spectrum's levels.
 
     r enters U only through the phase exp(-i r (2 pi / N) cos 2 pi x) at
     the family's perturbation site, so level n moves at <n|cos 2 pi x|n>
-    mean spacings per unit r: the <n|A|n> reader of that site's observable
-    (Observable.diagonal_elements), O(N^2) from vectors already held.
+    mean spacings per unit r: the <n|A|n> of that site's observable
+    (spectral.eigenbasis_diagonal), O(N^2 log N) from the real basis.
     """
-    label = "cos2pi_p" if family.perturbation_site == "momentum" else "cos2pi_q"
-    obs = quantize_observable(label, PlanckScale(vectors.shape[0]))
-    return obs.diagonal_elements(obs.at_site(vectors))
+    label = ("cos2pi_p" if data.family.perturbation_site == "momentum"
+             else "cos2pi_q")
+    return eigenbasis_diagonal(data, quantize_observable(label, data.scale))
 
 
 def _gaps_stay_open(phases_a, velocities_a, phases_b, velocities_b,
@@ -268,7 +284,7 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     phases = np.empty((scale.N, len(requested)))
     phases[:, 0] = unwrapped
     # velocities of the current columns, computed when a step needs them
-    velocities = level_velocities(family, data.vectors) if ends_only else None
+    velocities = level_velocities(data) if ends_only else None
     start_velocities = velocities
 
     min_seen = 1.0
@@ -294,9 +310,9 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
                 accepted = False
             if coarse and accepted:
                 if velocities is None:
-                    velocities = level_velocities(family, data.vectors)
+                    velocities = level_velocities(data)
                 if velocities_to is None:
-                    velocities_to = level_velocities(family, data_to.vectors)
+                    velocities_to = level_velocities(data_to)
                 perm = step[column_of]
                 accepted = _gaps_stay_open(
                     unwrapped, velocities[column_of], data_to.phases[perm],

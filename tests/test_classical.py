@@ -375,20 +375,51 @@ def test_several_blocks_are_exact_under_thread_switching(monkeypatch):
     assert np.array_equal(eight, one)
 
 
+def test_block_draws_continue_the_generator_stream(monkeypatch):
+    # 10 007 samples make 11 blocks of 1000, the last of 7: the blocks'
+    # q, then their p, are default_rng(seed).random(samples) twice over
+    monkeypatch.setenv("QMAP_THREADS", "1")
+    monkeypatch.setattr(qmap.classical, "_CORRELATOR_BLOCK", 1000)
+    drawn = []
+    real_block = qmap.classical._correlator_block
+
+    def recording(family, observable, t_max, q, p):
+        drawn.append((q.copy(), p.copy()))
+        return real_block(family, observable, t_max, q, p)
+
+    monkeypatch.setattr(qmap.classical, "_correlator_block", recording)
+    samples = 10_007
+    classical_correlator(MapFamily("chaotic"), "cos2pi_q", t_max=3,
+                         samples=samples, rng_seed=1005)
+    assert [q.size for q, _ in drawn] == [1000] * 10 + [7]
+    rng = np.random.default_rng(1005)
+    for k in range(2):
+        drawn_k = np.concatenate([pair[k] for pair in drawn])
+        assert np.array_equal(drawn_k.view(np.uint64),
+                              rng.random(samples).view(np.uint64))
+
+
 def test_correlator_holds_no_sample_sized_scratch(monkeypatch):
-    # the two sample arrays take 16 B per sample; each running block adds
-    # three arrays of _CORRELATOR_BLOCK floats, and five sample-sized
-    # arrays would take 40 B per sample
+    # each of the two running tasks holds five arrays of _CORRELATOR_BLOCK
+    # floats (its q and p, the start values, the values and one scratch);
+    # beside them only the per-block moments and the pool's bookkeeping,
+    # under 256 KB up to 49 blocks.  The bound does not grow with the
+    # sample count: one sample-sized array is 3.2 MB at 400 000 samples.
     monkeypatch.setenv("QMAP_THREADS", "2")
-    samples = 400_000
-    tracemalloc.start()
-    try:
-        classical_correlator(MapFamily("chaotic"), "cos2pi_q", t_max=5,
-                             samples=samples, rng_seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 24 * samples
+    family = MapFamily("chaotic")
+    bound = 2 * 5 * qmap.classical._CORRELATOR_BLOCK * 8 + 256 * 1024
+    # the first multi-block call imports the thread pool's module
+    classical_correlator(family, "cos2pi_q", t_max=5, samples=70_000,
+                         rng_seed=3)
+    for samples in (400_000, 1_600_000):
+        tracemalloc.start()
+        try:
+            classical_correlator(family, "cos2pi_q", t_max=5,
+                                 samples=samples, rng_seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_correlator_leaves_no_thread_behind(monkeypatch):

@@ -452,13 +452,14 @@ def test_nothing_imports_scipy_linalg():
 def test_classical_curve_is_identical_across_thread_counts(tmp_path):
     # the Monte Carlo correlator's blocks and their merge order do not
     # depend on the thread count, so, unlike the BLAS results below, it is
-    # bit-identical at every count
+    # bit-identical at every count; 70 000 samples are three blocks, the
+    # last one ragged (4464 samples), so two workers really run them
     texts = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         subprocess.run(
             [sys.executable, "-m", "qmap.cli", "classical", "--samples",
-             "10000", "--t-max", "20", "--lyapunov-steps", "10000",
+             "70000", "--t-max", "20", "--lyapunov-steps", "10000",
              "--out", str(out)],
             env=child_env(QMAP_THREADS=threads), capture_output=True,
             text=True, check=True)

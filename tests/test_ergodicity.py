@@ -1,6 +1,7 @@
 """Eigenbasis statistics: diagonal elements, F(T), correlators."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,22 +26,19 @@ from qmap import (
     quantum_correlator_eigenbasis,
 )
 from qmap.classical import OBSERVABLES
-from qmap.ergodicity import _eigenbasis_matrix, _eigenvectors_at_site
+from qmap.ergodicity import _transition_weights
 from qmap.model import VARIANTS
-from qmap.quantize import half_free_propagator
 from qmap.spectral import cyclic_gaps
 
 
 def random_spectral_data(rng, N):
-    """Chaotic SpectralData of random sorted phases and a random basis of
-    the real route's form, vectors = C^(1/2) R with R real orthogonal."""
+    """Chaotic SpectralData of random sorted phases and a random real
+    orthogonal basis R, whose eigenvectors are C^(1/2) R."""
     family, scale = MapFamily("chaotic"), PlanckScale(N)
     R, _ = np.linalg.qr(rng.normal(size=(N, N)))
-    half = half_free_propagator(family, scale)
-    vectors = np.fft.ifft(half[:, None] * np.fft.fft(R, axis=0), axis=0)
     return SpectralData(N=N, family=family, scale=scale,
                         phases=np.sort(rng.uniform(0.0, 2.0 * np.pi, N)),
-                        vectors=vectors, max_residual=0.0, real_vectors=R)
+                        max_residual=0.0, real_vectors=R)
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +67,8 @@ def test_diagonal_mean_is_trace_over_n(small_chaotic):
 def test_diagonals_match_direct_contraction(small_chaotic):
     _, data, obs = small_chaotic
     rep = diagonal_elements_report(data, obs)
-    oracle = np.einsum("in,ij,jn->n", data.vectors.conj(),
-                       dense_observable(obs), data.vectors).real
+    V = data.eigenvectors()
+    oracle = np.einsum("in,ij,jn->n", V.conj(), dense_observable(obs), V).real
     assert np.allclose(rep.diagonals, oracle, atol=1e-12)
 
 
@@ -117,12 +115,34 @@ def test_structured_readers_match_the_dense_observable(N, seed, label):
     scale = PlanckScale(N)
     data = random_spectral_data(rng, N)
     obs = quantize_observable(label, scale)
-    V = data.vectors
-    M = _eigenbasis_matrix(obs, _eigenvectors_at_site(data, obs))
-    assert np.max(np.abs(M - V.conj().T @ dense_observable(obs) @ V)) < 1e-13
+    V = data.eigenvectors()
+    M = V.conj().T @ dense_observable(obs) @ V
+    assert np.max(np.abs(_transition_weights(data, obs) - np.abs(M) ** 2)) \
+        < 1e-13
     # <n|A|n> by its O(N^2) reader is the diagonal of M
     d = diagonal_elements_report(data, obs).diagonals
     assert np.max(np.abs(d - M.diagonal())) < 1e-13
+
+
+@pytest.mark.parametrize("label", ["cos2pi_q", "cos2pi_p"])
+def test_f_curve_peak_memory(label):
+    # in units of one N x N float64 array: the eigenvectors at the site
+    # (2), P (1) and one column block of M with its weighted columns (1 at
+    # N = 256, where a block is a quarter of the columns); the weights of
+    # each T then reuse one buffer beside P and the gaps.  W, its
+    # conjugate, aW and M held at once took 8.
+    N = 256
+    scale = PlanckScale(N)
+    data = diagonalize(build_floquet(MapFamily("chaotic"), scale))
+    obs = quantize_observable(label, scale)
+    T_grid = np.geomspace(0.1, 100.0 * N / (2.0 * np.pi), 20)
+    tracemalloc.start()
+    try:
+        quantum_F_curve(data, obs, T_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * N * N
 
 
 def test_f_curve_plateau_matches_diagonal_report(small_chaotic):
@@ -181,7 +201,8 @@ def test_phase_vector_correlator_matches_the_cosine_sum(variant, label):
     scale = PlanckScale(128)
     data = diagonalize(build_floquet(MapFamily(variant, r=0.8), scale))
     obs = quantize_observable(label, scale)
-    M = data.vectors.conj().T @ dense_observable(obs) @ data.vectors
+    V = data.eigenvectors()
+    M = V.conj().T @ dense_observable(obs) @ V
     P = np.abs(M) ** 2
     delta = np.mod(data.phases[:, None] - data.phases[None, :] + np.pi,
                    2.0 * np.pi) - np.pi

@@ -117,7 +117,7 @@ def test_phases_sorted_and_certified():
     assert np.all(np.diff(data.phases) > 0.0)
     assert np.all((data.phases >= 0.0) & (data.phases < 2.0 * np.pi))
     assert data.max_residual < 1e-10
-    gram = data.vectors.conj().T @ data.vectors
+    gram = data.eigenvectors().conj().T @ data.eigenvectors()
     assert np.max(np.abs(gram - np.eye(64))) < 1e-10
     assert data.mean_spacing == mean_spacing(64)
 
@@ -128,7 +128,7 @@ def test_eigenvectors_orthonormal_at_512(variant, r):
     # SpectralData promises orthonormal columns; only the eigenpair
     # residual is certified (max |V*V - 1| measured up to 1.4e-12 here)
     data = diagonalize(build_floquet(MapFamily(variant, r=r), PlanckScale(512)))
-    assert orthonormality_defect(data.vectors) < 1e-11
+    assert orthonormality_defect(data.eigenvectors()) < 1e-11
 
 
 def test_trace_identity():
@@ -268,12 +268,39 @@ def test_floquet_operators_take_the_real_route(monkeypatch, variant, N):
     data = diagonalize(build_floquet(MapFamily(variant, r=0.7), PlanckScale(N)))
     assert real_passes and real_passes[0][1] == CAYLEY_SHIFT
     assert data.max_residual < 1e-11
-    # the real basis is kept, in the order of the lifted one
+    # the real basis is kept, and lifted column by column on demand
     half = half_free_propagator(data.family, data.scale)
     lifted = np.fft.ifft(half[:, None] * np.fft.fft(data.real_vectors, axis=0),
                          axis=0)
     assert data.real_vectors.dtype == float
-    assert np.max(np.abs(lifted - data.vectors)) < 1e-13
+    assert np.max(np.abs(lifted - data.eigenvectors())) < 1e-13
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_spectrum_keeps_only_the_real_basis(variant):
+    # R, 8 N^2 bytes, and the N phases: no complex array is kept
+    N = 128
+    data = diagonalize(build_floquet(MapFamily(variant, r=0.7),
+                                     PlanckScale(N)))
+    arrays = [value for value in vars(data).values()
+              if isinstance(value, np.ndarray)]
+    assert not any(np.iscomplexobj(a) for a in arrays)
+    assert all(a.base is None for a in arrays)
+    assert sum(a.nbytes for a in arrays) <= 8 * N * N + 8 * N
+
+
+@pytest.mark.parametrize("N", [2, 64, 98, 130])
+def test_column_blocks_lift_the_bits_of_the_whole_basis(N):
+    # each column takes its own FFT pair, so the certificates' and the
+    # readers' block lifts are the whole lift's columns bit for bit,
+    # ragged last block included
+    data = diagonalize(build_floquet(MapFamily("slow_ergodic", r=0.7),
+                                     PlanckScale(N)))
+    blocks = [data.eigenvectors(block)
+              for block in spectral_mod.column_blocks(N)]
+    whole = data.eigenvectors()
+    assert whole.flags.f_contiguous
+    assert np.concatenate(blocks, axis=1).tobytes("F") == whole.tobytes("F")
 
 
 def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
@@ -289,7 +316,7 @@ def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
     assert len(passes) == 2
     assert passes[0][1] == shift and passes[1][1] != shift
     assert data.max_residual < 1e-11
-    assert orthonormality_defect(data.vectors) < 1e-12
+    assert orthonormality_defect(data.eigenvectors()) < 1e-12
     assert circular_mismatch(data.phases, reference.phases) < 1e-12
 
 
@@ -363,7 +390,7 @@ def test_cayley_route_matches_schur(variant, half_N, r):
     op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
     data = diagonalize(op)
     assert data.max_residual < 1e-11
-    assert orthonormality_defect(data.vectors) < 1e-12
+    assert orthonormality_defect(data.eigenvectors()) < 1e-12
     assert circular_mismatch(data.phases, schur_phases(dense(op))) < 1e-12
 
 
@@ -467,6 +494,7 @@ def test_real_route_matches_the_complex_reference(variant, half_N, r):
     # the same eigenvectors up to a phase where the levels are apart
     gaps = spectral_mod.cyclic_gaps(phases)
     apart = np.minimum(gaps, np.roll(gaps, 1)) > 1e-3
-    overlaps = np.abs(np.sum(data.vectors.conj() * vectors, axis=0)) ** 2
+    products = data.eigenvectors().conj() * vectors
+    overlaps = np.abs(np.sum(products, axis=0)) ** 2
     assert np.all(np.abs(overlaps[apart] - 1.0) < 1e-9)
 

@@ -1,6 +1,7 @@
 """Level tracking across r, shift statistics, and scaling-law fits."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import least_squares, linear_sum_assignment
 
+import qmap.spectral as spectral_mod
 import qmap.sweep as sweep_mod
 from conftest import LADDER, SHIFT_WINDOW, fit_window, random_unitary
 from qmap.sweep import MODEL_NAMES
@@ -62,9 +64,10 @@ def test_tracking_against_itself_is_identity(chaotic_32):
 
 
 def test_tracking_follows_a_column_swap(chaotic_32):
-    swapped = chaotic_32.vectors.copy()
+    swapped = chaotic_32.real_vectors.copy()
     swapped[:, [3, 7]] = swapped[:, [7, 3]]
-    perm, overlaps = track_levels(chaotic_32.vectors, swapped)
+    perm, overlaps = track_levels(
+        chaotic_32, dataclasses.replace(chaotic_32, real_vectors=swapped))
     expected = np.arange(32)
     expected[[3, 7]] = [7, 3]
     assert np.array_equal(perm, expected)
@@ -130,7 +133,7 @@ def test_fine_step_at_full_size_tracks_identically(chaotic_512):
 
 
 def recording(data, products):
-    """data with its bases viewed as arrays whose @ logs the dtypes of
+    """data with its basis viewed as an array whose @ logs the dtypes of
     (left, right) in products."""
 
     class Recording(np.ndarray):
@@ -139,8 +142,7 @@ def recording(data, products):
             return np.asarray(self) @ np.asarray(other)
 
     return dataclasses.replace(
-        data, vectors=data.vectors.view(Recording),
-        real_vectors=data.real_vectors.view(Recording))
+        data, real_vectors=data.real_vectors.view(Recording))
 
 
 @pytest.mark.parametrize("variant", ["chaotic", "regular"])
@@ -153,8 +155,39 @@ def test_real_overlaps_equal_the_complex_ones(variant):
     b = diagonalize(build_floquet(MapFamily(variant, r=0.9), scale))
     O = sweep_mod._overlaps(recording(a, products), recording(b, products))
     assert products == [(np.float64, np.float64)]
-    assert np.max(np.abs(O - np.abs(a.vectors.conj().T @ b.vectors) ** 2)) \
-        < 1e-13
+    complex_overlaps = np.abs(a.eigenvectors().conj().T @ b.eigenvectors())
+    assert np.max(np.abs(O - complex_overlaps ** 2)) < 1e-13
+
+
+def test_a_regular_sweep_forms_no_complex_basis(monkeypatch):
+    # the overlaps of a position-site variant take R alone, so the only
+    # lifts of a sweep are the certificates', one column block of each
+    # pass at a time; an ends_only sweep adds the level velocities', also
+    # a block at a time
+    widths, passes = [], []
+    real_lift = spectral_mod._lift
+    real_pass = spectral_mod._symmetric_cayley_basis
+
+    def lift(half, R):
+        widths.append(R.shape[1])
+        return real_lift(half, R)
+
+    def cayley_pass(op, alpha):
+        passes.append(alpha)
+        return real_pass(op, alpha)
+
+    monkeypatch.setattr(spectral_mod, "_lift", lift)
+    monkeypatch.setattr(spectral_mod, "_symmetric_cayley_basis", cayley_pass)
+    N, block = 160, spectral_mod._COLUMN_BLOCK
+    sweep_quantization(MapFamily("regular"), PlanckScale(N), r0=0.0, r1=1.0,
+                       delta_r=0.1)
+    assert len(passes) >= 11
+    assert len(widths) == len(passes) * math.ceil(N / block)
+    assert max(widths) == block
+    widths.clear()
+    sweep_quantization(MapFamily("regular"), PlanckScale(N), r0=0.0, r1=1.0,
+                       delta_r=0.1, ends_only=True)
+    assert max(widths) == block
 
 
 def test_slow_ergodic_steps_take_the_complex_overlap():
@@ -592,7 +625,7 @@ def test_velocities_are_the_derivative_of_the_tracked_phases(variant):
         perm, _ = track_levels(data, data_end)
         ends.append(data_end.phases[perm])
     slope = ((ends[1] - ends[0]) / (2.0 * eps)) / mean_spacing(64)
-    velocities = level_velocities(fam, data.vectors)
+    velocities = level_velocities(data)
     assert np.max(np.abs(velocities)) > 0.2
     assert np.max(np.abs(slope - velocities)) < 1e-6
 
@@ -608,8 +641,7 @@ def test_velocities_are_the_diagonal_elements_at_the_perturbation_site(
     label = {"position": "cos2pi_q",
              "momentum": "cos2pi_p"}[fam.perturbation_site]
     report = diagonal_elements_report(data, quantize_observable(label, scale))
-    assert np.array_equal(level_velocities(fam, data.vectors),
-                          report.diagonals)
+    assert np.array_equal(level_velocities(data), report.diagonals)
 
 
 def _window_mean_sq(ladder, r1):
