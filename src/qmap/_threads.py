@@ -1,12 +1,12 @@
 """The one reader of QMAP_THREADS, the worker threads of a run, and the
 run-time size of numpy's BLAS pool.
 
-The command line reads QMAP_THREADS to cap the BLAS thread pools before
-numpy is first imported, so this module imports no numpy.  worker_map
-reads it for the worker threads of the Monte Carlo correlator
-(qmap.classical, one task per block of samples) and of the
-conjugation-route correlator (qmap.ergodicity, one task per block of
-columns).
+`import qmap` calls cap_thread_env before anything loads numpy, while
+the BLAS pools have not read their environment knobs yet, so this module
+imports no numpy at module level.  worker_map reads QMAP_THREADS for the
+worker threads of the Monte Carlo correlator (qmap.classical, one task
+per block of samples) and of the conjugation-route correlator
+(qmap.ergodicity, one task per block of columns).
 
 blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
 while it runs, through the scipy_openblas entry points that numpy's
@@ -22,6 +22,14 @@ import functools
 import os
 
 from .errors import ConfigurationError
+
+_THREAD_VARS = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
 
 
 def requested_threads() -> int:
@@ -42,12 +50,24 @@ def requested_threads() -> int:
     return n
 
 
+def cap_thread_env() -> None:
+    """Copy a valid QMAP_THREADS above 0 into every BLAS and OpenMP
+    thread knob; an invalid value is left for the command line to report."""
+    try:
+        n = requested_threads()
+    except ConfigurationError:
+        return
+    if n > 0:
+        for var in _THREAD_VARS:
+            os.environ[var] = str(n)
+
+
 @contextlib.contextmanager
-def worker_map(tasks: int = 8):
-    """Yield (workers, map) for the run's worker threads: workers is
-    QMAP_THREADS if it is above 0, else the CPU affinity, never above 8 or
-    tasks; map is a thread pool's map, the pool shut down when the block
-    exits, or for one worker the builtin map, which runs inline."""
+def worker_map(tasks: int):
+    """Yield a map over the run's worker threads: QMAP_THREADS of them if
+    it is above 0, else the CPU affinity, never above 8 or tasks.  It is a
+    thread pool's map, the pool shut down when the block exits, or for one
+    worker the builtin map, which runs inline."""
     n = requested_threads()
     if n == 0:
         # sched_getaffinity is Linux only
@@ -55,13 +75,13 @@ def worker_map(tasks: int = 8):
              else os.cpu_count() or 1)
     workers = min(n, 8, tasks)
     if workers == 1:
-        yield workers, map
+        yield map
         return
     # imported here, so commands that start no pool never load it
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        yield workers, pool.map
+        yield pool.map
 
 
 @functools.cache

@@ -27,7 +27,7 @@ import numpy as np
 from ._threads import worker_map
 from .errors import DomainError, NumericalError
 from .model import (MapFamily, PhaseSpacePoint, classical_slope,
-                    potential_curvature)
+                    potential_curvature, quantization_profile)
 
 OBSERVABLES = ("cos2pi_q", "cos2pi_p", "identity")
 
@@ -51,9 +51,9 @@ def microcanonical_average(observable: str) -> float:
 def _observable_values(observable: str, q: np.ndarray, p: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     if observable == "cos2pi_q":
-        return np.cos(np.multiply(q, 2.0 * np.pi, out=out), out=out)
+        return quantization_profile(q, out=out)
     if observable == "cos2pi_p":
-        return np.cos(np.multiply(p, 2.0 * np.pi, out=out), out=out)
+        return quantization_profile(p, out=out)
     if observable == "identity":
         out.fill(1.0)
         return out
@@ -268,7 +268,7 @@ def classical_correlator(family: MapFamily, observable: str, t_max: int,
             family, observable, t_max, _uniform_draws(rng_seed, start, size),
             _uniform_draws(rng_seed, samples + start, size))
 
-    with worker_map(len(starts)) as (_, run):
+    with worker_map(len(starts)) as run:
         moments = list(run(run_block, starts))
     # adjacent pairs, round after round; an odd last block waits a round
     while len(moments) > 1:

@@ -17,20 +17,24 @@ afresh; both ways give the same bits, so every artifact is the same.
 
 Every dense product and every LAPACK call runs on one pool, numpy's
 OpenBLAS (see qmap.quantize and qmap.spectral).  Two things size that
-pool.  QMAP_THREADS caps it (0 means automatic): it is applied to the
-standard environment knobs before numpy is first imported, which is why
-`import qmap` loads no numerical module and the numerical modules are
-imported inside functions here.  And a run whose largest dimension (N,
-or the largest N of N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs
-on one BLAS thread: up to that size a second thread gains nothing end to
-end and spins through the run, while above it the second thread pays
-(README, "Determinism and threads").  run_command lowers the pool when
-the spec is resolved and puts back the count it found when it returns,
-so in-process callers keep theirs; the rule never raises the count.
-Below the cut every artifact is byte-identical across QMAP_THREADS
-values.  QMAP_THREADS also caps the worker threads of the Monte Carlo
-correlator (qmap.classical) and of the conjugation-route correlator
+pool.  QMAP_THREADS caps it (0 means automatic): `import qmap` copies it
+into the standard environment knobs before numpy loads, and run_command
+lowers the pool to it at run time too, for a caller that loaded numpy
+first.  And a run whose largest dimension (N, or the largest N of
+N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs on one BLAS thread:
+up to that size a second thread gains nothing end to end and spins
+through the run, while above it the second thread pays (README,
+"Determinism and threads").  run_command lowers the pool when the spec
+is resolved and puts back the count it found when it returns, so
+in-process callers keep theirs; it never raises the count.  Below the
+cut every artifact is byte-identical across QMAP_THREADS values.
+QMAP_THREADS also caps the worker threads of the Monte Carlo correlator
+(qmap.classical) and of the conjugation-route correlator
 (qmap.ergodicity), whose results are bit-identical at every count.
+
+The layer modules are called through their module attributes, so a
+function replaced there (a test's spy, a benchmark's span) is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -40,34 +44,22 @@ import gc
 import os
 import sys
 
-from . import _load_all
+import numpy as np
+
+from . import classical, ergodicity, outputs, quantize, spectral, sweep
 from ._threads import blas_threads, requested_threads, set_blas_threads
+from .config import READ_BY_ALL, READS, make_runspec, read_config
+from .errors import ConfigurationError, DomainError, NumericalError
+from .model import VARIANTS, MapFamily, PhaseSpacePoint, PlanckScale
 
 # runs whose largest dimension is at most this take one BLAS thread: up to
 # N = 256 a second OpenBLAS thread speeds up no end-to-end run, and spins
 # through the whole of it
 ONE_BLAS_THREAD_MAX_N = 256
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _apply_thread_env() -> None:
-    n = requested_threads()
-    if n == 0:
-        return
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
 
 
 def _largest_dimension(spec) -> int:
     """N for the commands that read N, else the largest N of N_list."""
-    from .config import READS
-
     return spec.N if "N" in READS[spec.command] else max(spec.N_list)
 
 
@@ -118,12 +110,7 @@ _FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the library is loaded by now (run_command calls _load_all first)
-    from .classical import OBSERVABLES
-    from .config import READ_BY_ALL, READS
-    from .model import VARIANTS
-
-    choices = {"variant": VARIANTS, "observable": OBSERVABLES}
+    choices = {"variant": VARIANTS, "observable": classical.OBSERVABLES}
     parser = argparse.ArgumentParser(
         prog="qmap",
         description="Quantized kicked torus maps: spectra, level motion, "
@@ -151,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _runspec_from_args(args):
-    from .config import make_runspec, read_config
-    from .errors import ConfigurationError
-
     config_path = getattr(args, "config", None)
     raw = read_config(config_path) if config_path else {}
 
@@ -188,18 +172,13 @@ def _runspec_from_args(args):
 
 def run_classical(spec) -> dict:
     """Lyapunov exponent and Monte Carlo autocorrelation of the classical map"""
-    import numpy as np
-
-    from .classical import classical_correlator, lyapunov_exponent
-    from .model import MapFamily, PhaseSpacePoint
-
     family = MapFamily(spec.variant, r=spec.r)
     rng = np.random.default_rng(spec.seed)
     points = [PhaseSpacePoint(float(rng.random()), float(rng.random()))
               for _ in range(spec.lyapunov_seeds)]
-    report = lyapunov_exponent(family, points, spec.lyapunov_steps)
-    curve = classical_correlator(family, spec.observable, spec.t_max,
-                                 spec.samples, spec.seed)
+    report = classical.lyapunov_exponent(family, points, spec.lyapunov_steps)
+    curve = classical.classical_correlator(family, spec.observable,
+                                           spec.t_max, spec.samples, spec.seed)
 
     print(f"lyapunov exponent: {report.lam:.6f} (spread {report.spread:.6f}, "
           f"{report.seed_count} seeds x {report.steps} steps)")
@@ -214,12 +193,8 @@ def run_classical(spec) -> dict:
 
 def run_spectrum(spec) -> dict:
     """eigenphases of one Floquet operator"""
-    from .model import MapFamily, PlanckScale
-    from .quantize import build_floquet
-    from .spectral import diagonalize
-
-    data = diagonalize(build_floquet(MapFamily(spec.variant, r=spec.r),
-                                     PlanckScale(spec.N)))
+    data = spectral.diagonalize(quantize.build_floquet(
+        MapFamily(spec.variant, r=spec.r), PlanckScale(spec.N)))
     print(f"diagonalized {spec.variant} N={spec.N} at r={spec.r:g}: "
           f"max residual {data.max_residual:.3e}, "
           f"mean spacing {data.mean_spacing:.6f}")
@@ -228,14 +203,11 @@ def run_spectrum(spec) -> dict:
 
 def run_sweep(spec) -> dict:
     """track all eigenphases across an r sweep"""
-    from .model import MapFamily, PlanckScale
-    from .sweep import shift_statistics, sweep_quantization
-
-    traj = sweep_quantization(MapFamily(spec.variant, r=spec.r),
-                              PlanckScale(spec.N),
-                              r_grid=spec.r_grid, r0=spec.r0, r1=spec.r1,
-                              delta_r=spec.delta_r,
-                              sorted_pairing=spec.sorted_pairing)
+    traj = sweep.sweep_quantization(MapFamily(spec.variant, r=spec.r),
+                                    PlanckScale(spec.N),
+                                    r_grid=spec.r_grid, r0=spec.r0,
+                                    r1=spec.r1, delta_r=spec.delta_r,
+                                    sorted_pairing=spec.sorted_pairing)
     grid = traj.r_grid
     print(f"swept {spec.variant} N={spec.N} over r in "
           f"[{grid[0]:g}, {grid[-1]:g}] "
@@ -243,7 +215,8 @@ def run_sweep(spec) -> dict:
           f"worst overlap {traj.min_overlap:.3f})")
     print(f"crossings: {traj.crossings}")
     if grid.size > 1:
-        stats = shift_statistics(traj, subtract_mean=spec.subtract_mean)
+        stats = sweep.shift_statistics(traj,
+                                       subtract_mean=spec.subtract_mean)
         print(f"mean square shift: {stats.mean_sq_spacing_units:.6g} "
               f"spacing^2, max |shift|: {stats.max_abs_spacing_units:.6g} "
               f"spacings")
@@ -252,12 +225,10 @@ def run_sweep(spec) -> dict:
 
 def run_scaling(spec) -> dict:
     """mean-square level shifts across an N ladder, with model fits"""
-    from .model import MapFamily
-    from .sweep import scaling_study
-
-    study = scaling_study(MapFamily(spec.variant, r=spec.r), spec.N_list,
-                          r0=spec.r0, r1=spec.r1, delta_r=spec.delta_r,
-                          subtract_mean=spec.subtract_mean)
+    study = sweep.scaling_study(MapFamily(spec.variant, r=spec.r),
+                                spec.N_list, r0=spec.r0, r1=spec.r1,
+                                delta_r=spec.delta_r,
+                                subtract_mean=spec.subtract_mean)
     for s, ratio in zip(study.per_N, study.first_order_ratios):
         print(f"N={s.N}: mean square shift {s.mean_sq_spacing_units:.6g} "
               f"spacing^2, first-order ratio {ratio:.3f}")
@@ -269,8 +240,6 @@ def run_scaling(spec) -> dict:
 
 
 def _default_T_grid(N: int):
-    import numpy as np
-
     # 20 log-spaced probes out to the Heisenberg saturation window
     T_large = 100.0 * N / (2.0 * np.pi)
     return np.geomspace(0.1, T_large, 20)
@@ -287,42 +256,32 @@ def run_ergodicity(spec) -> dict:
     the conjugation one is compared with C(t), and their largest gap is
     printed.
     """
-    import numpy as np
-
-    from .classical import classical_correlator
-    from .ergodicity import (diagonal_elements_report,
-                             quantum_classical_compare, quantum_correlator,
-                             quantum_correlator_eigenbasis, quantum_F_curve)
-    from .model import MapFamily, PlanckScale
-    from .outputs import CLASSICAL_CSV, read_classical_curve
-    from .quantize import build_floquet, quantize_observable
-    from .spectral import diagonalize
-
     family = MapFamily(spec.variant, r=spec.r)
     reports = []
     curves = []
     for N in spec.N_list:
         scale = PlanckScale(N)
-        op = build_floquet(family, scale)
-        data = diagonalize(op)
-        obs = quantize_observable(spec.observable, scale)
-        reports.append(diagonal_elements_report(data, obs))
+        op = quantize.build_floquet(family, scale)
+        data = spectral.diagonalize(op)
+        obs = quantize.quantize_observable(spec.observable, scale)
+        reports.append(ergodicity.diagonal_elements_report(data, obs))
         T_grid = spec.T_grid if spec.T_grid is not None else _default_T_grid(N)
-        curves.append(quantum_F_curve(data, obs,
-                                      np.asarray(T_grid, dtype=float)))
+        curves.append(ergodicity.quantum_F_curve(
+            data, obs, np.asarray(T_grid, dtype=float)))
 
     # the correlators compare at the largest N of the ladder, the last one
-    classical = read_classical_curve(spec)
-    if classical is None:
-        classical = classical_correlator(family, spec.observable, spec.t_max,
-                                         spec.samples, spec.seed)
+    curve = outputs.read_classical_curve(spec)
+    if curve is None:
+        curve = classical.classical_correlator(family, spec.observable,
+                                               spec.t_max, spec.samples,
+                                               spec.seed)
     else:
         print(f"classical C(t) read from "
-              f"{os.path.join(spec.out_dir, CLASSICAL_CSV)} (same variant, "
-              f"observable, samples, t_max and seed)")
-    f_quantum = quantum_correlator_eigenbasis(data, obs, spec.t_max)
-    f_conjugated = quantum_correlator(op, obs, spec.t_max)
-    deviation = quantum_classical_compare(f_conjugated, classical)
+              f"{os.path.join(spec.out_dir, outputs.CLASSICAL_CSV)} (same "
+              f"variant, observable, samples, t_max and seed)")
+    f_quantum = ergodicity.quantum_correlator_eigenbasis(data, obs, spec.t_max)
+    f_conjugated = ergodicity.quantum_correlator(op, obs, spec.t_max)
+    deviation = ergodicity.quantum_classical_compare(f_conjugated, curve)
     route_gap = float(np.max(np.abs(f_conjugated - f_quantum)))
 
     for rep in reports:
@@ -336,7 +295,7 @@ def run_ergodicity(spec) -> dict:
         "reports": reports,
         "curves": curves,
         "correlation_times": np.arange(spec.t_max + 1, dtype=float),
-        "C_classical": classical.C[:spec.t_max + 1],
+        "C_classical": curve.C[:spec.t_max + 1],
         "f_quantum": f_quantum,
     }
 
@@ -352,30 +311,27 @@ _RUNNERS = {
 
 def run_command(argv) -> int:
     """Parse argv, run the selected command, write artifacts; exit code."""
-    from .errors import ConfigurationError, DomainError, NumericalError
     try:
-        _apply_thread_env()
-        # with the thread cap in place, load the whole library before any
-        # command runs: every command then starts with numpy and the
-        # top-level scipy package loaded, which the environment record of
-        # bench/traced.py reads at the first layer call
-        _load_all()
+        requested = requested_threads()
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         spec = _runspec_from_args(args)
-        found = None
-        if _largest_dimension(spec) <= ONE_BLAS_THREAD_MAX_N:
-            found = blas_threads()
-            set_blas_threads(1)
+        # the environment caps the pool only where qmap loaded numpy, so
+        # the cap is applied to the running pool as well
+        cap = (1 if _largest_dimension(spec) <= ONE_BLAS_THREAD_MAX_N
+               else requested)
+        found = blas_threads()
+        lowered = cap > 0 and found is not None and found > cap
+        if lowered:
+            set_blas_threads(cap)
         try:
             results = _RUNNERS[spec.command](spec)
-            from .outputs import write_outputs
-            for path in write_outputs(results, spec):
+            for path in outputs.write_outputs(results, spec):
                 print(f"wrote {path}")
         finally:
-            if found is not None:
+            if lowered:
                 set_blas_threads(found)
     except (ConfigurationError, DomainError) as exc:
         print(f"qmap: error: {exc}", file=sys.stderr)

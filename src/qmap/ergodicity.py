@@ -215,7 +215,7 @@ def quantum_correlator(op: FloquetOperator, obs: Observable,
             np.multiply(obs.diagonal_elements(block), a, out=shares[t, columns])
 
     firsts = range(0, N, _EVOLVE_BLOCK)
-    with worker_map(len(firsts)) as (_, run):
+    with worker_map(len(firsts)) as run:
         list(run(evolve, firsts))
     return np.add.reduce(shares, axis=1) / N
 

@@ -32,9 +32,9 @@ K = 0.4
 # amplitude of the parity-breaking sin(2 pi q) term in V
 SIN_AMPLITUDE = K / (2.0 * math.pi) ** 2
 
-# the factors of classical_slope as 0-d float64 arrays: a ufunc takes one
-# without the conversion a Python float costs on every call, and the
-# product is the same to the bit
+# the factors of classical_slope and quantization_profile as 0-d float64
+# arrays: a ufunc takes one without the conversion a Python float costs on
+# every call, and the product is the same to the bit
 _TWO_PI = np.array(2.0 * math.pi)
 _KICK_SLOPE_AMPLITUDE = np.array(K / (2.0 * math.pi))
 
@@ -109,13 +109,14 @@ class PhaseSpacePoint:
         object.__setattr__(self, "p", self.p % 1.0)
 
 
-def quantization_profile(x):
+def quantization_profile(x, out=None):
     """cos(2 pi x) elementwise: the shape of the r h^2 term at its site.
 
     Its diagonal element in an eigenstate is that level's velocity
-    d phi / dr in units of the mean spacing (Hellmann-Feynman).
+    d phi / dr in units of the mean spacing (Hellmann-Feynman).  With an
+    out buffer the result is written there, and out may be x itself.
     """
-    return np.cos(2.0 * np.pi * x)
+    return np.cos(np.multiply(x, _TWO_PI, out=out), out=out)
 
 
 def _with_quantization_term(value, family: MapFamily, site: str, x,
@@ -150,7 +151,7 @@ def classical_slope(family: MapFamily, q, cos_2pi_q=None, out=None):
         side = np.sign(np.subtract(q, 0.5, out=out), out=out)
         return np.multiply(side, SAWTOOTH_HEIGHT, out=out)
     if cos_2pi_q is None:
-        cos_2pi_q = np.cos(np.multiply(q, _TWO_PI, out=out), out=out)
+        cos_2pi_q = quantization_profile(q, out=out)
     wave = np.multiply(cos_2pi_q, _KICK_SLOPE_AMPLITUDE, out=out)
     # quadratic_sign is +-1, so sign * q + wave is exactly wave +- q
     add = np.add if family.quadratic_sign > 0.0 else np.subtract

@@ -1,7 +1,9 @@
 """End-to-end command line runs against a temporary output directory."""
 
+import ast
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -12,7 +14,8 @@ import qmap
 import qmap.classical
 import qmap.sweep
 from conftest import package_imports
-from qmap.cli import _THREAD_VARS, run_command
+from qmap._threads import _THREAD_VARS
+from qmap.cli import run_command
 from qmap.sweep import MODEL_NAMES
 
 
@@ -329,31 +332,53 @@ def test_thread_env_knob(tmp_path, monkeypatch, capsys):
     assert run_command(["--help"]) == 2
     capsys.readouterr()
 
-    monkeypatch.setenv("QMAP_THREADS", "0")
-    assert run_command(["--help"]) == 0
-    capsys.readouterr()
-
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        monkeypatch.setenv(var, "unset-me")
-    monkeypatch.setenv("QMAP_THREADS", "2")
-    assert run_command(["--help"]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+    for threads in ("0", "2"):
+        monkeypatch.setenv("QMAP_THREADS", threads)
+        assert run_command(["--help"]) == 0
+        capsys.readouterr()
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
-    # QMAP_THREADS is applied to the environment inside run_command; it
-    # only reaches the BLAS pools if numpy has not been imported yet.
-    # run_command then loads the library, scipy included, for any command.
-    probe = ("import sys, qmap, qmap.cli\n"
-             "before = 'numpy' in sys.modules\n"
-             "qmap.cli.run_command(['--help'])\n"
-             "print(before, 'numpy' in sys.modules, 'scipy' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env=child_env(QMAP_THREADS="1"),
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "False True True"
+def test_a_bad_qmap_threads_is_a_usage_error_at_the_command_line():
+    # import qmap leaves an invalid value alone; the command reports it
+    done = subprocess.run([sys.executable, "-m", "qmap.cli", "--help"],
+                          env=child_env(QMAP_THREADS="abc"),
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "QMAP_THREADS must be a non-negative integer" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def _top_level_imports(nodes) -> list:
+    """Module names the given statements import, relative ones with their
+    leading dots."""
+    names = []
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return names
+
+
+def test_the_thread_cap_is_copied_before_anything_loads_numpy():
+    # the BLAS pools read their environment knobs once, as numpy loads;
+    # before the copy, __init__ imports only modules that load no numpy
+    src = pathlib.Path(qmap.__file__).parent
+    body = ast.parse((src / "__init__.py").read_text(encoding="utf-8")).body
+    copy = next(i for i, node in enumerate(body)
+                if isinstance(node, ast.Expr)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "cap_thread_env")
+    early = {"._threads", "._version", ".errors"}
+    assert set(_top_level_imports(body[:copy])) <= early
+    assert "scipy" in _top_level_imports(body[copy:])
+    for name in early:
+        tree = ast.parse((src / f"{name[1:]}.py").read_text(encoding="utf-8"))
+        for imported in _top_level_imports(tree.body):
+            assert imported in early or not (
+                imported.startswith(".")
+                or imported.partition(".")[0] in ("numpy", "scipy")), \
+                (name, imported)
 
 
 def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
@@ -361,7 +386,6 @@ def test_loading_the_library_leaves_scipy_optimize_unloaded(tmp_path):
     # regular N = 32 sweep at delta_r = 0.5 has single-interval steps whose
     # best overlaps are 0.47-0.49, so tracking splits them.
     probe = ("import sys, qmap\n"
-             "qmap._load_all()\n"
              "print('scipy.linalg' in sys.modules, "
              "'scipy.optimize' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
@@ -424,6 +448,49 @@ def pool():
         counts.append(None if getter is None else getter())
     return counts
 """
+
+
+def test_importing_qmap_caps_the_pool_and_loads_the_library():
+    # import qmap copies QMAP_THREADS into the environment before numpy
+    # loads, then loads the library, the top-level scipy package with it
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS library in")
+    probe = POOL_PROBE + ("import sys, qmap\n"
+                          "print(pool(), 'scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=child_env(QMAP_THREADS="1"),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[1] True"
+
+
+def test_qmap_threads_caps_a_pool_numpy_started_first(tmp_path):
+    # numpy loaded before qmap read the environment, so its pool started
+    # uncapped; the run lowers it to QMAP_THREADS and puts it back
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the BLAS library in")
+    probe = POOL_PROBE + (
+        "import numpy\n"
+        "started = pool()\n"
+        "import qmap.cli, qmap.spectral\n"
+        "inner = qmap.spectral.diagonalize\n"
+        "seen = []\n"
+        "def spy(*args, **kwargs):\n"
+        "    seen.append(pool())\n"
+        "    return inner(*args, **kwargs)\n"
+        "qmap.spectral.diagonalize = spy\n"
+        "code = qmap.cli.run_command(['spectrum', '--N', '512', '--out', "
+        f"r'{tmp_path}'])\n"
+        "import json\n"
+        "print(json.dumps([code, started, seen, pool()]))")
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=child_env(QMAP_THREADS="1"),
+                          capture_output=True, text=True, check=True)
+    code, started, seen, after = json.loads(done.stdout.splitlines()[-1])
+    if len(started) != 1 or started[0] is None or started[0] < 2:
+        pytest.skip("a pool of one thread cannot show the cap")
+    assert code == 0
+    assert seen == [[1]]
+    assert after == started
 
 
 def test_qmap_threads_caps_the_pool_that_does_the_work():
@@ -501,7 +568,6 @@ def test_runs_up_to_n256_take_one_blas_thread(tmp_path):
         pytest.skip("no /proc/self/maps to find the BLAS library in")
     probe = POOL_PROBE + (
         "import qmap, qmap.cli\n"
-        "qmap._load_all()\n"
         "import qmap.spectral, qmap.sweep\n"
         "seen = {}\n"
         "def spy(module, name):\n"
