@@ -3,64 +3,55 @@
 Eigenpairs follow the convention U v = exp(-i phi) v with phi in [0, 2 pi),
 so a small positive potential shifts phases positively.
 
-Diagonalization goes through the Cayley transform and the time-reversal
-symmetry of U = C D_V, with C the circulant free flight.  U is similar to
-the complex symmetric U_s = C^(1/2) D_V C^(1/2) (quantize.half_free_propagator
-gives C^(1/2)): U C^(1/2) = C^(1/2) U_s.  For W = exp(i alpha) U_s = A + i B,
-H = i (1 + W)^-1 (1 - W) has the eigenvectors of U_s and the eigenvalues
-tan((alpha - phi) / 2).  W is unitary and symmetric, so A and B are real
-symmetric, commute and satisfy A^2 + B^2 = 1, and H is the real symmetric
-X = (1 + A)^-1 B.  1 + A is positive semidefinite and singular only at the
-pole phi = alpha - pi, so one real LU solve (numpy.linalg.solve, dgesv)
-forms X, an exactly singular 1 + A signals the pole, and LAPACK's
-divide-and-conquer dsyevd (numpy.linalg.eigh, orthonormal to about 2e-15)
-gives real eigenvectors R, orthonormal to roundoff even inside the
-near-degenerate clusters that dense r sweeps sit on.  C^(1/2) R are the
-eigenvectors of U.  Each phase is read from the Rayleigh quotient v* U v
-rather than from the eigenvalue of X, which loses accuracy near the pole.
+Diagonalization goes through the time-reversal symmetry of U = C D_V,
+with C the circulant free flight.  U is similar to the complex symmetric
+U_s = C^(1/2) D_V C^(1/2) (quantize.half_free_propagator gives C^(1/2)):
+U C^(1/2) = C^(1/2) U_s.  U_s = A + i B is unitary and symmetric, so A and
+B are real symmetric, commute and satisfy A^2 + B^2 = 1: U_s has a real
+orthonormal eigenbasis R, with A R = R cos(phi) and B R = -R sin(phi).  R
+is the common eigenbasis of the commuting pair, found with no inverse
+(Bunse-Gerstner, Byers & Mehrmann, SIAM J. Matrix Anal. Appl. 14, 927
+(1993)): LAPACK's dsyevd (numpy.linalg.eigh) diagonalizes one part, and
+each run of its sorted eigenvalues closer than _CLUSTER_GAP is rotated by
+eigh of the other part restricted to the run.  C^(1/2) R are the
+eigenvectors of U, and each phase is the Rayleigh quotient v* U v.
 
-U is never formed as a dense matrix.  U_s (from the circulant C^(1/2)
-scaled by D_V) and the lift C^(1/2) R each take one FFT pair down the
-columns.  A spectrum keeps R alone: the certificates lift it one block of
-_COLUMN_BLOCK columns at a time, and SpectralData.eigenvectors lifts the
-columns a consumer asks for; a block's lift equals the same columns of the
-whole lift bit for bit, since each column takes its own FFTs.  The
-eigenpair residuals apply U through the operator's own factors,
-U V = F^-1 D_T F (D_V V) (FloquetOperator.apply), never through U_s, so
-an error in the half drift or in the lift cannot pass.
-diagonalize first checks, in O(N), that those factors lie on the unit
-circle and that D_T is the square of the half drift, the two facts the
-real route rests on.  Near the pole the real X squares the conditioning
-of the complex H: a phase within about 1e-8 of it leaves X finite and
-small, and only the residual certificate catches that pass.
+_CLUSTER_GAP = 1e-3: eigh gets the eigenvector of an eigenvalue at least
+tau from every other to about eps / tau, so a level left alone leaks a
+residual of at most 2 eps / tau, about 4e-13, under RESIDUAL_TOL.  Where
+cos phi is flat (phi near 0 and pi) the runs of A are long, up to about 20
+columns at N = 512.  The splitting part cannot split a pair of one run
+whose midpoint lies within about eps / RESIDUAL_TOL of a point where it is
+flat in turn: the first pass (eigh of A, runs split by B) is blind at
+phi = pi / 2 and 3 pi / 2, the second (eigh of B, runs split by A) at 0
+and pi, so each pass covers the other's blind points.
 
-The solve, eigh and the certificates' products (`@`) all run on numpy's
-OpenBLAS, one thread pool that qmap.cli sizes; the FFTs are numpy's, on
-the calling thread.
+U is never a dense matrix.  U_s, the run products U_s R_c =
+C^(1/2) (D_V C^(1/2) R_c) and the lift C^(1/2) R take FFT pairs down the
+columns, and U_s is freed once its part is copied.  A spectrum keeps R
+alone; the run products, the certificates and SpectralData.eigenvectors
+lift _COLUMN_BLOCK columns at a time, each column with its own FFTs, so a
+block's lift is the whole lift's columns bit for bit.  The residuals
+apply U through the operator's own factors (FloquetOperator.apply), never
+through U_s, so an error in the half drift or in the lift cannot pass;
+diagonalize first checks, in O(N), that the factors lie on the unit
+circle and that D_T is the square of the half drift.  eigh and the
+products (`@`) run on numpy's OpenBLAS, whose pool qmap.cli sizes; the
+FFTs run on the calling thread.
 
-The passes form one chain of at most two.  The shifts depend on U alone,
-so reruns are byte-identical.  The first pass uses the fixed
-CAYLEY_SHIFT.  When an eigenvalue of X exceeds CAYLEY_MAX_EIGENVALUE in
-magnitude (a phase sits close to the pole) or a certificate fails, a
-second pass puts the pole in the middle of the widest gap between the
-first pass's phases; when the first pass met the pole itself (a singular
-1 + A, no phases), the second puts it on the opposite side of the
-circle.  Every gap of N phases on the circle is at least 2 pi / N wide,
-so the widest-gap pole sits at least pi / N from every phase and bounds
-the second pass's eigenvalues by cot(pi / 2N), about 2N / pi, far below
-the cap; the second pass accepts any certified basis.  A pass is
-certified only if its largest eigenpair residual |U v - exp(-i phi) v|
-is below 1e-10 and its basis is orthonormal, max |V*V - 1| below 1e-11
-(one real Gram product R^T R, before the lift; C^(1/2) is unitary).
-When neither pass is certified, NumericalError names each pass's shift
-and certificates.
+A pass is certified if its largest eigenpair residual |U v - exp(-i phi) v|
+is below 1e-10 and max |V*V - 1| below 1e-11 (the real Gram product R^T R;
+C^(1/2) is unitary).  The second pass runs only when the first is not
+certified, and no call of r = 0..3 (step 0.05, every variant, N = 64..512)
+needed it; NumericalError names both passes' certificates.  Both depend
+on U alone, so reruns are byte-identical.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import LinAlgError, eigh, solve
+from numpy.linalg import eigh
 
 from .errors import DomainError, NumericalError
 from .model import MapFamily, PlanckScale
@@ -70,10 +61,12 @@ from .quantize import (UNITARITY_TOL, FloquetOperator, Observable,
 
 RESIDUAL_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
-CAYLEY_SHIFT = 0.3
-CAYLEY_MAX_EIGENVALUE = 3000.0
-# columns per block of the loops that lift the real basis (the
-# certificates, eigenbasis_diagonal), which form no N x N complex array
+# eigenvalues of the first part closer than this share a run, which the
+# other part splits (module docstring)
+_CLUSTER_GAP = 1e-3
+# columns per block of the loops that lift the real basis (the run
+# products, the certificates, eigenbasis_diagonal), which form no N x N
+# complex array
 _COLUMN_BLOCK = 64
 
 
@@ -165,43 +158,66 @@ def _lift(half: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _symmetric_form(op: FloquetOperator, half: np.ndarray) -> np.ndarray:
     """U_s = C^(1/2) D_V C^(1/2) = C^(-1/2) U C^(1/2), complex symmetric.
 
-    half is half_free_propagator's diagonal of C^(1/2).
+    half is half_free_propagator's diagonal of C^(1/2).  C^(1/2) is
+    symmetric, so U_s is C^(1/2) applied to (C^(1/2) D_V)^T, a transposed
+    view whose FFTs run down contiguous columns; the result is column-major.
     """
     U_s = _circulant_from_momentum_diagonal(half)
-    U_s *= op.kick_phases[:, None]
-    return _half_drift_columns(half, U_s)
+    U_s *= op.kick_phases
+    return _half_drift_columns(half, U_s.T)
 
 
-def _symmetric_cayley_basis(op: FloquetOperator, alpha: float):
-    """Eigenbasis of U from the real Cayley matrix of its symmetric form.
-
-    With W = exp(i alpha) U_s = A + i B, X = (1 + A)^-1 B is real symmetric
-    with real orthonormal eigenvectors R; C^(1/2) R are eigenvectors of U.
-    Returns (R, half, max |R^T R - 1|, largest |eigenvalue| of X), half
-    the diagonal of C^(1/2) that lifts R (_lift), or
-    None when 1 + A is exactly singular (a phase on the pole) or X is not
-    finite; a nearly singular 1 + A is left to CAYLEY_MAX_EIGENVALUE and
-    the certificates.
-    """
+def _commuting_pair_basis(op: FloquetOperator, imaginary: bool):
+    """(R, half, max |R^T R - 1|) of one pass of _common_basis on U_s;
+    half, the diagonal of C^(1/2), lifts R (_lift)."""
     half = half_free_propagator(op.family, op.scale)
-    W = _symmetric_form(op, half)
-    W *= np.exp(1j * alpha)
-    W.real[np.diag_indices(op.N)] += 1.0  # the real part is now 1 + A
-    try:
-        X = solve(W.real, W.imag)
-    except LinAlgError:
-        return None
+
+    def times_u_s(columns):
+        M = _lift(half, columns)
+        M *= op.kick_phases[:, None]
+        return _half_drift_columns(half, M)
+
+    R = _common_basis(lambda: _symmetric_form(op, half), times_u_s,
+                      imaginary)
+    return R, half, _unitarity_defect(R)
+
+
+def _common_basis(form, times_u_s, imaginary: bool) -> np.ndarray:
+    """Real orthonormal eigenbasis of a complex symmetric unitary U_s,
+    given as form() (U_s as a new array) and times_u_s(M) = U_s M.
+
+    eigh of one part (Im U_s when imaginary, else Re U_s; U_s is freed
+    first), then each run of close eigenvalues rotated by eigh of the other
+    part restricted to the run's columns R_c, read from U_s R_c.
+    """
+    W = form()
+    part = np.array(W.imag if imaginary else W.real)
     del W
-    # the solve is symmetric only to roundoff; eigh would read one
-    # triangle, spreading the error of the near-pole direction over every
-    # level, so average X with its transpose instead
-    X *= 0.5
-    X += X.T
-    if not np.isfinite(X).all():
-        return None
-    eigenvalues, R = eigh(X)
-    del X
-    return R, half, _unitarity_defect(R), float(np.max(np.abs(eigenvalues)))
+    # U_s is symmetric only to roundoff, and eigh reads one triangle
+    part += part.T
+    part *= 0.5
+    eigenvalues, R = eigh(part)
+    del part
+    cuts = np.flatnonzero(np.diff(eigenvalues) >= _CLUSTER_GAP) + 1
+    runs = [slice(start, stop) for start, stop in
+            zip([0, *cuts.tolist()], [*cuts.tolist(), eigenvalues.size])
+            if stop - start > 1]
+    if not runs:
+        return R
+    clustered = R[:, np.r_[tuple(runs)]]
+    other = np.empty_like(clustered)
+    for block in column_blocks(other.shape[1]):
+        product = times_u_s(clustered[:, block])
+        other[:, block] = product.real if imaginary else product.imag
+    start = 0
+    for run in runs:
+        local = slice(start, start + run.stop - run.start)
+        start = local.stop
+        restricted = clustered[:, local].T @ other[:, local]
+        restricted += restricted.T
+        restricted *= 0.5
+        R[:, run] = clustered[:, local] @ eigh(restricted)[1]
+    return R
 
 
 def _certify(op, basis: np.ndarray, half: np.ndarray | None = None):
@@ -227,57 +243,35 @@ def _certify(op, basis: np.ndarray, half: np.ndarray | None = None):
     return phases, residuals
 
 
-def _widest_gap_shift(phases: np.ndarray) -> float:
-    """Shift that puts the Cayley pole in the middle of the widest phase gap."""
-    phases = np.sort(phases)
-    gaps = cyclic_gaps(phases)
-    k = int(np.argmax(gaps))
-    # the pole of the shift alpha sits at phi = alpha - pi
-    return float(phases[k] + 0.5 * gaps[k] + np.pi)
-
-
 def _eigenbasis(op: FloquetOperator):
     """(phases, R, worst residual) of U, sorted by phase.
 
-    The first pass uses CAYLEY_SHIFT and must keep its eigenvalues within
-    CAYLEY_MAX_EIGENVALUE; the second puts the pole in the widest gap of
-    the first pass's phases, or, when the first pass met the pole itself,
-    on the opposite side of the circle.  The first certified pass is
-    returned; when neither is certified, or the first pass's phases are
-    not finite, NumericalError.
+    The first pass diagonalizes the real part of U_s, the second the
+    imaginary part; the first certified pass is returned.  When neither is
+    certified, or the first pass's phases are not finite, NumericalError.
     """
-    shift, largest_allowed = CAYLEY_SHIFT, CAYLEY_MAX_EIGENVALUE
     rejected = []
-    for _ in range(2):
-        basis = _symmetric_cayley_basis(op, shift)
-        if basis is None:
-            rejected.append(
-                f"shift {shift:.6g}: 1 + A singular or X not finite")
-            shift, largest_allowed = shift + np.pi, np.inf
-            continue
-        R, half, defect, largest = basis
+    for imaginary in (False, True):
+        R, half, defect = _commuting_pair_basis(op, imaginary)
         phases, residuals = _certify(op, R, half)
         worst = float(residuals.max())
         # written so that a NaN fails
-        if (largest <= largest_allowed and worst < RESIDUAL_TOL
-                and defect < ORTHONORMALITY_TOL):
+        if worst < RESIDUAL_TOL and defect < ORTHONORMALITY_TOL:
             order = np.argsort(phases, kind="stable")
             R[:] = R[:, order]
             return phases[order], R, worst
         rejected.append(
-            f"shift {shift:.6g}: eigenpair residual {worst:.3e}, "
-            f"orthonormality defect {defect:.3e}, largest |lambda| "
-            f"{largest:.4g} (allowed {largest_allowed:.4g})")
+            f"eigh of the {'imaginary' if imaginary else 'real'} part: "
+            f"eigenpair residual {worst:.3e}, orthonormality defect "
+            f"{defect:.3e}")
         if not np.isfinite(phases).all():
-            # the widest gap of NaN phases is no shift at all
+            # non-finite phases are no blind point that the other part covers
             break
-        shift, largest_allowed = _widest_gap_shift(phases), np.inf
-        del basis, R  # free this pass's basis before the next
+        del R  # free this pass's basis before the next
     raise NumericalError(
-        f"spectral: no certified Cayley pass ({op.family.variant}, "
-        f"N={op.N}; eigenpair residual below {RESIDUAL_TOL:.0e}, "
-        f"orthonormality defect below {ORTHONORMALITY_TOL:.0e}): "
-        + "; ".join(rejected))
+        f"spectral: no certified pass ({op.family.variant}, N={op.N}; "
+        f"eigenpair residual below {RESIDUAL_TOL:.0e}, orthonormality "
+        f"defect below {ORTHONORMALITY_TOL:.0e}): " + "; ".join(rejected))
 
 
 def diagonalize(op: FloquetOperator) -> SpectralData:

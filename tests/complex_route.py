@@ -3,12 +3,14 @@ the real route of qmap.spectral.diagonalize is checked against.
 
 For W = exp(i alpha) U, H = i (1 + W)^-1 (1 - W) is Hermitian with the
 eigenvectors of U; one LU solve (zgetrf, zgetrs) forms it and zheevr
-diagonalizes it.  It shares nothing with the real route but the chain of
-passes, which it runs the same way (CAYLEY_SHIFT, then the widest gap or
-the opposite side of the circle), and the certificates' bounds, taken
-against the dense U.  Where neither pass is certified, the reference
-falls back to the complex Schur decomposition of U, which the library
-does not have.
+diagonalizes it.  It shares nothing with the real route but the
+certificates' bounds, taken against the dense U.  Its passes form a chain
+of at most two: the first at CAYLEY_SHIFT, accepted only with every
+eigenvalue of H within CAYLEY_MAX_EIGENVALUE, and the second with the
+pole in the middle of the widest gap of the first pass's phases (or on
+the opposite side of the circle, when the first met the pole itself).
+Where neither pass is certified, the reference falls back to the complex
+Schur decomposition of U, which the library does not have.
 """
 
 from types import SimpleNamespace
@@ -19,9 +21,20 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 
 from qmap import NumericalError
 from qmap.quantize import _unitarity_defect
-from qmap.spectral import (CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT,
-                           ORTHONORMALITY_TOL, RESIDUAL_TOL, _certify,
-                           _widest_gap_shift)
+from qmap.spectral import (ORTHONORMALITY_TOL, RESIDUAL_TOL, _certify,
+                           cyclic_gaps)
+
+CAYLEY_SHIFT = 0.3
+CAYLEY_MAX_EIGENVALUE = 3000.0
+
+
+def _widest_gap_shift(phases):
+    """Shift that puts the Cayley pole in the middle of the widest phase gap."""
+    phases = np.sort(phases)
+    gaps = cyclic_gaps(phases)
+    k = int(np.argmax(gaps))
+    # the pole of the shift alpha sits at phi = alpha - pi
+    return float(phases[k] + 0.5 * gaps[k] + np.pi)
 
 
 def cayley_basis(U, alpha):

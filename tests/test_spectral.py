@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,8 +27,7 @@ from qmap import (
 )
 from qmap.model import kinetic
 from qmap.quantize import _circulant_from_momentum_diagonal, half_free_propagator
-from qmap.spectral import (CAYLEY_MAX_EIGENVALUE, CAYLEY_SHIFT,
-                           ORTHONORMALITY_TOL, RESIDUAL_TOL)
+from qmap.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL
 
 
 def schur_phases(U):
@@ -60,14 +60,14 @@ def record_calls(monkeypatch, name, module=spectral_mod):
 
 
 def raised_pass_reports(op):
-    """The NumericalError of diagonalize(op) as (shift, eigenpair residual,
-    orthonormality defect, largest |lambda|) for each rejected pass."""
+    """The NumericalError of diagonalize(op) as (part, eigenpair residual,
+    orthonormality defect) for each rejected pass."""
     with pytest.raises(NumericalError) as raised:
         diagonalize(op)
-    found = re.findall(r"shift (\S+): eigenpair residual (\S+), "
-                       r"orthonormality defect (\S+), largest \|lambda\| "
-                       r"(\S+)", str(raised.value))
-    return [tuple(map(float, report)) for report in found]
+    found = re.findall(r"eigh of the (\S+) part: eigenpair residual (\S+), "
+                       r"orthonormality defect ([^;\s]+)", str(raised.value))
+    return [(part, float(residual), float(defect))
+            for part, residual, defect in found]
 
 
 def with_factors(op, kick_phases=None, drift_phases=None):
@@ -169,13 +169,13 @@ def test_eigenvalue_at_the_first_pole_takes_a_second_pass(monkeypatch):
     # exp(-i phi) with phi = alpha - pi makes 1 + exp(i alpha) U singular
     rng = np.random.default_rng(7)
     phases = np.sort(rng.uniform(0.0, 2.0 * np.pi, 48))
-    phases[7] = np.mod(CAYLEY_SHIFT - np.pi, 2.0 * np.pi)
+    phases[7] = np.mod(complex_route.CAYLEY_SHIFT - np.pi, 2.0 * np.pi)
     Q = random_unitary(rng, 48)
     U = (Q * np.exp(-1j * phases)) @ Q.conj().T
     passes = record_calls(monkeypatch, "cayley_basis", complex_route)
     fallbacks = record_calls(monkeypatch, "schur", complex_route)
     found, vectors, residual = decompose_unitary(U)
-    assert len(passes) == 2 and passes[0][1] == CAYLEY_SHIFT
+    assert len(passes) == 2 and passes[0][1] == complex_route.CAYLEY_SHIFT
     assert not fallbacks
     assert residual < 1e-11
     assert orthonormality_defect(vectors) < 1e-12
@@ -191,14 +191,13 @@ def test_failed_cayley_passes_raise(monkeypatch):
         return np.zeros(H.shape[0]), np.eye(H.shape[0], dtype=complex)
 
     monkeypatch.setattr(spectral_mod, "eigh", bad_eigh)
-    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    passes = record_calls(monkeypatch, "_commuting_pair_basis")
     reports = raised_pass_reports(op)
-    assert len(passes) == 2 and passes[0][1] == CAYLEY_SHIFT
-    assert [shift for shift, *_ in reports] == pytest.approx(
-        [alpha for _, alpha in passes], rel=1e-5)
-    for _, residual, defect, largest in reports:
+    assert [imaginary for _, imaginary in passes] == [False, True]
+    assert [part for part, *_ in reports] == ["real", "imaginary"]
+    for _, residual, defect in reports:
         assert residual > RESIDUAL_TOL
-        assert defect == 0.0 and largest == 0.0
+        assert defect == 0.0
 
 
 def skewed_eigh(monkeypatch):
@@ -216,10 +215,10 @@ def skewed_eigh(monkeypatch):
 
 
 def assert_stretched_passes_raise(monkeypatch, family, N):
-    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    passes = record_calls(monkeypatch, "_commuting_pair_basis")
     reports = raised_pass_reports(build_floquet(family, PlanckScale(N)))
     assert len(passes) == len(reports) == 2
-    for _, residual, defect, _ in reports:
+    for _, residual, defect in reports:
         assert residual < RESIDUAL_TOL
         assert defect > ORTHONORMALITY_TOL
 
@@ -264,9 +263,9 @@ def test_half_drift_gives_a_symmetric_similar_form(variant, half_N, r):
 @pytest.mark.parametrize("N", [64, 256])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_floquet_operators_take_the_real_route(monkeypatch, variant, N):
-    real_passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
+    real_passes = record_calls(monkeypatch, "_commuting_pair_basis")
     data = diagonalize(build_floquet(MapFamily(variant, r=0.7), PlanckScale(N)))
-    assert real_passes and real_passes[0][1] == CAYLEY_SHIFT
+    assert [imaginary for _, imaginary in real_passes] == [False]
     assert data.max_residual < 1e-11
     # the real basis is kept, and lifted column by column on demand
     half = half_free_propagator(data.family, data.scale)
@@ -303,76 +302,75 @@ def test_column_blocks_lift_the_bits_of_the_whole_basis(N):
     assert np.concatenate(blocks, axis=1).tobytes("F") == whole.tobytes("F")
 
 
-def test_real_route_moves_the_pole_off_an_eigenphase(monkeypatch):
-    op = build_floquet(MapFamily("chaotic", r=0.4), PlanckScale(64))
-    reference = diagonalize(op)
-    # the pole of the shift alpha sits at phi = alpha - pi
-    shift = float(reference.phases[11] + np.pi)
-    monkeypatch.setattr(spectral_mod, "CAYLEY_SHIFT", shift)
-    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    data = diagonalize(op)
-    # the first pass meets the pole (1 + A is singular to roundoff there);
-    # the second, with the pole moved, certifies
-    assert len(passes) == 2
-    assert passes[0][1] == shift and passes[1][1] != shift
-    assert data.max_residual < 1e-11
-    assert orthonormality_defect(data.eigenvectors()) < 1e-12
-    assert circular_mismatch(data.phases, reference.phases) < 1e-12
+def symmetric_unitary_with_a_pair(theta, seed):
+    """W = Q diag(exp(i phi)) Q^T with a random real orthogonal Q (N = 48):
+    random phases, and a pair at theta +- 1e-7."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 48)
+    phases[:2] = theta + np.array([-1e-7, 1e-7])
+    Q, _ = np.linalg.qr(rng.standard_normal((48, 48)))
+    return (Q * np.exp(1j * phases)) @ Q.T
 
 
-def test_failed_factor_moves_the_pole_to_the_opposite_side(monkeypatch):
-    # an exactly singular 1 + A fails the solve and leaves no phases to
-    # find a gap in; the opposite-side pass, the last, accepts any
-    # certified basis, here one with every eigenvalue above the cap
-    real = spectral_mod.solve
-    failures = []
+@pytest.mark.parametrize("theta, blind", [
+    (np.pi / 2, 0), (3 * np.pi / 2, 0), (0.0, 1), (np.pi, 1)],
+    ids=["pi/2", "3pi/2", "0", "pi"])
+def test_a_pair_where_one_part_is_flat_needs_the_other(theta, blind):
+    # a pair at phi = pi/2 +- 1e-7 falls in one run of eigh of the real
+    # part, and the imaginary part, flat there, cannot split it: the
+    # rotation is left to roundoff.  At 0 and pi the roles swap.  Over
+    # eight draws the blind part fails in most (in 15 to 18 of 20 when
+    # measured); the other certifies every draw
+    worst = []
+    for seed in range(8):
+        W = symmetric_unitary_with_a_pair(theta, seed)
+        worst.append([])
+        for imaginary in (False, True):
+            R = spectral_mod._common_basis(W.copy, W.__matmul__, imaginary)
+            assert np.max(np.abs(R.T @ R - np.eye(48))) < ORTHONORMALITY_TOL
+            residuals = spectral_mod._certify(
+                SimpleNamespace(apply=W.__matmul__), R)[1]
+            worst[-1].append(residuals.max())
+    worst = np.array(worst)
+    assert np.sum(worst[:, blind] > RESIDUAL_TOL) >= 4
+    assert np.all(worst[:, 1 - blind] < 1e-12)
 
-    def failing_once(a, b):
-        if not failures:
-            failures.append(a.shape)
-            raise np.linalg.LinAlgError("Singular matrix")
-        return real(a, b)
 
-    monkeypatch.setattr(spectral_mod, "solve", failing_once)
-    monkeypatch.setattr(spectral_mod, "CAYLEY_MAX_EIGENVALUE", 0.0)
-    passes = record_calls(monkeypatch, "_symmetric_cayley_basis")
-    op = build_floquet(MapFamily("slow_ergodic", r=0.4), PlanckScale(64))
-    data = diagonalize(op)
-    assert [alpha for _, alpha in passes] == [CAYLEY_SHIFT, CAYLEY_SHIFT + np.pi]
-    assert circular_mismatch(data.phases, schur_phases(dense(op))) < 1e-12
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(variant=st.sampled_from(VARIANTS), half_N=st.integers(1, 64),
        r=st.floats(0.0, 3.0))
-def test_widest_gap_pass_stays_below_the_gap_bound(variant, half_N, r):
-    # with no first pass allowed, the widest-gap pass must certify: N
-    # phases leave a gap of at least 2 pi / N, so its pole sits at least
-    # pi / N from every phase and |lambda| = cot(delta / 2) <= cot(pi / 2N)
-    N = 2 * half_N
-    largest = []
-    real_basis = spectral_mod._symmetric_cayley_basis
+def test_each_part_alone_certifies(variant, half_N, r):
+    # either pass alone is a certified eigenbasis of a Floquet operator
+    op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
+    reference = schur_phases(dense(op))
+    for imaginary in (False, True):
+        R, half, defect = spectral_mod._commuting_pair_basis(op, imaginary)
+        phases, residuals = spectral_mod._certify(op, R, half)
+        assert residuals.max() < RESIDUAL_TOL
+        assert defect < ORTHONORMALITY_TOL
+        assert circular_mismatch(np.sort(phases), reference) < 1e-12
 
-    def spy(op, alpha):
-        basis = real_basis(op, alpha)
-        largest.append(None if basis is None else basis[3])
-        return basis
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral_mod, "CAYLEY_MAX_EIGENVALUE", 0.0)
-        patch.setattr(spectral_mod, "_symmetric_cayley_basis", spy)
-        data = diagonalize(build_floquet(MapFamily(variant, r=r),
-                                         PlanckScale(N)))
-    assert len(largest) == 2 and largest[0] is not None
-    assert largest[1] <= 1.0 / np.tan(np.pi / (2 * N))
-    assert data.max_residual < RESIDUAL_TOL
+def test_the_first_pass_certifies_on_the_r_lattice(monkeypatch):
+    # three variants, N = 64, 128 and 256, r = 0..3 in steps of 0.25: the
+    # second pass never runs
+    passes = record_calls(monkeypatch, "_commuting_pair_basis")
+    calls = 0
+    for N in (64, 128, 256):
+        for variant in VARIANTS:
+            for r in np.linspace(0.0, 3.0, 13):
+                diagonalize(build_floquet(MapFamily(variant, r=float(r)),
+                                          PlanckScale(N)))
+                calls += 1
+    assert [imaginary for _, imaginary in passes] == [False] * calls
 
 
 @pytest.mark.parametrize("N", [256, 512])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_diagonalize_peak_memory(variant, N):
-    # units of one complex N x N matrix; regular N = 512 at r = 0 needs a
-    # second pass, which must not hold the first pass's basis
+    # units of one complex N x N matrix: U_s and a copy of one part are
+    # 1.5, the measured peak (1.51 at N = 256, 1.62 on the first call of a
+    # process); 0.25 of margin
     op = build_floquet(MapFamily(variant), PlanckScale(N))
     tracemalloc.start()
     try:
@@ -380,7 +378,7 @@ def test_diagonalize_peak_memory(variant, N):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 16 * N * N
+    assert peak <= 1.75 * 16 * N * N
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -404,25 +402,17 @@ def test_nan_entry_fails_the_unitarity_check():
 
 
 def test_nan_residual_fails_the_eigenpair_certificate(monkeypatch):
-    calls = []
-    real_solve = spectral_mod.solve
-
-    def counted_solve(a, b):
-        calls.append("solve")
-        return real_solve(a, b)
-
     def nan_basis(A, **kwargs):
         N = A.shape[0]
-        calls.append("eigh")
         return np.zeros(N), np.full((N, N), np.nan, dtype=complex)
 
-    monkeypatch.setattr(spectral_mod, "solve", counted_solve)
     monkeypatch.setattr(spectral_mod, "eigh", nan_basis)
+    passes = record_calls(monkeypatch, "_commuting_pair_basis")
     with pytest.raises(NumericalError, match="eigenpair residual nan") as err:
         diagonalize(build_floquet(MapFamily("chaotic"), PlanckScale(4)))
-    # NaN phases leave no widest gap to put a second pass's pole in
-    assert calls == ["solve", "eigh"]
-    assert "shift nan" not in str(err.value)
+    # NaN phases are no blind point of the first pass: no second pass
+    assert len(passes) == 1
+    assert "imaginary" not in str(err.value)
 
 
 def test_non_unitary_input_rejected():
@@ -464,8 +454,8 @@ def test_residuals_read_the_operators_own_factors(monkeypatch):
     monkeypatch.setattr(spectral_mod, "half_free_propagator", off_by_a_phase)
     reports = raised_pass_reports(op)
     assert len(calls) == 3 and len(reports) == 2
-    assert reports[0][0] == pytest.approx(CAYLEY_SHIFT)
-    for _, residual, defect, _ in reports:
+    assert [part for part, *_ in reports] == ["real", "imaginary"]
+    for _, residual, defect in reports:
         assert residual > RESIDUAL_TOL
         assert defect < ORTHONORMALITY_TOL
 

@@ -160,34 +160,35 @@ def test_real_overlaps_equal_the_complex_ones(variant):
 
 
 def test_a_regular_sweep_forms_no_complex_basis(monkeypatch):
-    # the overlaps of a position-site variant take R alone, so the only
-    # lifts of a sweep are the certificates', one column block of each
-    # pass at a time; an ends_only sweep adds the level velocities', also
-    # a block at a time
+    # the overlaps of a position-site variant take R alone, so beyond U_s,
+    # one N-wide FFT pair per pass, every half drift of a sweep runs on at
+    # most one column block: the run products' and the certificates' lifts
+    # of each pass, and an ends_only sweep's level velocities
     widths, passes = [], []
-    real_lift = spectral_mod._lift
-    real_pass = spectral_mod._symmetric_cayley_basis
+    real_half_drift = spectral_mod._half_drift_columns
+    real_pass = spectral_mod._commuting_pair_basis
 
-    def lift(half, R):
-        widths.append(R.shape[1])
-        return real_lift(half, R)
+    def half_drift(half, M):
+        widths.append(M.shape[1])
+        return real_half_drift(half, M)
 
-    def cayley_pass(op, alpha):
-        passes.append(alpha)
-        return real_pass(op, alpha)
+    def one_pass(op, imaginary):
+        passes.append(imaginary)
+        return real_pass(op, imaginary)
 
-    monkeypatch.setattr(spectral_mod, "_lift", lift)
-    monkeypatch.setattr(spectral_mod, "_symmetric_cayley_basis", cayley_pass)
+    monkeypatch.setattr(spectral_mod, "_half_drift_columns", half_drift)
+    monkeypatch.setattr(spectral_mod, "_commuting_pair_basis", one_pass)
     N, block = 160, spectral_mod._COLUMN_BLOCK
     sweep_quantization(MapFamily("regular"), PlanckScale(N), r0=0.0, r1=1.0,
                        delta_r=0.1)
     assert len(passes) >= 11
-    assert len(widths) == len(passes) * math.ceil(N / block)
-    assert max(widths) == block
+    assert widths.count(N) == len(passes)
+    assert max(width for width in widths if width != N) == block
+    assert len(widths) >= len(passes) * (1 + math.ceil(N / block))
     widths.clear()
     sweep_quantization(MapFamily("regular"), PlanckScale(N), r0=0.0, r1=1.0,
                        delta_r=0.1, ends_only=True)
-    assert max(widths) == block
+    assert max(width for width in widths if width != N) == block
 
 
 def test_slow_ergodic_steps_take_the_complex_overlap():
