@@ -529,10 +529,6 @@ class ScalingFit:
         return np.array([s.mean_sq_spacing_units for s in self.per_N])
 
     @property
-    def exponent(self) -> float:
-        return self.models["power_law"].params["exponent"]
-
-    @property
     def first_order_ratios(self) -> np.ndarray:
         """mean_sq over its first-order estimate, per N."""
         return self.mean_sq / np.array(self.first_order_estimates)

@@ -8,9 +8,11 @@ the unit tests draw from the same objects.
 import ast
 import pathlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
 
 import qmap
 from qmap import (
@@ -27,6 +29,7 @@ from qmap import (
     sweep_quantization,
 )
 from qmap.quantize import _circulant_from_momentum_diagonal
+from qmap.spectral import _certify
 
 LADDER = (64, 128, 256, 512)
 
@@ -149,6 +152,18 @@ def dense(op) -> np.ndarray:
     U = _circulant_from_momentum_diagonal(op.drift_phases)
     U *= op.kick_phases[None, :]
     return U
+
+
+def schur_reference(U):
+    """(phases, vectors, worst residual) of a dense unitary U from its
+    complex Schur decomposition, sorted by phase: the reference the real
+    route is checked against.  U is normal, so its Schur vectors are
+    eigenvectors; _certify reads their phases and residuals against U."""
+    U = np.asarray(U, dtype=complex)
+    _, vectors = schur(U, output="complex")
+    phases, residuals = _certify(SimpleNamespace(apply=U.__matmul__), vectors)
+    order = np.argsort(phases, kind="stable")
+    return phases[order], vectors[:, order], float(residuals.max())
 
 
 def dense_observable(obs) -> np.ndarray:

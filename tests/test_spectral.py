@@ -8,12 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import schur
 
-import complex_route
 import qmap.spectral as spectral_mod
-from complex_route import decompose_unitary
-from conftest import dense, random_unitary
+from conftest import dense, schur_reference
 from qmap import (
     VARIANTS,
     DomainError,
@@ -30,12 +27,6 @@ from qmap.quantize import _circulant_from_momentum_diagonal, half_free_propagato
 from qmap.spectral import ORTHONORMALITY_TOL, RESIDUAL_TOL
 
 
-def schur_phases(U):
-    """Reference eigenphases from the complex Schur form, sorted."""
-    T, _ = schur(U, output="complex")
-    return np.sort(np.mod(-np.angle(np.diagonal(T)), 2.0 * np.pi))
-
-
 def circular_mismatch(a, b):
     """Largest distance on the circle from a phase of either set to the other set."""
     d = np.abs(np.mod(a[:, None] - b[None, :] + np.pi, 2.0 * np.pi) - np.pi)
@@ -46,17 +37,27 @@ def orthonormality_defect(vectors):
     return np.max(np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1])))
 
 
-def record_calls(monkeypatch, name, module=spectral_mod):
-    """Replace module.<name> by a pass-through that logs its arguments."""
+def record_calls(monkeypatch, name):
+    """Replace qmap.spectral.<name> by a pass-through that logs its
+    arguments."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(spectral_mod, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(spectral_mod, name, spy)
     return calls
+
+
+def synthetic_pass(W, imaginary):
+    """One pass of _common_basis on a complex symmetric unitary W, as
+    (phases, R, residuals) with the residuals taken against W."""
+    R = spectral_mod._common_basis(W.copy, W.__matmul__, imaginary)
+    phases, residuals = spectral_mod._certify(
+        SimpleNamespace(apply=W.__matmul__), R)
+    return phases, R, residuals
 
 
 def raised_pass_reports(op):
@@ -88,28 +89,35 @@ def test_mean_spacing():
 
 
 def test_identity_decomposition():
-    phases, vectors, residual = decompose_unitary(np.eye(7))
-    assert np.all(phases == 0.0)
-    assert residual < 1e-14
-    assert np.allclose(vectors.conj().T @ vectors, np.eye(7), atol=1e-14)
+    # one run of all seven columns, which the other part, zero or the
+    # identity, leaves as it is
+    for imaginary in (False, True):
+        phases, R, residuals = synthetic_pass(np.eye(7, dtype=complex),
+                                              imaginary)
+        assert np.all(phases == 0.0)
+        assert residuals.max() < 1e-14
+        assert orthonormality_defect(R) < 1e-14
 
 
 def test_diagonal_unitary_phases_and_basis():
     # kick-only sawtooth at N = 2: U = diag(e^{-0.6 pi i}, 1)
-    U = np.diag([np.exp(-0.6j * np.pi), 1.0])
-    phases, vectors, residual = decompose_unitary(U)
-    assert phases == pytest.approx([0.0, 0.6 * np.pi], abs=1e-12)
-    assert residual < 1e-12
-    # phase 0 belongs to the second grid point, so columns swap
-    assert np.abs(vectors[1, 0]) == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(vectors[0, 1]) == pytest.approx(1.0, abs=1e-12)
+    W = np.diag([np.exp(-0.6j * np.pi), 1.0])
+    for imaginary in (False, True):
+        phases, R, residuals = synthetic_pass(W, imaginary)
+        assert np.sort(phases) == pytest.approx([0.0, 0.6 * np.pi],
+                                                abs=1e-12)
+        assert residuals.max() < 1e-12
+        # phase 0 belongs to the second grid point
+        assert np.abs(R[1, np.argmin(phases)]) == pytest.approx(1.0,
+                                                                abs=1e-12)
 
 
 def test_eigenvalue_sign_convention():
     # U = e^{-i phi}: a small positive kick phase must come out positive
-    U = np.diag([np.exp(-0.25j)])
-    phases, _, _ = decompose_unitary(U)
-    assert phases[0] == pytest.approx(0.25, abs=1e-14)
+    for imaginary in (False, True):
+        phases, _, _ = synthetic_pass(np.array([[np.exp(-0.25j)]]),
+                                      imaginary)
+        assert phases[0] == pytest.approx(0.25, abs=1e-14)
 
 
 def test_phases_sorted_and_certified():
@@ -139,13 +147,13 @@ def test_trace_identity():
 
 
 def test_spectrum_invariant_under_fourier_conjugation():
-    # the real route on U against the complex reference on F U F*
+    # the real route on U against the Schur reference on F U F*
     N = 32
     op = build_floquet(MapFamily("chaotic", r=0.9), PlanckScale(N))
     F = np.fft.fft(np.eye(N)) / np.sqrt(N)
     conjugated = F @ dense(op) @ F.conj().T
     a = diagonalize(op).phases
-    b, _, _ = decompose_unitary(conjugated)
+    b, _, _ = schur_reference(conjugated)
     wrapped = np.mod(np.sort(a) - np.sort(b) + np.pi, 2.0 * np.pi) - np.pi
     assert np.max(np.abs(wrapped)) < 1e-9
 
@@ -159,30 +167,15 @@ def test_chaotic_levels_repel(chaotic_spectra):
 
 def test_degenerate_block_reorthonormalized():
     mu = np.exp(-1j * 0.3)
-    U = np.diag([mu, mu, np.exp(-1j * 1.0)])
-    phases, vectors, residual = decompose_unitary(U)
-    assert residual < 1e-12
-    assert np.allclose(vectors.conj().T @ vectors, np.eye(3), atol=1e-12)
+    W = np.diag([mu, mu, np.exp(-1j * 1.0)])
+    for imaginary in (False, True):
+        phases, R, residuals = synthetic_pass(W, imaginary)
+        assert np.sort(phases) == pytest.approx([0.3, 0.3, 1.0], abs=1e-12)
+        assert residuals.max() < 1e-12
+        assert orthonormality_defect(R) < 1e-12
 
 
-def test_eigenvalue_at_the_first_pole_takes_a_second_pass(monkeypatch):
-    # exp(-i phi) with phi = alpha - pi makes 1 + exp(i alpha) U singular
-    rng = np.random.default_rng(7)
-    phases = np.sort(rng.uniform(0.0, 2.0 * np.pi, 48))
-    phases[7] = np.mod(complex_route.CAYLEY_SHIFT - np.pi, 2.0 * np.pi)
-    Q = random_unitary(rng, 48)
-    U = (Q * np.exp(-1j * phases)) @ Q.conj().T
-    passes = record_calls(monkeypatch, "cayley_basis", complex_route)
-    fallbacks = record_calls(monkeypatch, "schur", complex_route)
-    found, vectors, residual = decompose_unitary(U)
-    assert len(passes) == 2 and passes[0][1] == complex_route.CAYLEY_SHIFT
-    assert not fallbacks
-    assert residual < 1e-11
-    assert orthonormality_defect(vectors) < 1e-12
-    assert circular_mismatch(found, np.sort(phases)) < 1e-12
-
-
-def test_failed_cayley_passes_raise(monkeypatch):
+def test_failed_passes_raise(monkeypatch):
     # an orthonormal basis of non-eigenvectors fails the residual of both
     # passes, and the error names each
     op = build_floquet(MapFamily("chaotic", r=0.4), PlanckScale(64))
@@ -200,9 +193,15 @@ def test_failed_cayley_passes_raise(monkeypatch):
         assert defect == 0.0
 
 
-def skewed_eigh(monkeypatch):
-    """Make spectral.eigh stretch its first eigenvector by 1 + 1e-9:
-    eigenpairs stay accurate, orthonormality fails its certificate."""
+@pytest.mark.parametrize("family, N", [
+    (MapFamily("regular", r=0.4), 64), (MapFamily("chaotic"), 16)],
+    ids=["regular-64", "chaotic-16"])
+def test_no_orthonormal_pass_raises(monkeypatch, family, N):
+    # eigh stretches its first eigenvector by 1 + 1e-9: accurate eigenpairs
+    # in a stretched basis, which the orthonormality certificate alone
+    # rejects in both passes.  There is no Schur fallback: nothing in
+    # qmap.spectral reaches for a Schur form
+    assert not any("schur" in name.lower() for name in dir(spectral_mod))
     real = spectral_mod.eigh
 
     def skewed(*args, **kwargs):
@@ -212,31 +211,12 @@ def skewed_eigh(monkeypatch):
         return eigenvalues, vectors
 
     monkeypatch.setattr(spectral_mod, "eigh", skewed)
-
-
-def assert_stretched_passes_raise(monkeypatch, family, N):
     passes = record_calls(monkeypatch, "_commuting_pair_basis")
     reports = raised_pass_reports(build_floquet(family, PlanckScale(N)))
     assert len(passes) == len(reports) == 2
     for _, residual, defect in reports:
         assert residual < RESIDUAL_TOL
         assert defect > ORTHONORMALITY_TOL
-
-
-def test_non_orthonormal_passes_fall_back_to_schur(monkeypatch):
-    # the Schur decomposition is no fallback any more: a regular operator
-    # whose two passes give a stretched basis raises, and nothing in
-    # qmap.spectral reaches for a Schur form
-    skewed_eigh(monkeypatch)
-    assert not any("schur" in name.lower() for name in dir(spectral_mod))
-    assert_stretched_passes_raise(monkeypatch, MapFamily("regular", r=0.4), 64)
-
-
-def test_no_orthonormal_pass_raises(monkeypatch):
-    # accurate eigenpairs in a stretched basis: the orthonormality
-    # certificate alone rejects both passes
-    skewed_eigh(monkeypatch)
-    assert_stretched_passes_raise(monkeypatch, MapFamily("chaotic"), 16)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -326,10 +306,8 @@ def test_a_pair_where_one_part_is_flat_needs_the_other(theta, blind):
         W = symmetric_unitary_with_a_pair(theta, seed)
         worst.append([])
         for imaginary in (False, True):
-            R = spectral_mod._common_basis(W.copy, W.__matmul__, imaginary)
-            assert np.max(np.abs(R.T @ R - np.eye(48))) < ORTHONORMALITY_TOL
-            residuals = spectral_mod._certify(
-                SimpleNamespace(apply=W.__matmul__), R)[1]
+            _, R, residuals = synthetic_pass(W, imaginary)
+            assert orthonormality_defect(R) < ORTHONORMALITY_TOL
             worst[-1].append(residuals.max())
     worst = np.array(worst)
     assert np.sum(worst[:, blind] > RESIDUAL_TOL) >= 4
@@ -342,7 +320,7 @@ def test_a_pair_where_one_part_is_flat_needs_the_other(theta, blind):
 def test_each_part_alone_certifies(variant, half_N, r):
     # either pass alone is a certified eigenbasis of a Floquet operator
     op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
-    reference = schur_phases(dense(op))
+    reference = schur_reference(dense(op))[0]
     for imaginary in (False, True):
         R, half, defect = spectral_mod._commuting_pair_basis(op, imaginary)
         phases, residuals = spectral_mod._certify(op, R, half)
@@ -379,17 +357,6 @@ def test_diagonalize_peak_memory(variant, N):
     finally:
         tracemalloc.stop()
     assert peak <= 1.75 * 16 * N * N
-
-
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(1, 64),
-       r=st.floats(0.0, 3.0))
-def test_cayley_route_matches_schur(variant, half_N, r):
-    op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
-    data = diagonalize(op)
-    assert data.max_residual < 1e-11
-    assert orthonormality_defect(data.eigenvectors()) < 1e-12
-    assert circular_mismatch(data.phases, schur_phases(dense(op))) < 1e-12
 
 
 def test_nan_entry_fails_the_unitarity_check():
@@ -468,17 +435,21 @@ def test_a_different_kick_is_a_different_unitary():
     kick[5] *= np.exp(0.1j)
     other = with_factors(op, kick_phases=kick)
     data = diagonalize(other)
-    assert circular_mismatch(data.phases, schur_phases(dense(other))) < 1e-12
+    reference = schur_reference(dense(other))[0]
+    assert circular_mismatch(data.phases, reference) < 1e-12
     assert circular_mismatch(data.phases, diagonalize(op).phases) > 1e-4
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(2, 48),
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(variant=st.sampled_from(VARIANTS), half_N=st.integers(1, 64),
        r=st.floats(0.0, 3.0))
 def test_real_route_matches_the_complex_reference(variant, half_N, r):
+    # diagonalize against the complex Schur decomposition of the dense U
     op = build_floquet(MapFamily(variant, r=r), PlanckScale(2 * half_N))
     data = diagonalize(op)
-    phases, vectors, residual = decompose_unitary(dense(op))
+    assert data.max_residual < 1e-11
+    assert orthonormality_defect(data.eigenvectors()) < 1e-12
+    phases, vectors, residual = schur_reference(dense(op))
     assert residual < 1e-11
     assert circular_mismatch(data.phases, phases) < 1e-12
     # the same eigenvectors up to a phase where the levels are apart

@@ -575,7 +575,6 @@ def test_scaling_study_on_a_small_ladder():
     assert study.d == 2
     assert tuple(int(N) for N in study.N_values) == ladder
     assert np.allclose(study.h_values, 1.0 / np.array(ladder))
-    assert study.exponent == study.models["power_law"].params["exponent"]
     assert study.model in MODEL_NAMES
     expected = [shift_statistics(trajs[N], r0=0.0, r1=1.0)
                 .mean_sq_spacing_units for N in ladder]
