@@ -6,12 +6,14 @@ O(h^2) change of quantization, and measures coarse-grained ergodicity of
 eigenstates through diagonal matrix elements, smoothed two-point sums and
 trace autocorrelations.
 
-QMAP_THREADS is copied into the BLAS and OpenMP thread knobs before
-anything here imports numpy, so a process that imports qmap first runs
-its BLAS pool under that cap (qmap._threads.cap_thread_env).  Then the
-whole library loads.  The top-level scipy package loads with it for one
-reason only: the environment record of bench/traced.py reads its
-version.  It loads no BLAS, and no qmap module uses scipy.
+Before anything here imports numpy, QMAP_THREADS is copied into the BLAS
+and OpenMP thread knobs, and OPENBLAS_THREAD_TIMEOUT is set, unless the
+caller set it, so that idle OpenBLAS threads sleep after a short spin
+(qmap._threads.cap_thread_env).  A process that imports qmap first runs
+its BLAS pool under both.  Then the whole library loads.  The top-level
+scipy package loads with it for one reason only: the environment record
+of bench/traced.py reads its version.  It loads no BLAS, and no qmap
+module uses scipy.
 """
 
 from ._threads import cap_thread_env

@@ -3,10 +3,14 @@ run-time size of numpy's BLAS pool.
 
 `import qmap` calls cap_thread_env before anything loads numpy, while
 the BLAS pools have not read their environment knobs yet, so this module
-imports no numpy at module level.  worker_map reads QMAP_THREADS for the
-worker threads of the Monte Carlo correlator (qmap.classical, one task
-per block of samples) and of the conjugation-route correlator
-(qmap.ergodicity, one task per block of columns).
+imports no numpy at module level.  cap_thread_env copies QMAP_THREADS
+into those knobs, and it sets how long an idle OpenBLAS thread spins
+before it sleeps (OPENBLAS_THREAD_TIMEOUT: 2^SPIN_EXPONENT cycles
+instead of OpenBLAS's 2^28), unless the caller set that variable.
+worker_map reads QMAP_THREADS for the worker threads of the Monte Carlo
+correlator (qmap.classical, one task per block of samples) and of the
+conjugation-route correlator (qmap.ergodicity, one task per block of
+columns).
 
 blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
 while it runs, through the scipy_openblas entry points that numpy's
@@ -31,6 +35,12 @@ _THREAD_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
+# an idle OpenBLAS thread spins 2^SPIN_EXPONENT cycles (0.5 ms at 2.1 GHz)
+# before it sleeps.  OpenBLAS's own 2^28 (0.13 s) burns a core after the
+# pool starts and after every threaded call; 2^4 makes every threaded
+# call at N = 512 wake the pool, and costs about 5% wall on `qmap scaling`
+SPIN_EXPONENT = 20
+
 
 def requested_threads() -> int:
     """QMAP_THREADS as a count; 0 (automatic) when it is unset.
@@ -51,8 +61,14 @@ def requested_threads() -> int:
 
 
 def cap_thread_env() -> None:
-    """Copy a valid QMAP_THREADS above 0 into every BLAS and OpenMP
-    thread knob; an invalid value is left for the command line to report."""
+    """Set OPENBLAS_THREAD_TIMEOUT to SPIN_EXPONENT unless it is set, then
+    copy a valid QMAP_THREADS above 0 into every BLAS and OpenMP thread
+    knob; an invalid value is left for the command line to report.
+
+    OpenBLAS reads both once, as it loads, so neither reaches a BLAS that
+    numpy loaded before this ran.
+    """
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", str(SPIN_EXPONENT))
     try:
         n = requested_threads()
     except ConfigurationError:

@@ -22,15 +22,17 @@ into the standard environment knobs before numpy loads, and run_command
 lowers the pool to it at run time too, for a caller that loaded numpy
 first.  And a run whose largest dimension (N, or the largest N of
 N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs on one BLAS thread:
-up to that size a second thread gains nothing end to end and spins
-through the run, while above it the second thread pays (README,
-"Determinism and threads").  run_command lowers the pool when the spec
-is resolved and puts back the count it found when it returns, so
-in-process callers keep theirs; it never raises the count.  Below the
-cut every artifact is byte-identical across QMAP_THREADS values.
-QMAP_THREADS also caps the worker threads of the Monte Carlo correlator
-(qmap.classical) and of the conjugation-route correlator
-(qmap.ergodicity), whose results are bit-identical at every count.
+up to that size a second thread gains nothing end to end, while above
+it the second thread pays (README, "Determinism and threads").
+run_command lowers the pool when the spec is resolved and puts back the
+count it found when it returns, so in-process callers keep theirs; it
+never raises the count.  Below the cut every artifact is byte-identical
+across QMAP_THREADS values.  Between calls the pool's threads sleep
+after a short spin, which `import qmap` sets
+(qmap._threads.SPIN_EXPONENT).  QMAP_THREADS also caps the worker
+threads of the Monte Carlo correlator (qmap.classical) and of the
+conjugation-route correlator (qmap.ergodicity), whose results are
+bit-identical at every count.
 
 The layer modules are called through their module attributes, so a
 function replaced there (a test's spy, a benchmark's span) is the one
@@ -53,8 +55,7 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .model import VARIANTS, MapFamily, PhaseSpacePoint, PlanckScale
 
 # runs whose largest dimension is at most this take one BLAS thread: up to
-# N = 256 a second OpenBLAS thread speeds up no end-to-end run, and spins
-# through the whole of it
+# N = 256 a second OpenBLAS thread speeds up no end-to-end run
 ONE_BLAS_THREAD_MAX_N = 256
 
 

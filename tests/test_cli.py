@@ -14,7 +14,7 @@ import qmap
 import qmap.classical
 import qmap.sweep
 from conftest import package_imports
-from qmap._threads import _THREAD_VARS
+from qmap._threads import _THREAD_VARS, SPIN_EXPONENT
 from qmap.cli import run_command
 from qmap.sweep import MODEL_NAMES
 
@@ -27,7 +27,8 @@ def read_lines(path):
 def child_env(**extra):
     """Environment for a child interpreter: this qmap, no thread settings."""
     env = {k: v for k, v in os.environ.items()
-           if k not in _THREAD_VARS and k != "QMAP_THREADS"}
+           if k not in _THREAD_VARS
+           and k not in ("QMAP_THREADS", "OPENBLAS_THREAD_TIMEOUT")}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(qmap.__file__))
     env.update(extra)
     return env
@@ -348,6 +349,25 @@ def test_a_bad_qmap_threads_is_a_usage_error_at_the_command_line():
     assert "Traceback" not in done.stderr
 
 
+def test_import_qmap_sets_the_blas_spin_unless_the_caller_did():
+    # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as numpy loads it; qmap
+    # sets it whatever QMAP_THREADS says, and keeps a caller's own value
+    probe = "import os, qmap; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    cases = [({}, str(SPIN_EXPONENT)),
+             ({"OPENBLAS_THREAD_TIMEOUT": "28"}, "28"),
+             ({"QMAP_THREADS": "abc"}, str(SPIN_EXPONENT)),
+             ({"QMAP_THREADS": "1"}, str(SPIN_EXPONENT))]
+    for extra, want in cases:
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=child_env(**extra), capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.splitlines()[-1] == want, extra
+    done = subprocess.run([sys.executable, "-m", "qmap.cli", "--help"],
+                          env=child_env(QMAP_THREADS="abc"),
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+
+
 def _top_level_imports(nodes) -> list:
     """Module names the given statements import, relative ones with their
     leading dots."""
@@ -558,6 +578,31 @@ def test_results_agree_across_thread_counts(tmp_path):
     header, rows = data_rows(lines1)
     assert header == "r,level,eigenphase" and len(rows) == 21 * 128
     assert (cross1, lines1) == (cross2, lines2)
+
+
+def test_scaling_agrees_across_thread_counts(tmp_path):
+    # a ladder up to N = 128 runs on one BLAS thread whatever QMAP_THREADS
+    # says, so the fit and the shifts are byte-identical across counts;
+    # only the output directory, in each file's run parameters, differs
+    def without_out_dir(path):
+        return [ln for ln in read_lines(path)
+                if not ln.startswith("# out_dir=")
+                and not ln.lstrip().startswith('"out_dir": ')]
+
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "qmap.cli", "scaling", "--variant",
+             "chaotic", "--N", "16,32,64,128", "--r1", "0.5",
+             "--out", str(out)],
+            env=child_env(QMAP_THREADS=threads), capture_output=True,
+            text=True, check=True)
+        runs.append({name: without_out_dir(out / name)
+                     for name in ("shifts.csv", "fit.json")})
+    header, rows = data_rows(runs[0]["shifts.csv"])
+    assert len(rows) == 4
+    assert runs[0] == runs[1]
 
 
 def test_runs_up_to_n256_take_one_blas_thread(tmp_path):
