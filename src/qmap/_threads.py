@@ -10,7 +10,10 @@ instead of OpenBLAS's 2^28), unless the caller set that variable.
 worker_map reads QMAP_THREADS for the worker threads of the Monte Carlo
 correlator (qmap.classical, one task per block of samples) and of the
 conjugation-route correlator (qmap.ergodicity, one task per block of
-columns).
+columns).  head_start counts workers the same way and gives a full-grid
+sweep (qmap.sweep) one background thread for each next lattice point's
+eigh, when there are two workers and numpy's BLAS pool is at one thread
+(as qmap.cli sets it for `sweep`); otherwise that eigh runs inline.
 
 blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
 while it runs, through the scipy_openblas entry points that numpy's
@@ -78,18 +81,23 @@ def cap_thread_env() -> None:
             os.environ[var] = str(n)
 
 
-@contextlib.contextmanager
-def worker_map(tasks: int):
-    """Yield a map over the run's worker threads: QMAP_THREADS of them if
-    it is above 0, else the CPU affinity, never above 8 or tasks.  It is a
-    thread pool's map, the pool shut down when the block exits, or for one
-    worker the builtin map, which runs inline."""
+def _worker_count(tasks: int) -> int:
+    """QMAP_THREADS if it is above 0, else the CPU affinity, never above 8
+    or tasks."""
     n = requested_threads()
     if n == 0:
         # sched_getaffinity is Linux only
         n = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = min(n, 8, tasks)
+    return min(n, 8, tasks)
+
+
+@contextlib.contextmanager
+def worker_map(tasks: int):
+    """Yield a map over the run's worker threads (_worker_count).  It is a
+    thread pool's map, the pool shut down when the block exits, or for one
+    worker the builtin map, which runs inline."""
+    workers = _worker_count(tasks)
     if workers == 1:
         yield map
         return
@@ -98,6 +106,31 @@ def worker_map(tasks: int):
 
     with ThreadPoolExecutor(workers) as pool:
         yield pool.map
+
+
+@contextlib.contextmanager
+def head_start():
+    """Yield start(fn, *args), which returns a function of no arguments
+    that gives fn(*args).
+
+    With two workers (_worker_count) and numpy's BLAS pool at one thread,
+    fn runs on one background thread, calls in the order started, and the
+    returned function waits for its call and re-raises what it raised.
+    Otherwise fn runs inline when the returned function is called.  When
+    the block exits, calls not yet begun are cancelled, the running one is
+    waited for, and the thread is gone.  fn must call no public function
+    of a layer module: bench/traced.py keeps one span stack per process.
+    """
+    if _worker_count(2) < 2 or blas_threads() != 1:
+        yield functools.partial
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        yield lambda fn, *args: pool.submit(fn, *args).result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 @functools.cache

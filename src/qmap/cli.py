@@ -20,14 +20,19 @@ OpenBLAS (see qmap.quantize and qmap.spectral).  Two things size that
 pool.  QMAP_THREADS caps it (0 means automatic): `import qmap` copies it
 into the standard environment knobs before numpy loads, and run_command
 lowers the pool to it at run time too, for a caller that loaded numpy
-first.  And a run whose largest dimension (N, or the largest N of
-N_list) is at most ONE_BLAS_THREAD_MAX_N = 256 runs on one BLAS thread:
-up to that size a second thread gains nothing end to end, while above
-it the second thread pays (README, "Determinism and threads").
-run_command lowers the pool when the spec is resolved and puts back the
-count it found when it returns, so in-process callers keep theirs; it
-never raises the count.  Below the cut every artifact is byte-identical
-across QMAP_THREADS values.  Between calls the pool's threads sleep
+first.  And `sweep` at any N, and every other run whose largest
+dimension (N, or the largest N of N_list) is at most
+ONE_BLAS_THREAD_MAX_N = 256, runs on one BLAS thread.  A sweep
+diagonalizes every lattice point, and with two workers it runs each next
+point's eigh on a background thread while this one finishes the current
+point (qmap.sweep), so the two threads take both cores and a second BLAS
+thread would only compete with them.  For one matrix at a time a second
+thread gains nothing up to N = 256 and pays above it (README,
+"Determinism and threads").  run_command lowers the pool when the spec
+is resolved and puts back the count it found when it returns, so
+in-process callers keep theirs; it never raises the count.  Every sweep,
+and every other run below the cut, is byte-identical across
+QMAP_THREADS values.  Between calls the pool's threads sleep
 after a short spin, which `import qmap` sets
 (qmap._threads.SPIN_EXPONENT).  QMAP_THREADS also caps the worker
 threads of the Monte Carlo correlator (qmap.classical) and of the
@@ -54,8 +59,10 @@ from .config import READ_BY_ALL, READS, make_runspec, read_config
 from .errors import ConfigurationError, DomainError, NumericalError
 from .model import VARIANTS, MapFamily, PhaseSpacePoint, PlanckScale
 
-# runs whose largest dimension is at most this take one BLAS thread: up to
-# N = 256 a second OpenBLAS thread speeds up no end-to-end run
+# runs whose largest dimension is at most this take one BLAS thread, and
+# sweeps at every N: up to N = 256 a second OpenBLAS thread speeds up no
+# end-to-end run, and a sweep keeps both cores busy with its own two
+# threads (run_command)
 ONE_BLAS_THREAD_MAX_N = 256
 
 
@@ -321,7 +328,8 @@ def run_command(argv) -> int:
         spec = _runspec_from_args(args)
         # the environment caps the pool only where qmap loaded numpy, so
         # the cap is applied to the running pool as well
-        cap = (1 if _largest_dimension(spec) <= ONE_BLAS_THREAD_MAX_N
+        cap = (1 if spec.command == "sweep"
+               or _largest_dimension(spec) <= ONE_BLAS_THREAD_MAX_N
                else requested)
         found = blas_threads()
         lowered = cap > 0 and found is not None and found > cap

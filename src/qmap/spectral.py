@@ -36,8 +36,11 @@ apply U through the operator's own factors (FloquetOperator.apply), never
 through U_s, so an error in the half drift or in the lift cannot pass;
 diagonalize first checks, in O(N), that the factors lie on the unit
 circle and that D_T is the square of the half drift.  eigh and the
-products (`@`) run on numpy's OpenBLAS, whose pool qmap.cli sizes; the
-FFTs run on the calling thread.
+products (`@`) run on numpy's OpenBLAS, whose pool qmap.cli sizes.
+Everything runs on the calling thread, except where a caller gives
+diagonalize a head start: qmap.sweep forms U_s of the next lattice point
+and runs the first pass's eigh of Re U_s (_real_part_eigh) on a
+background thread, and diagonalize finishes the pass from there.
 
 A pass is certified if its largest eigenpair residual |U v - exp(-i phi) v|
 is below 1e-10 and max |V*V - 1| below 1e-11 (the real Gram product R^T R;
@@ -167,7 +170,8 @@ def _symmetric_form(op: FloquetOperator, half: np.ndarray) -> np.ndarray:
     return _half_drift_columns(half, U_s.T)
 
 
-def _commuting_pair_basis(op: FloquetOperator, imaginary: bool):
+def _commuting_pair_basis(op: FloquetOperator, imaginary: bool,
+                          head_start=None):
     """(R, half, max |R^T R - 1|) of one pass of _common_basis on U_s;
     half, the diagonal of C^(1/2), lifts R (_lift)."""
     half = half_free_propagator(op.family, op.scale)
@@ -178,26 +182,41 @@ def _commuting_pair_basis(op: FloquetOperator, imaginary: bool):
         return _half_drift_columns(half, M)
 
     R = _common_basis(lambda: _symmetric_form(op, half), times_u_s,
-                      imaginary)
+                      imaginary, head_start)
     return R, half, _unitarity_defect(R)
 
 
-def _common_basis(form, times_u_s, imaginary: bool) -> np.ndarray:
-    """Real orthonormal eigenbasis of a complex symmetric unitary U_s,
-    given as form() (U_s as a new array) and times_u_s(M) = U_s M.
-
-    eigh of one part (Im U_s when imaginary, else Re U_s; U_s is freed
-    first), then each run of close eigenvalues rotated by eigh of the other
-    part restricted to the run's columns R_c, read from U_s R_c.
-    """
+def _eigh_of_part(form, imaginary: bool):
+    """eigh of one part of U_s = form(): (ascending eigenvalues, R) of
+    Im U_s when imaginary, else of Re U_s; U_s is freed first."""
     W = form()
     part = np.array(W.imag if imaginary else W.real)
     del W
     # U_s is symmetric only to roundoff, and eigh reads one triangle
     part += part.T
     part *= 0.5
-    eigenvalues, R = eigh(part)
-    del part
+    return eigh(part)
+
+
+def _real_part_eigh(op: FloquetOperator, half: np.ndarray):
+    """_eigh_of_part of Re U_s of op, with half = half_free_propagator's
+    diagonal given: what diagonalize's head_start returns.  It calls no
+    public qmap function, so it may run on another thread (qmap.sweep)."""
+    return _eigh_of_part(lambda: _symmetric_form(op, half), False)
+
+
+def _common_basis(form, times_u_s, imaginary: bool,
+                  head_start=None) -> np.ndarray:
+    """Real orthonormal eigenbasis of a complex symmetric unitary U_s,
+    given as form() (U_s as a new array) and times_u_s(M) = U_s M.
+
+    eigh of one part (_eigh_of_part, or head_start() when given, which
+    must return the same), then each run of close eigenvalues rotated by
+    eigh of the other part restricted to the run's columns R_c, read from
+    U_s R_c.
+    """
+    eigenvalues, R = (_eigh_of_part(form, imaginary) if head_start is None
+                      else head_start())
     cuts = np.flatnonzero(np.diff(eigenvalues) >= _CLUSTER_GAP) + 1
     runs = [slice(start, stop) for start, stop in
             zip([0, *cuts.tolist()], [*cuts.tolist(), eigenvalues.size])
@@ -243,16 +262,18 @@ def _certify(op, basis: np.ndarray, half: np.ndarray | None = None):
     return phases, residuals
 
 
-def _eigenbasis(op: FloquetOperator):
+def _eigenbasis(op: FloquetOperator, head_start=None):
     """(phases, R, worst residual) of U, sorted by phase.
 
-    The first pass diagonalizes the real part of U_s, the second the
-    imaginary part; the first certified pass is returned.  When neither is
-    certified, or the first pass's phases are not finite, NumericalError.
+    The first pass diagonalizes the real part of U_s, taking its eigh from
+    head_start() when given, the second the imaginary part; the first
+    certified pass is returned.  When neither is certified, or the first
+    pass's phases are not finite, NumericalError.
     """
     rejected = []
     for imaginary in (False, True):
-        R, half, defect = _commuting_pair_basis(op, imaginary)
+        R, half, defect = _commuting_pair_basis(
+            op, imaginary, head_start=None if imaginary else head_start)
         phases, residuals = _certify(op, R, half)
         worst = float(residuals.max())
         # written so that a NaN fails
@@ -274,12 +295,18 @@ def _eigenbasis(op: FloquetOperator):
         f"defect below {ORTHONORMALITY_TOL:.0e}): " + "; ".join(rejected))
 
 
-def diagonalize(op: FloquetOperator) -> SpectralData:
+def diagonalize(op: FloquetOperator, head_start=None) -> SpectralData:
     """Full spectral data of a Floquet operator by the real route.
 
     The factors are checked first, in O(N): D_V on the unit circle and D_T
     the square of the half drift, each to 1e-12.  Residuals are certified
     to 1e-10 against U applied by those factors, orthonormality to 1e-11.
+
+    head_start, when given, is a function of no arguments that returns
+    _real_part_eigh(op, half) (qmap.sweep runs it ahead, on another
+    thread); the first pass calls it, after the check, in place of that
+    eigh.  Everything else runs here, and the certificates judge the
+    basis it returns like any other.
     """
     half = half_free_propagator(op.family, op.scale)
     # written so that a NaN entry fails the check
@@ -289,7 +316,7 @@ def diagonalize(op: FloquetOperator) -> SpectralData:
         raise NumericalError(
             f"spectral: factors of U off the unit circle or the half drift's "
             f"square by {factors:.3e} ({op.family.variant}, N={op.N})")
-    phases, real, worst = _eigenbasis(op)
+    phases, real, worst = _eigenbasis(op, head_start)
     return SpectralData(
         N=op.N,
         family=op.family,

@@ -35,10 +35,22 @@ and four windows in r = 0..3; none raises TrackingError, and 22 bisect
 a single interval.  The chaotic ladder then needs 2 diagonalizations
 per N on r = 0..0.5 (8 against 44) and 26 against 244 on r = 0..3.
 Only the bisection of single intervals counts in refined_steps.
+
+A full-grid sweep diagonalizes every lattice point in order, each one
+once, and starts each point's eigh of Re U_s (spectral._real_part_eigh,
+half of a diagonalization at N = 256) as it finishes the point before,
+through qmap._threads.head_start: on a background thread when the run
+has two workers and numpy's BLAS pool is at one thread, else inline.
+That eigh releases the GIL, so it runs beside this thread's work: the
+rest of the diagonalization (runs, certificates, phase sort) and the
+tracking.  The operators, the spectra, the tracking and the refinement
+midpoints all stay on the calling thread, so the bits do not depend on
+where the eigh ran.  ends_only sweeps start no thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -46,9 +58,11 @@ import numpy as np
 
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale
-from .quantize import build_floquet, quantize_observable
-from .spectral import (SpectralData, column_blocks, cyclic_gaps, diagonalize,
-                       eigenbasis_diagonal, mean_spacing, wrap_phase)
+from ._threads import head_start
+from .quantize import build_floquet, half_free_propagator, quantize_observable
+from .spectral import (SpectralData, _real_part_eigh, column_blocks,
+                       cyclic_gaps, diagonalize, eigenbasis_diagonal,
+                       mean_spacing, wrap_phase)
 
 MAX_REFINEMENTS = 3
 MODEL_NAMES = ("power_law", "constant", "log_model")
@@ -165,6 +179,25 @@ def _spectrum_at(family: MapFamily, scale: PlanckScale, r: float):
     return diagonalize(build_floquet(dataclasses.replace(family, r=r), scale))
 
 
+def _lattice_spectra(family: MapFamily, scale: PlanckScale,
+                     lattice: np.ndarray, start):
+    """The spectrum of each lattice point in order, each diagonalized here
+    once, with the next point's eigh of Re U_s started (start, from
+    qmap._threads.head_start) before it.  The operators and half drifts
+    are made here, so the started calls use no public function."""
+    def started(r):
+        op = build_floquet(dataclasses.replace(family, r=r), scale)
+        half = half_free_propagator(op.family, scale)
+        return op, start(_real_part_eigh, op, half)
+
+    op, head = started(lattice[0])
+    for r in lattice[1:]:
+        following = started(r)
+        yield diagonalize(op, head)
+        op, head = following
+    yield diagonalize(op, head)
+
+
 def level_velocities(data: SpectralData) -> np.ndarray:
     """Hellmann-Feynman velocities d phi_n / dr of a spectrum's levels.
 
@@ -276,71 +309,90 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     last = lattice.size - 1
     requested = [0, last] if ends_only and last > 0 else list(range(last + 1))
     match = _pair_by_rank if sorted_pairing else track_levels
-    data = _spectrum_at(family, scale, lattice[0])
-    # level n of the sweep sits in column column_of[n] of the current
-    # spectrum, whose columns stay in phase order
-    column_of = np.arange(scale.N)
-    unwrapped = data.phases.copy()
-    phases = np.empty((scale.N, len(requested)))
-    phases[:, 0] = unwrapped
-    # velocities of the current columns, computed when a step needs them
-    velocities = level_velocities(data) if ends_only else None
-    start_velocities = velocities
+    # a full-grid sweep takes every lattice point in order, each with the
+    # next point's eigh started ahead (_lattice_spectra); refinement
+    # midpoints and the points of an ends_only sweep are diagonalized on
+    # demand
+    with (contextlib.nullcontext() if ends_only else head_start()) as start:
+        spectra = (None if ends_only
+                   else _lattice_spectra(family, scale, lattice, start))
 
-    min_seen = 1.0
-    refined = 0
-    k_from = 0
-    for column in range(1, len(requested)):
-        # pending (r_to, lattice index or None, depth, spectrum, velocities)
-        # targets, nearest last; a failed step pushes its target back with
-        # what was computed there, then the midpoint: the middle lattice
-        # point of a multi-interval step, the middle r of a single one
-        r_from = lattice[k_from]
-        k_end = requested[column]
-        pending = [(lattice[k_end], k_end, 0, None, None)]
-        while pending:
-            r_to, k_to, depth, data_to, velocities_to = pending.pop()
-            if data_to is None:
-                data_to = _spectrum_at(family, scale, r_to)
-            coarse = k_to is not None and k_to - k_from > 1
-            try:
-                step, overlaps = match(data, data_to)
-                accepted = True
-            except StepTooLargeError:
-                accepted = False
-            if coarse and accepted:
-                if velocities is None:
-                    velocities = level_velocities(data)
-                if velocities_to is None:
-                    velocities_to = level_velocities(data_to)
-                perm = step[column_of]
-                accepted = _gaps_stay_open(
-                    unwrapped, velocities[column_of], data_to.phases[perm],
-                    velocities_to[perm], r_to - r_from)
-            if coarse and not accepted:
-                k_mid = (k_from + k_to) // 2
-                pending += [(r_to, k_to, 0, data_to, velocities_to),
-                            (lattice[k_mid], k_mid, 0, None, None)]
-                continue
-            if not accepted:
-                if depth >= MAX_REFINEMENTS:
-                    raise TrackingError(
-                        f"sweep: tracking failed on [{r_from:.6g}, {r_to:.6g}] "
-                        f"after {MAX_REFINEMENTS} bisections"
-                    ) from None
-                refined += 1
-                pending += [(r_to, k_to, depth + 1, data_to, velocities_to),
-                            (0.5 * (r_from + r_to), None, depth + 1, None,
-                             None)]
-                continue
-            min_seen = min(min_seen, float(overlaps.min()))
-            column_of = step[column_of]
-            unwrapped = _unwrap_step(unwrapped, data_to.phases[column_of])
-            data, velocities = data_to, velocities_to
-            r_from = r_to
-            if k_to is not None:
-                k_from = k_to
-        phases[:, column] = unwrapped
+        def spectrum(r, k):
+            """The spectrum at r, lattice point k (None off the lattice)."""
+            if spectra is None or k is None:
+                return _spectrum_at(family, scale, r)
+            return next(spectra)
+
+        data = spectrum(lattice[0], 0)
+        # level n of the sweep sits in column column_of[n] of the current
+        # spectrum, whose columns stay in phase order
+        column_of = np.arange(scale.N)
+        unwrapped = data.phases.copy()
+        phases = np.empty((scale.N, len(requested)))
+        phases[:, 0] = unwrapped
+        # velocities of the current columns, computed when a step needs
+        # them
+        velocities = level_velocities(data) if ends_only else None
+        start_velocities = velocities
+
+        min_seen = 1.0
+        refined = 0
+        k_from = 0
+        for column in range(1, len(requested)):
+            # pending (r_to, lattice index or None, depth, spectrum,
+            # velocities) targets, nearest last; a failed step pushes its
+            # target back with what was computed there, then the midpoint:
+            # the middle lattice point of a multi-interval step, the middle
+            # r of a single one
+            r_from = lattice[k_from]
+            k_end = requested[column]
+            pending = [(lattice[k_end], k_end, 0, None, None)]
+            while pending:
+                r_to, k_to, depth, data_to, velocities_to = pending.pop()
+                if data_to is None:
+                    data_to = spectrum(r_to, k_to)
+                coarse = k_to is not None and k_to - k_from > 1
+                try:
+                    step, overlaps = match(data, data_to)
+                    accepted = True
+                except StepTooLargeError:
+                    accepted = False
+                if coarse and accepted:
+                    if velocities is None:
+                        velocities = level_velocities(data)
+                    if velocities_to is None:
+                        velocities_to = level_velocities(data_to)
+                    perm = step[column_of]
+                    accepted = _gaps_stay_open(
+                        unwrapped, velocities[column_of],
+                        data_to.phases[perm], velocities_to[perm],
+                        r_to - r_from)
+                if coarse and not accepted:
+                    k_mid = (k_from + k_to) // 2
+                    pending += [(r_to, k_to, 0, data_to, velocities_to),
+                                (lattice[k_mid], k_mid, 0, None, None)]
+                    continue
+                if not accepted:
+                    if depth >= MAX_REFINEMENTS:
+                        raise TrackingError(
+                            f"sweep: tracking failed on [{r_from:.6g}, "
+                            f"{r_to:.6g}] after {MAX_REFINEMENTS} bisections"
+                        ) from None
+                    refined += 1
+                    pending += [(r_to, k_to, depth + 1, data_to,
+                                 velocities_to),
+                                (0.5 * (r_from + r_to), None, depth + 1,
+                                 None, None)]
+                    continue
+                min_seen = min(min_seen, float(overlaps.min()))
+                column_of = step[column_of]
+                unwrapped = _unwrap_step(unwrapped,
+                                         data_to.phases[column_of])
+                data, velocities = data_to, velocities_to
+                r_from = r_to
+                if k_to is not None:
+                    k_from = k_to
+            phases[:, column] = unwrapped
 
     return LevelTrajectories(
         family=family,

@@ -557,27 +557,30 @@ def test_classical_curve_is_identical_across_thread_counts(tmp_path):
 
 
 def test_results_agree_across_thread_counts(tmp_path):
-    # up to N = 256 every run takes one BLAS thread whatever QMAP_THREADS
-    # says, so the artifacts are byte-identical across thread counts
-    runs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        done = subprocess.run(
-            [sys.executable, "-m", "qmap.cli", "sweep", "--variant",
-             "regular", "--N", "128", "--r1", "1", "--out", str(out)],
-            env=child_env(QMAP_THREADS=threads), capture_output=True,
-            text=True, check=True)
-        crossings = [ln for ln in done.stdout.splitlines()
-                     if ln.startswith("crossings:")]
-        lines = [ln for ln in read_lines(out / "spectrum.csv")
-                 if not ln.startswith("# out_dir=")]
-        runs[threads] = (crossings, lines)
+    # a sweep takes one BLAS thread at every N whatever QMAP_THREADS says,
+    # with each next point's eigh on a background thread or inline, so the
+    # artifacts are byte-identical across thread counts, above the
+    # ONE_BLAS_THREAD_MAX_N cut of the other commands too
+    for N, r1, points in ((128, "1", 21), (512, "0.2", 5)):
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"N{N}-threads{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "qmap.cli", "sweep", "--variant",
+                 "regular", "--N", str(N), "--r1", r1, "--out", str(out)],
+                env=child_env(QMAP_THREADS=threads), capture_output=True,
+                text=True, check=True)
+            crossings = [ln for ln in done.stdout.splitlines()
+                         if ln.startswith("crossings:")]
+            lines = [ln for ln in read_lines(out / "spectrum.csv")
+                     if not ln.startswith("# out_dir=")]
+            runs[threads] = (crossings, lines)
 
-    (cross1, lines1), (cross2, lines2) = runs.values()
-    assert len(cross1) == 1
-    header, rows = data_rows(lines1)
-    assert header == "r,level,eigenphase" and len(rows) == 21 * 128
-    assert (cross1, lines1) == (cross2, lines2)
+        (cross1, lines1), (cross2, lines2) = runs.values()
+        assert len(cross1) == 1
+        header, rows = data_rows(lines1)
+        assert header == "r,level,eigenphase" and len(rows) == points * N
+        assert (cross1, lines1) == (cross2, lines2)
 
 
 def test_scaling_agrees_across_thread_counts(tmp_path):

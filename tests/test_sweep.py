@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import threading
+import time
+import types
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import least_squares, linear_sum_assignment
 
+import qmap.quantize as quantize_mod
 import qmap.spectral as spectral_mod
 import qmap.sweep as sweep_mod
 from conftest import LADDER, SHIFT_WINDOW, fit_window, random_unitary
+from qmap._threads import blas_threads, set_blas_threads
 from qmap.sweep import MODEL_NAMES
 from qmap import (
     DomainError,
@@ -172,9 +177,9 @@ def test_a_regular_sweep_forms_no_complex_basis(monkeypatch):
         widths.append(M.shape[1])
         return real_half_drift(half, M)
 
-    def one_pass(op, imaginary):
+    def one_pass(op, imaginary, **kwargs):
         passes.append(imaginary)
-        return real_pass(op, imaginary)
+        return real_pass(op, imaginary, **kwargs)
 
     monkeypatch.setattr(spectral_mod, "_half_drift_columns", half_drift)
     monkeypatch.setattr(spectral_mod, "_commuting_pair_basis", one_pass)
@@ -290,21 +295,26 @@ def test_sorted_pairing_matches_tracking_without_crossings(chaotic_32):
     assert np.allclose(tracked.phases, by_rank.phases, atol=1e-9)
 
 
+def fail_first_steps(monkeypatch, count):
+    """track_levels raises StepTooLargeError on its first count calls."""
+    real_track = sweep_mod.track_levels
+    failures = {"left": count}
+
+    def flaky(prev, nxt, **kwargs):
+        if failures["left"]:
+            failures["left"] -= 1
+            raise StepTooLargeError("injected")
+        return real_track(prev, nxt, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "track_levels", flaky)
+
+
 def test_step_too_large_triggers_refinement(monkeypatch):
     fam = MapFamily("chaotic")
     scale = PlanckScale(16)
     plain = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.25)
 
-    real_track = sweep_mod.track_levels
-    state = {"failed": False}
-
-    def flaky(prev, nxt, **kwargs):
-        if not state["failed"]:
-            state["failed"] = True
-            raise StepTooLargeError("injected")
-        return real_track(prev, nxt, **kwargs)
-
-    monkeypatch.setattr(sweep_mod, "track_levels", flaky)
+    fail_first_steps(monkeypatch, 1)
     refined = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.25)
     assert refined.refined_steps >= 1
     assert np.allclose(refined.phases, plain.phases, atol=1e-9)
@@ -325,28 +335,163 @@ def test_nested_bisection_visits_points_in_order(monkeypatch):
     # deeper halves finish before the shallower ones resume, and each
     # point is diagonalized once
     visited = []
-    real_spectrum = sweep_mod._spectrum_at
+    real_diagonalize = sweep_mod.diagonalize
 
-    def recording(family, scale, r):
-        visited.append(float(r))
-        return real_spectrum(family, scale, r)
+    def recording(op, *args):
+        visited.append(op.family.r)
+        return real_diagonalize(op, *args)
 
-    real_track = sweep_mod.track_levels
-    failures = {"left": 2}
-
-    def flaky(prev, nxt, **kwargs):
-        if failures["left"]:
-            failures["left"] -= 1
-            raise StepTooLargeError("injected")
-        return real_track(prev, nxt, **kwargs)
-
-    monkeypatch.setattr(sweep_mod, "_spectrum_at", recording)
-    monkeypatch.setattr(sweep_mod, "track_levels", flaky)
+    monkeypatch.setattr(sweep_mod, "diagonalize", recording)
+    fail_first_steps(monkeypatch, 2)
     traj = sweep_quantization(MapFamily("chaotic"), PlanckScale(16),
                               r0=0.0, r1=0.5, delta_r=0.25)
     assert visited == [0.0, 0.25, 0.125, 0.0625, 0.5]
     assert traj.refined_steps == 2
     assert np.array_equal(traj.r_grid, [0.0, 0.25, 0.5])
+
+
+@pytest.fixture
+def head_start_on(monkeypatch):
+    """Two workers and numpy's BLAS pool at one thread, the condition under
+    which a full-grid sweep starts each next point's eigh on a background
+    thread; the pool's size is put back afterwards."""
+    found = blas_threads()
+    if found is None:
+        pytest.skip("numpy's BLAS pool cannot be resized here")
+    monkeypatch.setenv("QMAP_THREADS", "2")
+    set_blas_threads(1)
+    yield
+    set_blas_threads(found)
+
+
+def record_layer_calls(monkeypatch):
+    """Wrap every public function of qmap's layer modules wherever
+    quantize, spectral and sweep bind it, as bench/traced.py wraps them,
+    and log (name, thread ident, args) of each call."""
+    calls = []
+    for module in (quantize_mod, spectral_mod, sweep_mod):
+        for attr, value in list(vars(module).items()):
+            if (isinstance(value, types.FunctionType)
+                    and value.__module__.startswith("qmap.")
+                    and not attr.startswith("_")):
+                def logged(*args, _fn=value, _name=attr, **kwargs):
+                    calls.append((_name, threading.get_ident(), args))
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, logged)
+    return calls
+
+
+def record_eigh_threads(monkeypatch, N):
+    """Log the thread ident of each eigh of a whole N x N part."""
+    threads = []
+    real = spectral_mod.eigh
+
+    def spy(a, *args, **kwargs):
+        if a.shape[0] == N:
+            threads.append(threading.get_ident())
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "eigh", spy)
+    return threads
+
+
+@pytest.mark.parametrize("variant, sorted_pairing, failures", [
+    ("chaotic", False, 0), ("regular", False, 0), ("slow_ergodic", False, 0),
+    ("chaotic", False, 2), ("regular", True, 0)],
+    ids=["chaotic", "regular", "slow_ergodic", "chaotic-bisected",
+         "regular-sorted"])
+def test_the_head_start_changes_no_bit(monkeypatch, head_start_on, variant,
+                                       sorted_pairing, failures):
+    # the same sweep with each next point's eigh on a background thread and
+    # with QMAP_THREADS=1, which runs it inline: the same bits, the points
+    # diagonalized in the same order, one operator built per point, and
+    # every public layer function called on this thread alone
+    N = 16
+    runs = []
+    for threads in ("2", "1"):
+        with monkeypatch.context() as patch:
+            patch.setenv("QMAP_THREADS", threads)
+            calls = record_layer_calls(patch)
+            eigh_threads = record_eigh_threads(patch, N)
+            fail_first_steps(patch, failures)
+            traj = sweep_quantization(MapFamily(variant), PlanckScale(N),
+                                      r0=0.0, r1=0.5,
+                                      sorted_pairing=sorted_pairing)
+        runs.append((traj, calls, eigh_threads))
+    main = threading.get_ident()
+    for traj, calls, eigh_threads in runs:
+        assert {ident for _, ident, _ in calls} == {main}
+        assert sum(name == "build_floquet" for name, _, _ in calls) \
+            == traj.r_grid.size + traj.refined_steps
+    (ahead, _, ahead_eigh), (inline, _, inline_eigh) = runs
+    # the lattice points' eigh ran on the background thread, the
+    # refinement midpoints' on this one
+    assert set(inline_eigh) == {main}
+    assert len(ahead_eigh) - ahead_eigh.count(main) == ahead.r_grid.size
+    assert ahead_eigh.count(main) == failures
+    assert ahead.phases.tobytes() == inline.phases.tobytes()
+    assert ahead.min_overlap == inline.min_overlap
+    assert ahead.refined_steps == inline.refined_steps == failures
+    order = [[args[0].family.r for name, _, args in calls
+              if name == "diagonalize"]
+             for _, calls, _ in runs]
+    assert order[0] == order[1]
+    assert len(order[0]) == ahead.r_grid.size + failures
+
+
+def test_an_error_of_the_background_eigh_reaches_the_caller(
+        monkeypatch, head_start_on):
+    # the eigh of the third lattice point, on the background thread,
+    # raises: the sweep re-raises that very exception, and no thread is
+    # left behind
+    injected = NumericalError("injected into the third point's eigh")
+    real = spectral_mod.eigh
+    main = threading.get_ident()
+    background = []
+
+    def failing(a, *args, **kwargs):
+        if threading.get_ident() != main:
+            background.append(a)
+            if len(background) == 3:
+                raise injected
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "eigh", failing)
+    before = threading.active_count()
+    with pytest.raises(NumericalError) as raised:
+        sweep_quantization(MapFamily("chaotic"), PlanckScale(16), r0=0.0,
+                           r1=0.5)
+    assert raised.value is injected
+    assert threading.active_count() == before
+
+
+def test_a_tracking_error_waits_for_the_background_thread(
+        monkeypatch, head_start_on):
+    # tracking fails on the first step while the next point's eigh runs on
+    # the background thread: TrackingError reaches the caller, and the
+    # thread is gone when it does
+    real = spectral_mod.eigh
+    main = threading.get_ident()
+    running = threading.Event()
+
+    def slow(a, *args, **kwargs):
+        if threading.get_ident() != main:
+            running.set()
+            time.sleep(0.2)
+        return real(a, *args, **kwargs)
+
+    def hopeless(prev, nxt, **kwargs):
+        assert running.wait(timeout=10)
+        raise StepTooLargeError("injected")
+
+    monkeypatch.setattr(spectral_mod, "eigh", slow)
+    monkeypatch.setattr(sweep_mod, "track_levels", hopeless)
+    before = threading.active_count()
+    with pytest.raises(TrackingError, match="after 3 bisections"):
+        sweep_quantization(MapFamily("chaotic"), PlanckScale(16), r0=0.0,
+                           r1=0.5)
+    assert threading.active_count() == before
 
 
 def test_sorted_pairing_mislabels_crossing_levels():
@@ -725,17 +870,8 @@ def test_failed_multi_interval_tracking_splits_on_the_lattice(monkeypatch):
     fam = MapFamily("chaotic")
     scale = PlanckScale(16)
     plain = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.25)
-    real_track = sweep_mod.track_levels
-    failures = {"left": 1}
-
-    def flaky(prev, nxt, **kwargs):
-        if failures["left"]:
-            failures["left"] -= 1
-            raise StepTooLargeError("injected")
-        return real_track(prev, nxt, **kwargs)
-
     visited = _recording_spectra(monkeypatch)
-    monkeypatch.setattr(sweep_mod, "track_levels", flaky)
+    fail_first_steps(monkeypatch, 1)
     traj = sweep_quantization(fam, scale, r0=0.0, r1=0.5, delta_r=0.25,
                               ends_only=True)
     assert [r for _, r in visited] == [0.0, 0.5, 0.25]
