@@ -11,9 +11,11 @@ worker_map reads QMAP_THREADS for the worker threads of the Monte Carlo
 correlator (qmap.classical, one task per block of samples) and of the
 conjugation-route correlator (qmap.ergodicity, one task per block of
 columns).  head_start counts workers the same way and gives a full-grid
-sweep (qmap.sweep) one background thread for each next lattice point's
-eigh, when there are two workers and numpy's BLAS pool is at one thread
-(as qmap.cli sets it for `sweep`); otherwise that eigh runs inline.
+sweep (qmap.sweep) one background thread, named qmap-head-start, that
+runs each next lattice point's eigh of Re U_s and nothing else (the
+calling thread forms the part), when there are two workers and numpy's
+BLAS pool is at one thread (as qmap.cli sets it for `sweep`); otherwise
+the sweep diagonalizes each point on the calling thread as it comes.
 
 blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
 while it runs, through the scipy_openblas entry points that numpy's
@@ -110,23 +112,24 @@ def worker_map(tasks: int):
 
 @contextlib.contextmanager
 def head_start():
-    """Yield start(fn, *args), which returns a function of no arguments
-    that gives fn(*args).
+    """Yield start(fn, *args), which runs fn(*args) on one background
+    thread and returns a function of no arguments that waits for that call
+    and gives its result or re-raises what it raised; or yield None, and
+    the caller runs its calls itself.
 
-    With two workers (_worker_count) and numpy's BLAS pool at one thread,
-    fn runs on one background thread, calls in the order started, and the
-    returned function waits for its call and re-raises what it raised.
-    Otherwise fn runs inline when the returned function is called.  When
-    the block exits, calls not yet begun are cancelled, the running one is
+    The thread exists with two workers (_worker_count) and numpy's BLAS
+    pool at one thread.  It is named qmap-head-start_0, so that a stack
+    dump names it, and runs the calls in the order started.  When the
+    block exits, calls not yet begun are cancelled, the running one is
     waited for, and the thread is gone.  fn must call no public function
     of a layer module: bench/traced.py keeps one span stack per process.
     """
     if _worker_count(2) < 2 or blas_threads() != 1:
-        yield functools.partial
+        yield None
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = ThreadPoolExecutor(1)
+    pool = ThreadPoolExecutor(1, thread_name_prefix="qmap-head-start")
     try:
         yield lambda fn, *args: pool.submit(fn, *args).result
     finally:

@@ -24,7 +24,8 @@ first.  And `sweep` at any N, and every other run whose largest
 dimension (N, or the largest N of N_list) is at most
 ONE_BLAS_THREAD_MAX_N = 256, runs on one BLAS thread.  A sweep
 diagonalizes every lattice point, and with two workers it runs each next
-point's eigh on a background thread while this one finishes the current
+point's eigh of Re U_s, one LAPACK call, on a background thread while
+this one forms the part after it and finishes and tracks the current
 point (qmap.sweep), so the two threads take both cores and a second BLAS
 thread would only compete with them.  For one matrix at a time a second
 thread gains nothing up to N = 256 and pays above it (README,

@@ -38,9 +38,10 @@ diagonalize first checks, in O(N), that the factors lie on the unit
 circle and that D_T is the square of the half drift.  eigh and the
 products (`@`) run on numpy's OpenBLAS, whose pool qmap.cli sizes.
 Everything runs on the calling thread, except where a caller gives
-diagonalize a head start: qmap.sweep forms U_s of the next lattice point
-and runs the first pass's eigh of Re U_s (_real_part_eigh) on a
-background thread, and diagonalize finishes the pass from there.
+diagonalize a head start: qmap.sweep forms Re U_s of the next lattice
+point (_real_part) on its own thread and runs the first pass's eigh of it
+(_eigh, one LAPACK call) on a background thread, and diagonalize finishes
+the pass from there.
 
 A pass is certified if its largest eigenpair residual |U v - exp(-i phi) v|
 is below 1e-10 and max |V*V - 1| below 1e-11 (the real Gram product R^T R;
@@ -186,23 +187,29 @@ def _commuting_pair_basis(op: FloquetOperator, imaginary: bool,
     return R, half, _unitarity_defect(R)
 
 
-def _eigh_of_part(form, imaginary: bool):
-    """eigh of one part of U_s = form(): (ascending eigenvalues, R) of
-    Im U_s when imaginary, else of Re U_s; U_s is freed first."""
+def _symmetric_part(form, imaginary: bool) -> np.ndarray:
+    """Im U_s when imaginary, else Re U_s, of U_s = form(), as a new
+    symmetrized array; U_s is freed once the part is copied."""
     W = form()
     part = np.array(W.imag if imaginary else W.real)
     del W
     # U_s is symmetric only to roundoff, and eigh reads one triangle
     part += part.T
     part *= 0.5
+    return part
+
+
+def _real_part(op: FloquetOperator, half: np.ndarray) -> np.ndarray:
+    """_symmetric_part of Re U_s of op, with half = half_free_propagator's
+    diagonal given: what the first pass takes eigh of."""
+    return _symmetric_part(lambda: _symmetric_form(op, half), False)
+
+
+def _eigh(part: np.ndarray):
+    """eigh(part), with eigh looked up in this module as it is called: the
+    one call a head start runs on another thread (qmap.sweep).  It is one
+    LAPACK call, which holds no Python state and releases the GIL."""
     return eigh(part)
-
-
-def _real_part_eigh(op: FloquetOperator, half: np.ndarray):
-    """_eigh_of_part of Re U_s of op, with half = half_free_propagator's
-    diagonal given: what diagonalize's head_start returns.  It calls no
-    public qmap function, so it may run on another thread (qmap.sweep)."""
-    return _eigh_of_part(lambda: _symmetric_form(op, half), False)
 
 
 def _common_basis(form, times_u_s, imaginary: bool,
@@ -210,13 +217,13 @@ def _common_basis(form, times_u_s, imaginary: bool,
     """Real orthonormal eigenbasis of a complex symmetric unitary U_s,
     given as form() (U_s as a new array) and times_u_s(M) = U_s M.
 
-    eigh of one part (_eigh_of_part, or head_start() when given, which
-    must return the same), then each run of close eigenvalues rotated by
+    eigh of one part (_symmetric_part), or head_start() when given, which
+    must return the same; then each run of close eigenvalues rotated by
     eigh of the other part restricted to the run's columns R_c, read from
     U_s R_c.
     """
-    eigenvalues, R = (_eigh_of_part(form, imaginary) if head_start is None
-                      else head_start())
+    eigenvalues, R = (eigh(_symmetric_part(form, imaginary))
+                      if head_start is None else head_start())
     cuts = np.flatnonzero(np.diff(eigenvalues) >= _CLUSTER_GAP) + 1
     runs = [slice(start, stop) for start, stop in
             zip([0, *cuts.tolist()], [*cuts.tolist(), eigenvalues.size])
@@ -303,10 +310,10 @@ def diagonalize(op: FloquetOperator, head_start=None) -> SpectralData:
     to 1e-10 against U applied by those factors, orthonormality to 1e-11.
 
     head_start, when given, is a function of no arguments that returns
-    _real_part_eigh(op, half) (qmap.sweep runs it ahead, on another
-    thread); the first pass calls it, after the check, in place of that
-    eigh.  Everything else runs here, and the certificates judge the
-    basis it returns like any other.
+    _eigh(_real_part(op, half)) (qmap.sweep forms the part and runs the
+    eigh ahead, on another thread); the first pass calls it, after the
+    check, in place of that eigh.  Everything else runs here, and the
+    certificates judge the basis it returns like any other.
     """
     half = half_free_propagator(op.family, op.scale)
     # written so that a NaN entry fails the check

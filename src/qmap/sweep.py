@@ -37,15 +37,18 @@ per N on r = 0..0.5 (8 against 44) and 26 against 244 on r = 0..3.
 Only the bisection of single intervals counts in refined_steps.
 
 A full-grid sweep diagonalizes every lattice point in order, each one
-once, and starts each point's eigh of Re U_s (spectral._real_part_eigh,
-half of a diagonalization at N = 256) as it finishes the point before,
-through qmap._threads.head_start: on a background thread when the run
-has two workers and numpy's BLAS pool is at one thread, else inline.
-That eigh releases the GIL, so it runs beside this thread's work: the
-rest of the diagonalization (runs, certificates, phase sort) and the
-tracking.  The operators, the spectra, the tracking and the refinement
-midpoints all stay on the calling thread, so the bits do not depend on
-where the eigh ran.  ends_only sweeps start no thread.
+once.  Before it diagonalizes a point, it builds the next point's
+operator and forms its Re U_s (spectral._real_part), then starts that
+part's eigh (spectral._eigh, about half of a diagonalization at N = 256)
+on the background thread of qmap._threads.head_start, which exists when
+the run has two workers and numpy's BLAS pool is at one thread.  That
+eigh is one LAPACK call, which releases the GIL for its whole length, so
+it runs beside everything else: the forming of the next part, the rest
+of the diagonalization (runs, certificates, phase sort) and the
+tracking, all on the calling thread with the refinement midpoints.
+Without the thread, and in ends_only sweeps, which start none, each
+point is diagonalized on demand by the same arithmetic, so the bits do
+not depend on where the eigh ran.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale
 from ._threads import head_start
 from .quantize import build_floquet, half_free_propagator, quantize_observable
-from .spectral import (SpectralData, _real_part_eigh, column_blocks,
+from .spectral import (SpectralData, _eigh, _real_part, column_blocks,
                        cyclic_gaps, diagonalize, eigenbasis_diagonal,
                        mean_spacing, wrap_phase)
 
@@ -71,6 +74,8 @@ MODEL_NAMES = ("power_law", "constant", "log_model")
 FIRST_ORDER_FLOOR = 0.9
 # intervals of the log model's scan of its branch
 LOG_MODEL_SCAN = 1024
+# added to the distance within which _count_crossings tests a pair
+_CROSSING_SLACK = 1e-9
 
 
 def _overlaps(prev, next) -> np.ndarray:
@@ -182,13 +187,14 @@ def _spectrum_at(family: MapFamily, scale: PlanckScale, r: float):
 def _lattice_spectra(family: MapFamily, scale: PlanckScale,
                      lattice: np.ndarray, start):
     """The spectrum of each lattice point in order, each diagonalized here
-    once, with the next point's eigh of Re U_s started (start, from
-    qmap._threads.head_start) before it.  The operators and half drifts
-    are made here, so the started calls use no public function."""
+    once.  Before a point is diagonalized, the next point's operator, half
+    drift and Re U_s are made here and that part's eigh is started on the
+    background thread (start, from qmap._threads.head_start), so the one
+    LAPACK call of _eigh is all that runs there."""
     def started(r):
         op = build_floquet(dataclasses.replace(family, r=r), scale)
         half = half_free_propagator(op.family, scale)
-        return op, start(_real_part_eigh, op, half)
+        return op, start(_eigh, _real_part(op, half))
 
     op, head = started(lattice[0])
     for r in lattice[1:]:
@@ -244,6 +250,33 @@ def _unwrap_step(prev_unwrapped: np.ndarray, raw: np.ndarray) -> np.ndarray:
     return raw + 2.0 * np.pi * turns
 
 
+def _close_pairs(phases: np.ndarray, reach: float):
+    """(i, j), i < j, of every pair of levels whose phases lie within reach
+    of each other around the circle, for reach below pi / 2.
+
+    The phases are sorted around the circle, and each level is paired with
+    the levels that follow it within reach, across the 0 / 2 pi seam too.
+    Two levels cannot follow each other both ways within reach, so no
+    pair is listed twice.
+    """
+    L = phases.size
+    wrapped = np.mod(phases, 2.0 * np.pi)
+    order = np.argsort(wrapped, kind="stable")
+    ring = wrapped[order]
+    positions = np.arange(L)
+    stop = np.minimum(
+        np.searchsorted(np.concatenate((ring, ring + 2.0 * np.pi)),
+                        ring + reach, side="right"),
+        positions + L)
+    counts = stop - positions - 1
+    first = np.repeat(positions, counts)
+    # the k-th follower of position p sits at p + 1 + k
+    step = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts,
+                                             counts)
+    a, b = order[first], order[(first + 1 + step) % L]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def _count_crossings(phases: np.ndarray) -> int:
     """Pairwise tracked index exchanges along the sweep.
 
@@ -251,18 +284,31 @@ def _count_crossings(phases: np.ndarray) -> int:
     changes sign through zero between adjacent grid points; sign flips
     through +-pi are seam artifacts, excluded by requiring the two
     magnitudes to sum below pi.
+
+    Each step tests only the pairs within reach = 2 m + _CROSSING_SLACK of
+    each other at its earlier point (_close_pairs), m the largest move of
+    one level in the step; where reach is pi / 2 or more (or not finite)
+    it tests all pairs.  The count is that of all pairs: the difference x
+    of a pair moves by at most 2 m to x', and when its wrapped values a
+    and b have opposite signs with |a| + |b| < pi, a - b and x - x' differ
+    by whole turns and by less than pi + pi / 2, so not at all; then
+    |a| <= |a| + |b| = |x - x'| <= 2 m.  The slack covers the rounding of
+    the wrapped phases the window sorts, far below 1e-9 at any phase a
+    sweep reaches.
     """
     L, G = phases.shape
-    i_idx, j_idx = np.triu_indices(L, k=1)
     count = 0
-    d_prev = None
-    for g in range(G):
-        d = wrap_phase(phases[i_idx, g] - phases[j_idx, g])
-        if d_prev is not None:
-            flips = (np.sign(d_prev) * np.sign(d) < 0)
-            through_zero = (np.abs(d_prev) + np.abs(d)) < np.pi
-            count += int(np.count_nonzero(flips & through_zero))
-        d_prev = d
+    for g in range(1, G):
+        before, after = phases[:, g - 1], phases[:, g]
+        reach = 2.0 * float(np.max(np.abs(after - before))) + _CROSSING_SLACK
+        # written so that a NaN reach tests all pairs
+        i, j = (_close_pairs(before, reach) if reach < 0.5 * np.pi
+                else np.triu_indices(L, k=1))
+        d_prev = wrap_phase(before[i] - before[j])
+        d = wrap_phase(after[i] - after[j])
+        flips = (np.sign(d_prev) * np.sign(d) < 0)
+        through_zero = (np.abs(d_prev) + np.abs(d)) < np.pi
+        count += int(np.count_nonzero(flips & through_zero))
     return count
 
 
@@ -309,12 +355,12 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     last = lattice.size - 1
     requested = [0, last] if ends_only and last > 0 else list(range(last + 1))
     match = _pair_by_rank if sorted_pairing else track_levels
-    # a full-grid sweep takes every lattice point in order, each with the
-    # next point's eigh started ahead (_lattice_spectra); refinement
-    # midpoints and the points of an ends_only sweep are diagonalized on
-    # demand
+    # a full-grid sweep with a background thread takes every lattice point
+    # in order, each with the next point's eigh started ahead
+    # (_lattice_spectra); refinement midpoints and every other sweep's
+    # points are diagonalized on demand
     with (contextlib.nullcontext() if ends_only else head_start()) as start:
-        spectra = (None if ends_only
+        spectra = (None if start is None
                    else _lattice_spectra(family, scale, lattice, start))
 
         def spectrum(r, k):

@@ -29,7 +29,7 @@ from qmap import (
     sweep_quantization,
 )
 from qmap.quantize import _circulant_from_momentum_diagonal
-from qmap.spectral import _certify
+from qmap.spectral import _certify, wrap_phase
 
 LADDER = (64, 128, 256, 512)
 
@@ -164,6 +164,25 @@ def schur_reference(U):
     phases, residuals = _certify(SimpleNamespace(apply=U.__matmul__), vectors)
     order = np.argsort(phases, kind="stable")
     return phases[order], vectors[:, order], float(residuals.max())
+
+
+def all_pairs_crossings(phases: np.ndarray) -> int:
+    """Tracked index exchanges of an (L, G) array of phases, every pair of
+    levels tested at every step: qmap.sweep._count_crossings as it was
+    before it tested only the pairs within reach, kept on purpose as the
+    cross-check of that window."""
+    L, G = phases.shape
+    i_idx, j_idx = np.triu_indices(L, k=1)
+    count = 0
+    d_prev = None
+    for g in range(G):
+        d = wrap_phase(phases[i_idx, g] - phases[j_idx, g])
+        if d_prev is not None:
+            flips = (np.sign(d_prev) * np.sign(d) < 0)
+            through_zero = (np.abs(d_prev) + np.abs(d)) < np.pi
+            count += int(np.count_nonzero(flips & through_zero))
+        d_prev = d
+    return count
 
 
 def dense_observable(obs) -> np.ndarray:

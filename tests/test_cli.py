@@ -583,6 +583,29 @@ def test_results_agree_across_thread_counts(tmp_path):
         assert (cross1, lines1) == (cross2, lines2)
 
 
+def test_the_head_start_costs_little_memory(tmp_path):
+    # the process peak (ru_maxrss, which sees eigh's LAPACK buffers that
+    # tracemalloc cannot) of a sweep with its background eigh, against
+    # the same sweep with QMAP_THREADS=1, which starts no thread; one
+    # 8 N^2-byte part is 0.5 MiB at N = 256, and the head start read
+    # 2.5-3.0 MiB more (its part, eigh's copy, work space and basis
+    # beside this thread's certificates)
+    if sys.platform != "linux":
+        pytest.skip("ru_maxrss is read in KiB as on Linux")
+    N = 256
+    peaks = {}
+    for threads in ("2", "1"):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qmap.cli", "sweep", "--variant",
+             "regular", "--N", str(N), "--r1", "0.5",
+             "--out", str(tmp_path / threads)],
+            env=child_env(QMAP_THREADS=threads), stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        peaks[threads] = usage.ru_maxrss * 1024  # KiB on Linux
+    assert peaks["2"] - peaks["1"] < 8 * 8 * N ** 2
+
+
 def test_scaling_agrees_across_thread_counts(tmp_path):
     # a ladder up to N = 128 runs on one BLAS thread whatever QMAP_THREADS
     # says, so the fit and the shifts are byte-identical across counts;

@@ -1,7 +1,9 @@
 """Level tracking across r, shift statistics, and scaling-law fits."""
 
+import contextlib
 import dataclasses
 import math
+import os
 import threading
 import time
 import types
@@ -16,7 +18,8 @@ from scipy.optimize import least_squares, linear_sum_assignment
 import qmap.quantize as quantize_mod
 import qmap.spectral as spectral_mod
 import qmap.sweep as sweep_mod
-from conftest import LADDER, SHIFT_WINDOW, fit_window, random_unitary
+from conftest import (LADDER, SHIFT_WINDOW, all_pairs_crossings, fit_window,
+                      random_unitary)
 from qmap._threads import blas_threads, set_blas_threads
 from qmap.sweep import MODEL_NAMES
 from qmap import (
@@ -283,6 +286,62 @@ def test_crossing_resolves_to_a_transposition():
     assert transpositions >= 1
 
 
+@st.composite
+def phase_walks(draw):
+    """(L, G) unwrapped phases of L levels on G grid points: random walks
+    whose steps run from 1e-3 to past pi / 4 (where _count_crossings tests
+    all pairs), started anywhere or bunched at the 0 / 2 pi seam, rounded
+    to a grain for exact ties, and offset by whole turns."""
+    L = draw(st.integers(2, 40))
+    G = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    step = 10.0 ** draw(st.floats(-3.0, 0.3))
+    start = (rng.uniform(-0.2, 0.2, L) if draw(st.booleans())
+             else rng.uniform(0.0, 2.0 * np.pi, L))
+    moves = rng.normal(0.0, step, (L, G - 1))
+    walk = start[:, None] + np.cumsum(
+        np.column_stack((np.zeros(L), moves)), axis=1)
+    grain = draw(st.sampled_from([0.0, 1.0 / 64, np.pi / 4]))
+    if grain:
+        walk = np.round(walk / grain) * grain
+    turns = draw(st.integers(0, 1000))
+    # one offset for all keeps the ties exact; one per level breaks them
+    shape = (L, 1) if draw(st.booleans()) else (1, 1)
+    return walk + 2.0 * np.pi * rng.integers(-turns, turns + 1, shape)
+
+
+@given(phase_walks())
+@settings(max_examples=300, deadline=None)
+def test_windowed_crossings_match_all_pairs(phases):
+    assert sweep_mod._count_crossings(phases) == all_pairs_crossings(phases)
+
+
+@given(phase_walks(), st.floats(0.0, 1.5))
+@settings(max_examples=100, deadline=None)
+def test_close_pairs_are_the_pairs_within_reach(phases, reach):
+    # every pair within reach is listed once, as i < j, and every listed
+    # pair is within reach, up to the rounding of the window's sort
+    i, j = sweep_mod._close_pairs(phases[:, 0], reach)
+    listed = set(zip(i.tolist(), j.tolist()))
+    assert len(listed) == i.size and np.all(i < j)
+    L = phases.shape[0]
+    a, b = np.triu_indices(L, k=1)
+    apart = np.abs(spectral_mod.wrap_phase(phases[a, 0] - phases[b, 0]))
+    within = set(zip(a[apart <= reach - 1e-9].tolist(),
+                     b[apart <= reach - 1e-9].tolist()))
+    assert within <= listed
+    far = set(zip(a[apart > reach + 1e-9].tolist(),
+                  b[apart > reach + 1e-9].tolist()))
+    assert not far & listed
+
+
+def test_windowed_crossings_match_all_pairs_on_the_ladder(regular_ladder):
+    for N in LADDER:
+        phases = regular_ladder[N].phases
+        assert sweep_mod._count_crossings(phases) \
+            == all_pairs_crossings(phases) > 0
+
+
 def test_sorted_pairing_matches_tracking_without_crossings(chaotic_32):
     fam = MapFamily("chaotic")
     scale = PlanckScale(32)
@@ -396,6 +455,37 @@ def record_eigh_threads(monkeypatch, N):
     return threads
 
 
+def record_threads(monkeypatch, owner, attr):
+    """Log the thread of each call of owner.attr."""
+    threads = []
+    real = getattr(owner, attr)
+
+    def spy(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, spy)
+    return threads
+
+
+@contextlib.contextmanager
+def qmap_calls_on_new_threads():
+    """Log the name of every qmap function called on a thread started in
+    the block (threading.setprofile reaches only those)."""
+    root = os.path.dirname(spectral_mod.__file__) + os.sep
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            names.append(frame.f_code.co_name)
+
+    threading.setprofile(profile)
+    try:
+        yield names
+    finally:
+        threading.setprofile(None)
+
+
 @pytest.mark.parametrize("variant, sorted_pairing, failures", [
     ("chaotic", False, 0), ("regular", False, 0), ("slow_ergodic", False, 0),
     ("chaotic", False, 2), ("regular", True, 0)],
@@ -404,20 +494,33 @@ def record_eigh_threads(monkeypatch, N):
 def test_the_head_start_changes_no_bit(monkeypatch, head_start_on, variant,
                                        sorted_pairing, failures):
     # the same sweep with each next point's eigh on a background thread and
-    # with QMAP_THREADS=1, which runs it inline: the same bits, the points
+    # with QMAP_THREADS=1, which starts no thread: the same bits, the points
     # diagonalized in the same order, one operator built per point, and
-    # every public layer function called on this thread alone
+    # every public layer function called on this thread alone; off it, on
+    # the named head-start thread, one eigh per lattice point and no other
+    # qmap code, so U_s and its FFTs are formed on this thread
     N = 16
     runs = []
     for threads in ("2", "1"):
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, \
+                qmap_calls_on_new_threads() as background:
             patch.setenv("QMAP_THREADS", threads)
             calls = record_layer_calls(patch)
             eigh_threads = record_eigh_threads(patch, N)
+            every_eigh = record_threads(patch, spectral_mod, "eigh")
+            forming = [record_threads(patch, owner, attr)
+                       for owner, attr in ((spectral_mod, "_symmetric_form"),
+                                           (np.fft, "fft"), (np.fft, "ifft"))]
             fail_first_steps(patch, failures)
             traj = sweep_quantization(MapFamily(variant), PlanckScale(N),
                                       r0=0.0, r1=0.5,
                                       sorted_pairing=sorted_pairing)
+        off_main = [t for t in every_eigh if t is not threading.main_thread()]
+        assert all(t.name.startswith("qmap-head-start") for t in off_main)
+        assert len(off_main) == (traj.r_grid.size if threads == "2" else 0)
+        assert background == ["_eigh"] * len(off_main)
+        assert all(forming) and all(t is threading.main_thread()
+                                    for spied in forming for t in spied)
         runs.append((traj, calls, eigh_threads))
     main = threading.get_ident()
     for traj, calls, eigh_threads in runs:
