@@ -6,14 +6,12 @@ O(h^2) change of quantization, and measures coarse-grained ergodicity of
 eigenstates through diagonal matrix elements, smoothed two-point sums and
 trace autocorrelations.
 
-Before anything here imports numpy, QMAP_THREADS is copied into the BLAS
-and OpenMP thread knobs, and OPENBLAS_THREAD_TIMEOUT is set, unless the
-caller set it, so that idle OpenBLAS threads sleep after a short spin
-(qmap._threads.cap_thread_env).  A process that imports qmap first runs
-its BLAS pool under both.  Then the whole library loads.  The top-level
-scipy package loads with it for one reason only: the environment record
-of bench/traced.py reads its version.  It loads no BLAS, and no qmap
-module uses scipy.
+Before anything here imports numpy, cap_thread_env (qmap._threads)
+applies QMAP_THREADS and the idle-thread spin to the BLAS pool numpy is
+about to load; qmap.cli states the thread rule.  Then the whole library
+loads.  The top-level scipy package loads with it for one reason only:
+the environment record of bench/traced.py reads its version.  It loads
+no BLAS, and no qmap module uses scipy.
 """
 
 from ._threads import cap_thread_env

@@ -1,27 +1,17 @@
 """The one reader of QMAP_THREADS, the worker threads of a run, and the
-run-time size of numpy's BLAS pool.
+run-time size of numpy's BLAS pool.  qmap.cli states the thread rule
+these serve.
 
 `import qmap` calls cap_thread_env before anything loads numpy, while
-the BLAS pools have not read their environment knobs yet, so this module
-imports no numpy at module level.  cap_thread_env copies QMAP_THREADS
-into those knobs, and it sets how long an idle OpenBLAS thread spins
-before it sleeps (OPENBLAS_THREAD_TIMEOUT: 2^SPIN_EXPONENT cycles
-instead of OpenBLAS's 2^28), unless the caller set that variable.
-worker_map reads QMAP_THREADS for the worker threads of the Monte Carlo
-correlator (qmap.classical, one task per block of samples) and of the
-conjugation-route correlator (qmap.ergodicity, one task per block of
-columns).  head_start counts workers the same way and gives a full-grid
-sweep (qmap.sweep) one background thread, named qmap-head-start, that
-runs each next lattice point's eigh of Re U_s and nothing else (the
-calling thread forms the part), when there are two workers and numpy's
-BLAS pool is at one thread (as qmap.cli sets it for `sweep`); otherwise
-the sweep diagonalizes each point on the calling thread as it comes.
-
-blas_threads and set_blas_threads read and resize numpy's OpenBLAS pool
-while it runs, through the scipy_openblas entry points that numpy's
-extension module links against (the wheels' scipy-openblas64 build).
-They import numpy when called.  Where numpy's BLAS lacks those entry
-points, the getter returns None and the setter does nothing.
+the BLAS pools have not read their environment variables yet, so this
+module imports no numpy at module level.  worker_map gives the
+correlators (qmap.classical, qmap.ergodicity) their worker threads, and
+head_start gives a full-grid sweep (qmap.sweep) its one background
+thread.  blas_threads and set_blas_threads read and resize numpy's
+OpenBLAS pool while it runs, through the scipy_openblas entry points
+that numpy's extension module links against (the wheels'
+scipy-openblas64 build); where numpy's BLAS lacks them, the getter
+returns None and the setter does nothing.
 """
 
 from __future__ import annotations

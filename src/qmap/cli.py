@@ -15,30 +15,35 @@ running `classical` first into the same --out thus saves `ergodicity` its
 Monte Carlo run.  Any other classical.csv is ignored and C(t) is computed
 afresh; both ways give the same bits, so every artifact is the same.
 
-Every dense product and every LAPACK call runs on one pool, numpy's
-OpenBLAS (see qmap.quantize and qmap.spectral).  Two things size that
-pool.  QMAP_THREADS caps it (0 means automatic): `import qmap` copies it
-into the standard environment knobs before numpy loads, and run_command
-lowers the pool to it at run time too, for a caller that loaded numpy
-first.  And `sweep` at any N, and every other run whose largest
-dimension (N, or the largest N of N_list) is at most
-ONE_BLAS_THREAD_MAX_N = 256, runs on one BLAS thread.  A sweep
-diagonalizes every lattice point, and with two workers it runs each next
-point's eigh of Re U_s, one LAPACK call, on a background thread while
-this one forms the part after it and finishes and tracks the current
-point (qmap.sweep), so the two threads take both cores and a second BLAS
-thread would only compete with them.  For one matrix at a time a second
-thread gains nothing up to N = 256 and pays above it (README,
-"Determinism and threads").  run_command lowers the pool when the spec
-is resolved and puts back the count it found when it returns, so
-in-process callers keep theirs; it never raises the count.  Every sweep,
-and every other run below the cut, is byte-identical across
-QMAP_THREADS values.  Between calls the pool's threads sleep
-after a short spin, which `import qmap` sets
-(qmap._threads.SPIN_EXPONENT).  QMAP_THREADS also caps the worker
-threads of the Monte Carlo correlator (qmap.classical) and of the
-conjugation-route correlator (qmap.ergodicity), whose results are
-bit-identical at every count.
+The thread rule, stated here in full; the other modules state their
+part and point here.
+- One BLAS pool, numpy's OpenBLAS, runs every dense product and every
+  LAPACK call (qmap.quantize, qmap.spectral).  QMAP_THREADS=n caps it
+  (0, or unset, means automatic), and it caps the worker threads of the
+  Monte Carlo correlator (qmap.classical) and of the conjugation-route
+  correlator (qmap.ergodicity), whose results are bit-identical at every
+  count (qmap._threads.worker_map).  `import qmap` copies it into the
+  standard thread variables before numpy loads; for a caller that loaded
+  numpy first, run_command lowers the running pool to it.  An invalid
+  value is reported here, exit code 2.
+- `sweep` at any N, and every other run whose largest dimension (N, or
+  the largest N of N_list) is at most ONE_BLAS_THREAD_MAX_N, runs on one
+  BLAS thread.  Up to that N a second BLAS thread speeds up no run end to
+  end; above it, runs of one matrix at a time keep the pool QMAP_THREADS
+  allows.  A sweep diagonalizes every lattice point, and with two workers
+  it runs each next point's eigh on a background thread
+  (qmap._threads.head_start, qmap.sweep), so its own two threads keep two
+  cores busy and a second BLAS thread would compete with them.
+- run_command lowers the pool once the spec is resolved and puts back
+  the count it found when it returns, so an in-process caller keeps its
+  pool; it never raises the count.  Where numpy's BLAS cannot be resized
+  this does nothing (qmap._threads.set_blas_threads).
+- Idle pool threads sleep after a short spin (qmap._threads.SPIN_EXPONENT,
+  set as qmap is imported), which changes no call and no bit.
+- Every sweep, every other run up to ONE_BLAS_THREAD_MAX_N and every
+  classical.csv are byte-identical across QMAP_THREADS values.  Above the
+  cut, scaling, ergodicity and spectrum agree across thread counts to
+  roundoff only: BLAS sums in another order on another number of threads.
 
 The layer modules are called through their module attributes, so a
 function replaced there (a test's spy, a benchmark's span) is the one
@@ -61,9 +66,7 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .model import VARIANTS, MapFamily, PhaseSpacePoint, PlanckScale
 
 # runs whose largest dimension is at most this take one BLAS thread, and
-# sweeps at every N: up to N = 256 a second OpenBLAS thread speeds up no
-# end-to-end run, and a sweep keeps both cores busy with its own two
-# threads (run_command)
+# sweeps at every N (module docstring)
 ONE_BLAS_THREAD_MAX_N = 256
 
 

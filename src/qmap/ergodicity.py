@@ -148,9 +148,10 @@ def quantum_F_curve(data: SpectralData, obs: Observable,
     T_grid = np.asarray(T_grid, dtype=float)
     if T_grid.ndim != 1 or T_grid.size == 0:
         raise DomainError("ergodicity: need a non-empty 1-d grid of T values")
-    if np.any(T_grid < 0.0):
+    # written so that a NaN fails both
+    if not np.all(T_grid >= 0.0):
         raise DomainError("ergodicity: smoothing times must be non-negative")
-    if np.any(np.diff(T_grid) <= 0.0):
+    if not np.all(np.diff(T_grid) > 0.0):
         raise DomainError("ergodicity: T grid must be strictly ascending")
 
     P = _transition_weights(data, obs)

@@ -31,8 +31,8 @@ is diagonal (momentum for cos(2 pi p) = F^-1 diag(a) F, else position):
 never a dense matrix, and Hermitian by construction.
 
 Every dense product in the package is numpy's `@`, on numpy's OpenBLAS,
-the pool that also runs the spectral module's LAPACK calls, so one BLAS
-thread pool does all the work; qmap.cli says what sizes it.
+the pool that also runs the spectral module's LAPACK calls; qmap.cli
+states the thread rule that sizes it.
 """
 
 from __future__ import annotations

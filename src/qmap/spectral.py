@@ -36,12 +36,10 @@ apply U through the operator's own factors (FloquetOperator.apply), never
 through U_s, so an error in the half drift or in the lift cannot pass;
 diagonalize first checks, in O(N), that the factors lie on the unit
 circle and that D_T is the square of the half drift.  eigh and the
-products (`@`) run on numpy's OpenBLAS, whose pool qmap.cli sizes.
-Everything runs on the calling thread, except where a caller gives
-diagonalize a head start: qmap.sweep forms Re U_s of the next lattice
-point (_real_part) on its own thread and runs the first pass's eigh of it
-(_eigh, one LAPACK call) on a background thread, and diagonalize finishes
-the pass from there.
+products (`@`) run on numpy's OpenBLAS (qmap.cli states the thread
+rule), all on the calling thread except the first pass's eigh when a
+caller gives diagonalize a head start (qmap.sweep runs _eigh of
+_real_part ahead, on a background thread).
 
 A pass is certified if its largest eigenpair residual |U v - exp(-i phi) v|
 is below 1e-10 and max |V*V - 1| below 1e-11 (the real Gram product R^T R;

@@ -32,23 +32,21 @@ the same phases bit for bit.  Checked: the end phases equal the lattice
 walk's exactly for all three variants at N = 64..512 on r = 0..0.5 and
 0..3, and in 1584 cases at 22 even N = 4..128, six delta_r = 0.05..0.5
 and four windows in r = 0..3; none raises TrackingError, and 22 bisect
-a single interval.  The chaotic ladder then needs 2 diagonalizations
-per N on r = 0..0.5 (8 against 44) and 26 against 244 on r = 0..3.
-Only the bisection of single intervals counts in refined_steps.
+a single interval.  Only the bisection of single intervals counts in
+refined_steps.
 
 A full-grid sweep diagonalizes every lattice point in order, each one
 once.  Before it diagonalizes a point, it builds the next point's
 operator and forms its Re U_s (spectral._real_part), then starts that
-part's eigh (spectral._eigh, about half of a diagonalization at N = 256)
-on the background thread of qmap._threads.head_start, which exists when
-the run has two workers and numpy's BLAS pool is at one thread.  That
-eigh is one LAPACK call, which releases the GIL for its whole length, so
-it runs beside everything else: the forming of the next part, the rest
-of the diagonalization (runs, certificates, phase sort) and the
-tracking, all on the calling thread with the refinement midpoints.
-Without the thread, and in ends_only sweeps, which start none, each
-point is diagonalized on demand by the same arithmetic, so the bits do
-not depend on where the eigh ran.
+part's eigh (spectral._eigh) on the background thread of
+qmap._threads.head_start, which exists when the run has two workers and
+numpy's BLAS pool is at one thread (qmap.cli states the thread rule).
+That eigh is one LAPACK call, which releases the GIL for its whole
+length, so it runs beside everything else, which stays on the calling
+thread: the forming of the next part, the rest of the diagonalization
+and the tracking.  Without the thread, and in ends_only sweeps, which
+start none, each point is diagonalized on demand by the same
+arithmetic, so the bits do not depend on where the eigh ran.
 """
 
 from __future__ import annotations
@@ -317,13 +315,17 @@ def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:
         grid = np.asarray(r_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise DomainError("sweep: r_grid must be a non-empty 1-d sequence")
-        if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-            raise DomainError("sweep: r_grid must be strictly ascending")
+        # written so that a NaN fails
+        if not (np.all(np.abs(grid) < np.inf) and np.all(np.diff(grid) > 0.0)):
+            raise DomainError("sweep: r_grid must be finite and strictly "
+                              "ascending")
         return grid.copy()
-    if delta_r <= 0.0:
-        raise DomainError(f"sweep: delta_r must be positive, got {delta_r}")
-    if r1 <= r0:
-        raise DomainError("sweep: r1 must exceed r0")
+    if not 0.0 < delta_r < np.inf:
+        raise DomainError(f"sweep: delta_r must be positive and finite, got "
+                          f"{delta_r}")
+    if not -np.inf < r0 < r1 < np.inf:
+        raise DomainError(f"sweep: r0 and r1 must be finite, r1 above r0, "
+                          f"got {r0} and {r1}")
     n_steps = int(round((r1 - r0) / delta_r))
     if not np.isclose(r0 + n_steps * delta_r, r1, atol=1e-12):
         raise DomainError("sweep: (r1 - r0) must be an integer multiple of delta_r")

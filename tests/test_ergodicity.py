@@ -163,6 +163,10 @@ def test_f_curve_grid_validation(small_chaotic):
         quantum_F_curve(data, obs, [1.0, 0.5])
     with pytest.raises(DomainError):
         quantum_F_curve(data, obs, [-1.0, 2.0])
+    # [1.0, nan] once passed both checks and returned F = nan
+    for T_grid in ([1.0, np.nan], [np.nan], [np.nan, 1.0]):
+        with pytest.raises(DomainError):
+            quantum_F_curve(data, obs, T_grid)
 
 
 def test_no_degenerate_pairs_in_chaotic_spectrum(chaotic_512):

@@ -621,6 +621,20 @@ def test_grid_validation():
         sweep_quantization(fam, scale, r0=0.0, r1=1.0, delta_r=0.3)
 
 
+@pytest.mark.parametrize("bounds", [
+    {"r0": float("nan")}, {"r1": float("nan")}, {"delta_r": float("nan")},
+    {"r1": float("inf")}, {"r_grid": [0.0, float("nan")]},
+    {"r_grid": [float("nan"), 0.5]},
+], ids=["nan-r0", "nan-r1", "nan-delta_r", "inf-r1", "nan-last-r",
+        "nan-first-r"])
+def test_non_finite_bounds_are_domain_errors(bounds):
+    # each once escaped as a ValueError, an OverflowError or a NumericalError
+    # of the first operator built at a NaN r
+    window = {"r0": 0.0, "r1": 0.5, "delta_r": 0.25, **bounds}
+    with pytest.raises(DomainError, match="finite"):
+        sweep_quantization(MapFamily("chaotic"), PlanckScale(8), **window)
+
+
 def test_power_law_data_selects_power_law():
     N = np.array([64, 128, 256, 512], dtype=float)
     models, winner = fit_shift_scaling(N, 0.1 / N)
