@@ -6,10 +6,10 @@ these serve.
 the BLAS pools have not read their environment variables yet, so this
 module imports no numpy at module level.  worker_map gives the
 correlators (qmap.classical, qmap.ergodicity) their worker threads, and
-head_start gives a full-grid sweep (qmap.sweep) its one background
-thread.  blas_threads and set_blas_threads read and resize numpy's
-OpenBLAS pool while it runs, through the scipy_openblas entry points
-that numpy's extension module links against (the wheels'
+head_start gives a full-grid sweep's lattice walker (qmap.sweep) its
+one background thread.  blas_threads and set_blas_threads read and
+resize numpy's OpenBLAS pool while it runs, through the scipy_openblas
+entry points that numpy's extension module links against (the wheels'
 scipy-openblas64 build); where numpy's BLAS lacks them, the getter
 returns None and the setter does nothing.
 """
@@ -107,12 +107,15 @@ def head_start():
     and gives its result or re-raises what it raised; or yield None, and
     the caller runs its calls itself.
 
-    The thread exists with two workers (_worker_count) and numpy's BLAS
-    pool at one thread.  It is named qmap-head-start_0, so that a stack
-    dump names it, and runs the calls in the order started.  When the
-    block exits, calls not yet begun are cancelled, the running one is
-    waited for, and the thread is gone.  fn must call no public function
-    of a layer module: bench/traced.py keeps one span stack per process.
+    start is given with two workers (_worker_count) and numpy's BLAS pool
+    at one thread, and the thread starts at its first call, so a block
+    that never calls it starts none.  The thread is named
+    qmap-head-start_0, so that a stack dump names it, and runs the calls
+    in the order started.  When the block exits, calls not yet begun are
+    cancelled, the running one is waited for, and the thread is gone.  fn
+    must call no public function of a layer module: bench/traced.py keeps
+    one span stack per process.  Its one caller, spectral._start_first_pass,
+    runs spectral._eigh, one LAPACK call.
     """
     if _worker_count(2) < 2 or blas_threads() != 1:
         yield None

@@ -11,12 +11,13 @@ other field must keep its default, since every artifact echoes it.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields
 
 from .classical import OBSERVABLES
 from .errors import ConfigurationError
 from .model import VARIANTS
+from .sweep import MAX_GRID_STEPS
 
 # every command reads these; READS names the other fields each one reads
 READ_BY_ALL = ("command", "variant", "out_dir", "emit_plot")
@@ -96,7 +97,9 @@ def _validate(spec: RunSpec) -> list:
     def number(path, value, lo=None, integer=False):
         ok_type = isinstance(value, int) and not isinstance(value, bool) \
             if integer else isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not ok_type or (not integer and not math.isfinite(float(value))):
+        # a NaN fails, and so does an int too large for a float
+        if not ok_type or (not integer and not -sys.float_info.max <= value
+                           <= sys.float_info.max):
             kind = "an integer" if integer else "a finite number"
             problems.append((path, f"expected {kind}, got {value!r}"))
             return False
@@ -109,6 +112,8 @@ def _validate(spec: RunSpec) -> list:
         if not isinstance(value, bool):
             problems.append((path, f"expected true/false, got {value!r}"))
 
+    # the fields the command reads; any other value, of any type, reads none
+    reads = READS[spec.command] if spec.command in COMMANDS else ()
     if spec.command not in COMMANDS:
         problems.append(("command",
                          f"unknown command {spec.command!r}; choose one of "
@@ -154,12 +159,20 @@ def _validate(spec: RunSpec) -> list:
 
     ok0 = number("r0", spec.r0)
     ok1 = number("r1", spec.r1)
-    if ok0 and ok1 and "r1" in READS.get(spec.command, ()) \
+    if ok0 and ok1 and "r1" in reads \
             and spec.r_grid is None and spec.r1 <= spec.r0:
         problems.append(("r1", f"must exceed r0={spec.r0}, got {spec.r1}"))
-    number("delta_r", spec.delta_r, lo=1e-12)
+    ok_delta = number("delta_r", spec.delta_r, lo=1e-12)
+    if ok0 and ok1 and ok_delta and "delta_r" in reads \
+            and spec.r_grid is None and spec.r1 > spec.r0:
+        # checked before any grid is made (sweep._build_grid checks again)
+        steps = (spec.r1 - spec.r0) / spec.delta_r
+        if not steps < MAX_GRID_STEPS + 0.5:
+            problems.append(("delta_r", f"(r1 - r0) / delta_r is {steps:.6g} "
+                                        f"grid steps, more than "
+                                        f"{MAX_GRID_STEPS}"))
     # an explicit grid replaces the window, which would be echoed unread
-    if spec.r_grid is not None and "r_grid" in READS.get(spec.command, ()):
+    if spec.r_grid is not None and "r_grid" in reads:
         for name in ("r0", "r1", "delta_r"):
             if getattr(spec, name) != getattr(RunSpec, name):
                 problems.append((name, "r_grid replaces the r0/r1/delta_r "
@@ -172,6 +185,9 @@ def _validate(spec: RunSpec) -> list:
             continue
         if not isinstance(grid, (list, tuple)) or len(grid) == 0:
             problems.append((name, "expected a non-empty list of numbers"))
+        elif name == "r_grid" and len(grid) - 1 > MAX_GRID_STEPS:
+            problems.append((name, f"takes {len(grid) - 1} steps, more than "
+                                   f"{MAX_GRID_STEPS}"))
         else:
             last = None
             for i, x in enumerate(grid):
@@ -194,9 +210,9 @@ def _validate(spec: RunSpec) -> list:
 
     # a field the command does not read must keep its default; N and
     # N_list were checked above, since --N sets both
-    reads = READS.get(spec.command, _FIELD_NAMES)
     for name in _FIELD_NAMES:
-        if name in READ_BY_ALL or name in reads or name in ("N", "N_list") \
+        if not reads or name in READ_BY_ALL or name in reads \
+                or name in ("N", "N_list") \
                 or getattr(spec, name) == getattr(RunSpec, name):
             continue
         readers = ", ".join(c for c, names in READS.items() if name in names)

@@ -38,8 +38,9 @@ diagonalize first checks, in O(N), that the factors lie on the unit
 circle and that D_T is the square of the half drift.  eigh and the
 products (`@`) run on numpy's OpenBLAS (qmap.cli states the thread
 rule), all on the calling thread except the first pass's eigh when a
-caller gives diagonalize a head start (qmap.sweep runs _eigh of
-_real_part ahead, on a background thread).
+caller gives diagonalize a head start: _start_first_pass forms that
+pass's part and runs its eigh ahead, on qmap._threads.head_start's
+background thread.
 
 A pass is certified if its largest eigenpair residual |U v - exp(-i phi) v|
 is below 1e-10 and max |V*V - 1| below 1e-11 (the real Gram product R^T R;
@@ -197,17 +198,21 @@ def _symmetric_part(form, imaginary: bool) -> np.ndarray:
     return part
 
 
-def _real_part(op: FloquetOperator, half: np.ndarray) -> np.ndarray:
-    """_symmetric_part of Re U_s of op, with half = half_free_propagator's
-    diagonal given: what the first pass takes eigh of."""
-    return _symmetric_part(lambda: _symmetric_form(op, half), False)
-
-
 def _eigh(part: np.ndarray):
     """eigh(part), with eigh looked up in this module as it is called: the
-    one call a head start runs on another thread (qmap.sweep).  It is one
-    LAPACK call, which holds no Python state and releases the GIL."""
+    one call a head start runs on another thread (_start_first_pass).  It
+    is one LAPACK call, which holds no Python state and releases the GIL."""
     return eigh(part)
+
+
+def _start_first_pass(op: FloquetOperator, start):
+    """start(_eigh, part) of the part the first pass takes eigh of, the
+    _symmetric_part Re U_s of op, which is formed here on the calling
+    thread.  start is qmap._threads.head_start's, and what it returns is
+    the head start that diagonalize(op, head_start) takes."""
+    half = half_free_propagator(op.family, op.scale)
+    return start(_eigh, _symmetric_part(lambda: _symmetric_form(op, half),
+                                        False))
 
 
 def _common_basis(form, times_u_s, imaginary: bool,
@@ -307,9 +312,10 @@ def diagonalize(op: FloquetOperator, head_start=None) -> SpectralData:
     the square of the half drift, each to 1e-12.  Residuals are certified
     to 1e-10 against U applied by those factors, orthonormality to 1e-11.
 
-    head_start, when given, is a function of no arguments that returns
-    _eigh(_real_part(op, half)) (qmap.sweep forms the part and runs the
-    eigh ahead, on another thread); the first pass calls it, after the
+    head_start, when given, is what _start_first_pass(op, start) returned
+    (qmap.sweep starts it a lattice point ahead): a function of no
+    arguments that waits for the first pass's eigh on the background
+    thread and gives its result.  The first pass calls it, after the
     check, in place of that eigh.  Everything else runs here, and the
     certificates judge the basis it returns like any other.
     """

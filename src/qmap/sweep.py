@@ -35,23 +35,22 @@ and four windows in r = 0..3; none raises TrackingError, and 22 bisect
 a single interval.  Only the bisection of single intervals counts in
 refined_steps.
 
-A full-grid sweep diagonalizes every lattice point in order, each one
-once.  Before it diagonalizes a point, it builds the next point's
-operator and forms its Re U_s (spectral._real_part), then starts that
-part's eigh (spectral._eigh) on the background thread of
-qmap._threads.head_start, which exists when the run has two workers and
-numpy's BLAS pool is at one thread (qmap.cli states the thread rule).
-That eigh is one LAPACK call, which releases the GIL for its whole
-length, so it runs beside everything else, which stays on the calling
-thread: the forming of the next part, the rest of the diagonalization
-and the tracking.  Without the thread, and in ends_only sweeps, which
-start none, each point is diagonalized on demand by the same
-arithmetic, so the bits do not depend on where the eigh ran.
+Every spectrum of a sweep comes from one lattice walker
+(_lattice_walker).  A full-grid sweep asks it for every lattice point in
+order, each one once.  With the background thread of
+qmap._threads.head_start (two workers and numpy's BLAS pool at one
+thread; qmap.cli states the thread rule), the walker starts the next
+point's first-pass eigh there before it diagonalizes the current one
+(spectral._start_first_pass).  That eigh is one LAPACK call, which
+releases the GIL for its whole length, so it runs beside everything
+else, which stays on the calling thread: the forming of the next part,
+the rest of the diagonalization and the tracking.  ends_only sweeps and
+refinement midpoints start nothing, and every point is diagonalized by
+the same arithmetic, so the bits do not depend on where the eigh ran.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -60,8 +59,8 @@ import numpy as np
 from .errors import DomainError, FitError, StepTooLargeError, TrackingError
 from .model import MapFamily, PlanckScale
 from ._threads import head_start
-from .quantize import build_floquet, half_free_propagator, quantize_observable
-from .spectral import (SpectralData, _eigh, _real_part, column_blocks,
+from .quantize import build_floquet, quantize_observable
+from .spectral import (SpectralData, _start_first_pass, column_blocks,
                        cyclic_gaps, diagonalize, eigenbasis_diagonal,
                        mean_spacing, wrap_phase)
 
@@ -74,6 +73,11 @@ FIRST_ORDER_FLOOR = 0.9
 LOG_MODEL_SCAN = 1024
 # added to the distance within which _count_crossings tests a pair
 _CROSSING_SLACK = 1e-9
+# the most steps an r grid may take.  A sweep diagonalizes each lattice
+# point it visits, about 40 ms at N = 512, so 10^5 steps already take an
+# hour there; a longer grid is a mistyped window, and its lattice alone
+# may not fit in memory
+MAX_GRID_STEPS = 100_000
 
 
 def _overlaps(prev, next) -> np.ndarray:
@@ -178,28 +182,28 @@ class LevelTrajectories:
         return self.phases[:, g1] - self.phases[:, g0]
 
 
-def _spectrum_at(family: MapFamily, scale: PlanckScale, r: float):
-    return diagonalize(build_floquet(dataclasses.replace(family, r=r), scale))
+def _lattice_walker(family: MapFamily, scale: PlanckScale,
+                    lattice: np.ndarray, start):
+    """spectrum(r, k), the spectrum at r, lattice point k (None off the
+    lattice), diagonalized here when it is asked for.  With start
+    (qmap._threads.head_start's), asking for lattice point k first starts
+    the first-pass eigh of k, unless it was started, and of k + 1
+    (spectral._start_first_pass)."""
+    ahead = {}  # lattice index -> (operator, head start), started points
 
+    def operator(r):
+        return build_floquet(dataclasses.replace(family, r=r), scale)
 
-def _lattice_spectra(family: MapFamily, scale: PlanckScale,
-                     lattice: np.ndarray, start):
-    """The spectrum of each lattice point in order, each diagonalized here
-    once.  Before a point is diagonalized, the next point's operator, half
-    drift and Re U_s are made here and that part's eigh is started on the
-    background thread (start, from qmap._threads.head_start), so the one
-    LAPACK call of _eigh is all that runs there."""
-    def started(r):
-        op = build_floquet(dataclasses.replace(family, r=r), scale)
-        half = half_free_propagator(op.family, scale)
-        return op, start(_eigh, _real_part(op, half))
+    def spectrum(r, k):
+        if start is None or k is None:
+            return diagonalize(operator(r))
+        for j in range(k, min(k + 2, lattice.size)):
+            if j not in ahead:
+                op = operator(lattice[j])
+                ahead[j] = op, _start_first_pass(op, start)
+        return diagonalize(*ahead.pop(k))
 
-    op, head = started(lattice[0])
-    for r in lattice[1:]:
-        following = started(r)
-        yield diagonalize(op, head)
-        op, head = following
-    yield diagonalize(op, head)
+    return spectrum
 
 
 def level_velocities(data: SpectralData) -> np.ndarray:
@@ -315,6 +319,9 @@ def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:
         grid = np.asarray(r_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise DomainError("sweep: r_grid must be a non-empty 1-d sequence")
+        if grid.size - 1 > MAX_GRID_STEPS:
+            raise DomainError(f"sweep: r_grid takes {grid.size - 1} steps, "
+                              f"more than {MAX_GRID_STEPS}")
         # written so that a NaN fails
         if not (np.all(np.abs(grid) < np.inf) and np.all(np.diff(grid) > 0.0)):
             raise DomainError("sweep: r_grid must be finite and strictly "
@@ -326,7 +333,12 @@ def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:
     if not -np.inf < r0 < r1 < np.inf:
         raise DomainError(f"sweep: r0 and r1 must be finite, r1 above r0, "
                           f"got {r0} and {r1}")
-    n_steps = int(round((r1 - r0) / delta_r))
+    # written so that a window too wide for a float (inf steps) fails
+    steps = (r1 - r0) / delta_r
+    if not steps < MAX_GRID_STEPS + 0.5:
+        raise DomainError(f"sweep: (r1 - r0) / delta_r is {steps:.6g} grid "
+                          f"steps, more than {MAX_GRID_STEPS}")
+    n_steps = int(round(steps))
     if not np.isclose(r0 + n_steps * delta_r, r1, atol=1e-12):
         raise DomainError("sweep: (r1 - r0) must be an integer multiple of delta_r")
     grid = r0 + delta_r * np.arange(n_steps + 1)
@@ -357,20 +369,9 @@ def sweep_quantization(family: MapFamily, scale: PlanckScale, r_grid=None,
     last = lattice.size - 1
     requested = [0, last] if ends_only and last > 0 else list(range(last + 1))
     match = _pair_by_rank if sorted_pairing else track_levels
-    # a full-grid sweep with a background thread takes every lattice point
-    # in order, each with the next point's eigh started ahead
-    # (_lattice_spectra); refinement midpoints and every other sweep's
-    # points are diagonalized on demand
-    with (contextlib.nullcontext() if ends_only else head_start()) as start:
-        spectra = (None if start is None
-                   else _lattice_spectra(family, scale, lattice, start))
-
-        def spectrum(r, k):
-            """The spectrum at r, lattice point k (None off the lattice)."""
-            if spectra is None or k is None:
-                return _spectrum_at(family, scale, r)
-            return next(spectra)
-
+    with head_start() as start:
+        spectrum = _lattice_walker(family, scale, lattice,
+                                   None if ends_only else start)
         data = spectrum(lattice[0], 0)
         # level n of the sweep sits in column column_of[n] of the current
         # spectrum, whose columns stay in phase order

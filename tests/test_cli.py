@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import pathlib
 import re
@@ -9,14 +10,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qmap
 import qmap.classical
 import qmap.sweep
 from conftest import package_imports
 from qmap._threads import _THREAD_VARS, SPIN_EXPONENT
+from qmap import VARIANTS, ConfigurationError, RunSpec, make_runspec
 from qmap.cli import run_command
-from qmap.sweep import MODEL_NAMES
+from qmap.config import COMMANDS, READS
+from qmap.sweep import MAX_GRID_STEPS, MODEL_NAMES
 
 
 def read_lines(path):
@@ -242,6 +247,112 @@ def test_window_beside_an_r_grid_exits_two(tmp_path, capsys):
     assert "r0: r_grid replaces the r0/r1/delta_r window" in err
     assert "r1: r_grid replaces the r0/r1/delta_r window" in err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_grid_of_too_many_steps_exits_two(tmp_path, capsys, monkeypatch):
+    # 10^18 steps: refused as the spec is validated, one problem line and
+    # no traceback, before any grid or operator is made
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(qmap.sweep, "sweep_quantization", never)
+    out = tmp_path / "run"
+    assert run_command(["sweep", "--N", "8", "--r1", "1e9", "--delta-r",
+                        "1e-9", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [ln for ln in err.splitlines() if ln.startswith("  - ")] == [
+        f"  - delta_r: (r1 - r0) / delta_r is 1e+18 grid steps, more than "
+        f"{MAX_GRID_STEPS}"]
+    assert not out.exists()
+
+
+# a cheap valid spec for each command: no size above 16, every count at
+# its minimum, at most 16 grid steps
+_CHEAP_SPECS = {
+    "spectrum": ({"N": 8, "family": {"r": 0.5}}, {"N": 16}),
+    "sweep": ({"N": 8, "r1": 0.5, "delta_r": 0.25},
+              {"N": 16, "r0": -0.5, "r1": 0.5, "delta_r": 0.5,
+               "sorted_pairing": True},
+              {"N": 4, "r_grid": [0.0, 0.1, 0.3]}),
+    "scaling": ({"N_list": [2, 4, 8, 16], "r1": 0.5, "delta_r": 0.25},
+                {"N_list": [4, 8, 12, 16], "r1": 1.0, "delta_r": 0.5,
+                 "subtract_mean": False}),
+    "classical": ({"N_list": [8], "t_max": 3, "samples": 10_000,
+                   "lyapunov_steps": 10_000, "lyapunov_seeds": 5},),
+    "ergodicity": ({"N_list": [8, 16], "t_max": 3, "samples": 10_000,
+                    "T_grid": [0.0, 1.0, 10.0]},
+                   {"N_list": [16], "family": {"r": 0.5}, "t_max": 2,
+                    "samples": 10_000}),
+}
+# no float holds it
+_HUGE_INT = 10 ** 400
+_HOSTILE_VALUES = (
+    math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, _HUGE_INT,
+    -_HUGE_INT, -1, 0, 1.5, 3, True, None, "x", "8", "sweep", [],
+    [16, 8, 4, 2], [8, 8], [math.nan], [0.5, 0.0], [1e300], ["a"], [[1]],
+    {"variant": "bogus"}, {"r": math.nan}, {"a": 1})
+# validation bounds these only from below, so a huge value would run
+_UNBOUNDED_COUNTS = ("N", "t_max", "samples", "lyapunov_steps",
+                     "lyapunov_seeds")
+
+
+@st.composite
+def hostile_configs(draw):
+    """A cheap spec of a command, with up to two fields or unknown keys
+    set to hostile values; the output directory is left to the caller."""
+    command = draw(st.sampled_from(COMMANDS))
+    config = json.loads(json.dumps(draw(st.sampled_from(
+        _CHEAP_SPECS[command]))))
+    config["command"] = command
+    config.setdefault("family", {})["variant"] = draw(st.sampled_from(
+        VARIANTS))
+    keys = ("family.r", "family.bogus", "command", "family", "variant",
+            "bogus", *(name for name in RunSpec.__dataclass_fields__
+                       if name not in ("command", "variant", "r", "out_dir")))
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2,
+                             unique=True)):
+        pool = [v for v in _HOSTILE_VALUES if key not in _UNBOUNDED_COUNTS
+                or not (isinstance(v, int) and v > 16)]
+        owner, _, name = key.rpartition(".")
+        target = config[owner] if owner else config
+        if isinstance(target, dict):
+            target[name] = draw(st.sampled_from(pool))
+    return config
+
+
+def _assert_cheap(spec):
+    reads = READS[spec.command]
+    assert max([spec.N] if "N" in reads else spec.N_list) <= 16
+    for name, most in (("samples", 10_000), ("lyapunov_steps", 10_000),
+                       ("lyapunov_seeds", 5), ("t_max", 3)):
+        assert name not in reads or getattr(spec, name) <= most
+    if "delta_r" in reads:
+        assert (len(spec.r_grid) - 1 if spec.r_grid is not None
+                else (spec.r1 - spec.r0) / spec.delta_r) <= 16
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=hostile_configs())
+def test_no_hostile_spec_reaches_a_traceback(tmp_path_factory, capsys,
+                                             config):
+    # run in process: exit 0, 1 or 2, and any error a message, never a
+    # traceback.  A spec that validates is run only once it is known to
+    # be cheap, so a huge grid must be refused by validation
+    out = tmp_path_factory.mktemp("hostile")
+    config["out_dir"] = str(out / "run")
+    try:
+        spec = make_runspec(config)
+    except ConfigurationError:
+        pass
+    else:
+        _assert_cheap(spec)
+    cfg = out / "run.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run_command(["--config", str(cfg)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_scaling_run_writes_fits(tmp_path, capsys):

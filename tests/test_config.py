@@ -6,6 +6,7 @@ import pytest
 
 from qmap import ConfigurationError, RunSpec, make_runspec
 from qmap.config import COMMANDS, READ_BY_ALL, READS, SINGLE_N_COMMANDS
+from qmap.sweep import MAX_GRID_STEPS
 
 
 def test_minimal_spectrum_config_fills_defaults():
@@ -145,6 +146,25 @@ def test_explicit_r_grid_replaces_the_window():
         make_runspec({"command": "sweep", "r_grid": [0.0, 1.1, 0.7]})
     with pytest.raises(ConfigurationError, match="r_grid"):
         make_runspec({"command": "sweep", "r_grid": []})
+
+
+def test_grids_of_too_many_steps_are_rejected():
+    # the window's (r1 - r0) / delta_r, also when r1 - r0 overflows, and
+    # the steps of an explicit r_grid, each bounded by MAX_GRID_STEPS
+    steps = MAX_GRID_STEPS
+    for command in ("sweep", "scaling"):
+        make_runspec({"command": command, "r1": steps * 0.5,
+                      "delta_r": 0.5})
+        for window in ({"r1": (steps + 1) * 0.5, "delta_r": 0.5},
+                       {"r1": 1e9, "delta_r": 1e-9},
+                       {"r0": -1e308, "r1": 1e308}):
+            with pytest.raises(ConfigurationError,
+                               match=f"delta_r: .* more than {steps}$"):
+                make_runspec({"command": command, **window})
+    make_runspec({"command": "sweep", "r_grid": list(range(steps + 1))})
+    with pytest.raises(ConfigurationError,
+                       match=f"r_grid: takes {steps + 1} steps"):
+        make_runspec({"command": "sweep", "r_grid": list(range(steps + 2))})
 
 
 @pytest.mark.parametrize("field,value,readers", [

@@ -486,19 +486,23 @@ def qmap_calls_on_new_threads():
         threading.setprofile(None)
 
 
-@pytest.mark.parametrize("variant, sorted_pairing, failures", [
-    ("chaotic", False, 0), ("regular", False, 0), ("slow_ergodic", False, 0),
-    ("chaotic", False, 2), ("regular", True, 0)],
+@pytest.mark.parametrize("variant, sorted_pairing, failures, ends_only", [
+    ("chaotic", False, 0, False), ("regular", False, 0, False),
+    ("slow_ergodic", False, 0, False), ("chaotic", False, 2, False),
+    ("regular", True, 0, False), ("chaotic", False, 0, True),
+    ("regular", False, 0, True), ("chaotic", False, 2, True)],
     ids=["chaotic", "regular", "slow_ergodic", "chaotic-bisected",
-         "regular-sorted"])
+         "regular-sorted", "chaotic-ends_only", "regular-ends_only",
+         "chaotic-bisected-ends_only"])
 def test_the_head_start_changes_no_bit(monkeypatch, head_start_on, variant,
-                                       sorted_pairing, failures):
+                                       sorted_pairing, failures, ends_only):
     # the same sweep with each next point's eigh on a background thread and
     # with QMAP_THREADS=1, which starts no thread: the same bits, the points
     # diagonalized in the same order, one operator built per point, and
     # every public layer function called on this thread alone; off it, on
     # the named head-start thread, one eigh per lattice point and no other
-    # qmap code, so U_s and its FFTs are formed on this thread
+    # qmap code, so U_s and its FFTs are formed on this thread.  An
+    # ends_only sweep starts no thread either way: every eigh runs here
     N = 16
     runs = []
     for threads in ("2", "1"):
@@ -514,32 +518,41 @@ def test_the_head_start_changes_no_bit(monkeypatch, head_start_on, variant,
             fail_first_steps(patch, failures)
             traj = sweep_quantization(MapFamily(variant), PlanckScale(N),
                                       r0=0.0, r1=0.5,
-                                      sorted_pairing=sorted_pairing)
+                                      sorted_pairing=sorted_pairing,
+                                      ends_only=ends_only)
+        started = threads == "2" and not ends_only
         off_main = [t for t in every_eigh if t is not threading.main_thread()]
         assert all(t.name.startswith("qmap-head-start") for t in off_main)
-        assert len(off_main) == (traj.r_grid.size if threads == "2" else 0)
+        assert len(off_main) == (traj.r_grid.size if started else 0)
         assert background == ["_eigh"] * len(off_main)
         assert all(forming) and all(t is threading.main_thread()
                                     for spied in forming for t in spied)
         runs.append((traj, calls, eigh_threads))
     main = threading.get_ident()
-    for traj, calls, eigh_threads in runs:
-        assert {ident for _, ident, _ in calls} == {main}
-        assert sum(name == "build_floquet" for name, _, _ in calls) \
-            == traj.r_grid.size + traj.refined_steps
-    (ahead, _, ahead_eigh), (inline, _, inline_eigh) = runs
-    # the lattice points' eigh ran on the background thread, the
-    # refinement midpoints' on this one
-    assert set(inline_eigh) == {main}
-    assert len(ahead_eigh) - ahead_eigh.count(main) == ahead.r_grid.size
-    assert ahead_eigh.count(main) == failures
-    assert ahead.phases.tobytes() == inline.phases.tobytes()
-    assert ahead.min_overlap == inline.min_overlap
-    assert ahead.refined_steps == inline.refined_steps == failures
     order = [[args[0].family.r for name, _, args in calls
               if name == "diagonalize"]
              for _, calls, _ in runs]
+    for (traj, calls, eigh_threads), diagonalized in zip(runs, order):
+        assert {ident for _, ident, _ in calls} == {main}
+        assert sum(name == "build_floquet" for name, _, _ in calls) \
+            == len(diagonalized)
+    (ahead, _, ahead_eigh), (inline, _, inline_eigh) = runs
+    assert set(inline_eigh) == {main}
+    assert ahead.phases.tobytes() == inline.phases.tobytes()
+    assert ahead.min_overlap == inline.min_overlap
     assert order[0] == order[1]
+    if ends_only:
+        assert set(ahead_eigh) == {main}
+        assert ahead.start_velocities.tobytes() \
+            == inline.start_velocities.tobytes()
+        assert ahead.refined_steps == inline.refined_steps == 0
+        assert len(order[0]) > 2 if failures else len(order[0]) >= 2
+        return
+    # the lattice points' eigh ran on the background thread, the
+    # refinement midpoints' on this one
+    assert len(ahead_eigh) - ahead_eigh.count(main) == ahead.r_grid.size
+    assert ahead_eigh.count(main) == failures
+    assert ahead.refined_steps == inline.refined_steps == failures
     assert len(order[0]) == ahead.r_grid.size + failures
 
 
@@ -619,6 +632,25 @@ def test_grid_validation():
         sweep_quantization(fam, scale, r0=1.0, r1=0.5)
     with pytest.raises(DomainError):
         sweep_quantization(fam, scale, r0=0.0, r1=1.0, delta_r=0.3)
+
+
+def test_the_grid_step_count_is_bounded(monkeypatch):
+    # MAX_GRID_STEPS steps is a grid; one more, by the window or by an
+    # explicit r_grid, and 10^18 or a window wider than any float are
+    # DomainErrors before the lattice is made
+    steps = sweep_mod.MAX_GRID_STEPS
+    assert sweep_mod._build_grid(None, 0.0, steps * 0.5, 0.5).size \
+        == steps + 1
+    too_long = np.zeros(steps + 2)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a lattice was made")
+
+    monkeypatch.setattr(np, "arange", never)
+    for args in ((None, 0.0, (steps + 1) * 0.5, 0.5), (None, 0.0, 1e9, 1e-9),
+                 (None, -1e308, 1e308, 0.05), (too_long, 0.0, 3.0, 0.05)):
+        with pytest.raises(DomainError, match=f"more than {steps}"):
+            sweep_mod._build_grid(*args)
 
 
 @pytest.mark.parametrize("bounds", [
@@ -880,10 +912,14 @@ def test_velocities_are_the_derivative_of_the_tracked_phases(variant):
     fam = MapFamily(variant)
     scale = PlanckScale(64)
     r, eps = 0.3, 1e-3
-    data = sweep_mod._spectrum_at(fam, scale, r)
+    def spectrum(r):
+        return diagonalize(build_floquet(dataclasses.replace(fam, r=r),
+                                         scale))
+
+    data = spectrum(r)
     ends = []
     for r_end in (r - eps, r + eps):
-        data_end = sweep_mod._spectrum_at(fam, scale, r_end)
+        data_end = spectrum(r_end)
         perm, _ = track_levels(data, data_end)
         ends.append(data_end.phases[perm])
     slope = ((ends[1] - ends[0]) / (2.0 * eps)) / mean_spacing(64)
@@ -947,14 +983,15 @@ def test_without_the_gap_certificate_the_crossing_is_jumped(monkeypatch):
 
 
 def _recording_spectra(monkeypatch):
+    """Log (N, r) of each operator the sweep diagonalizes."""
     visited = []
-    real_spectrum = sweep_mod._spectrum_at
+    real_diagonalize = sweep_mod.diagonalize
 
-    def recording(family, scale, r):
-        visited.append((scale.N, float(r)))
-        return real_spectrum(family, scale, r)
+    def recording(op, *args):
+        visited.append((op.N, float(op.family.r)))
+        return real_diagonalize(op, *args)
 
-    monkeypatch.setattr(sweep_mod, "_spectrum_at", recording)
+    monkeypatch.setattr(sweep_mod, "diagonalize", recording)
     return visited
 
 
