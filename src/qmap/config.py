@@ -167,7 +167,7 @@ def _validate(spec: RunSpec) -> list:
             and spec.r_grid is None and spec.r1 > spec.r0:
         # checked before any grid is made (sweep._build_grid checks again)
         steps = (spec.r1 - spec.r0) / spec.delta_r
-        if not steps < MAX_GRID_STEPS + 0.5:
+        if steps >= MAX_GRID_STEPS + 0.5:
             problems.append(("delta_r", f"(r1 - r0) / delta_r is {steps:.6g} "
                                         f"grid steps, more than "
                                         f"{MAX_GRID_STEPS}"))

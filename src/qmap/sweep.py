@@ -333,9 +333,9 @@ def _build_grid(r_grid, r0: float, r1: float, delta_r: float) -> np.ndarray:
     if not -np.inf < r0 < r1 < np.inf:
         raise DomainError(f"sweep: r0 and r1 must be finite, r1 above r0, "
                           f"got {r0} and {r1}")
-    # written so that a window too wide for a float (inf steps) fails
+    # inf where r1 - r0 overflows
     steps = (r1 - r0) / delta_r
-    if not steps < MAX_GRID_STEPS + 0.5:
+    if steps >= MAX_GRID_STEPS + 0.5:
         raise DomainError(f"sweep: (r1 - r0) / delta_r is {steps:.6g} grid "
                           f"steps, more than {MAX_GRID_STEPS}")
     n_steps = int(round(steps))
